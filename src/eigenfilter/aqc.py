@@ -44,15 +44,12 @@ class AqcConfig:
     T: float
     p: float = 1.5
     steps: int | None = None
-    schedule: str = "aqcP"
 
     def __post_init__(self):
         if self.T <= 0.0:
             raise ValueError("T must be positive")
-        if self.schedule == "aqcP" and not 1.0 < self.p < 2.0:
+        if not 1.0 < self.p < 2.0:
             raise ValueError("p must lie in (1, 2)")
-        if self.schedule not in ("aqcP", "vanilla"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         floor = self.step_floor
         if self.steps is not None and self.steps < floor:
             raise ValueError(f"steps {self.steps} below resolution floor {floor}")
@@ -76,12 +73,6 @@ def schedule_p(s: float, kappa: float, p: float) -> float:
         raise ValueError("p must lie in (1, 2)")
     base = 1.0 + s * (kappa ** (p - 1.0) - 1.0)
     return kappa / (kappa - 1.0) * (1.0 - base ** (1.0 / (1.0 - p)))
-
-
-def _schedule(cfg: AqcConfig, kappa: float):
-    if cfg.schedule == "vanilla":
-        return lambda s: s
-    return lambda s: schedule_p(s, kappa, cfg.p)
 
 
 def hamiltonian_pair(inst: QlspInstance):
@@ -113,12 +104,11 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     """
     h0, h1, init = hamiltonian_pair(inst)
     psi = (initial if initial is not None else init).amps.astype(complex)
-    sched = _schedule(cfg, inst.kappa)
     k = cfg.num_steps
     dt = cfg.T / k
     h0m, h1m = h0.mat, h1.mat
     for step in range(k):
-        f = sched((step + 0.5) / k)
+        f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
         dec = eig_hermitian((1.0 - f) * h0m + f * h1m)
         psi = dec.apply_function(lambda lam: np.exp(-1j * dt * lam), psi)
     return init.with_amps(psi)
@@ -141,19 +131,18 @@ def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
         raise ValueError("overlap trace requires a positive-definite instance")
     h0, h1, init = hamiltonian_pair(inst)
     psi = init.amps.astype(complex)
-    sched = _schedule(cfg, inst.kappa)
     k = cfg.num_steps
     dt = cfg.T / k
     h0m, h1m = h0.mat, h1.mat
     dim = inst.dim
     points = [(0.0, float(abs(np.vdot(path_vector(inst, 0.0), psi[:dim]))))]
     for step in range(k):
-        f = sched((step + 0.5) / k)
+        f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
         dec = eig_hermitian((1.0 - f) * h0m + f * h1m)
         psi = dec.apply_function(lambda lam: np.exp(-1j * dt * lam), psi)
         if (step + 1) % stride == 0 or step == k - 1:
             s = (step + 1) / k
-            x = path_vector(inst, sched(s))
+            x = path_vector(inst, schedule_p(s, inst.kappa, cfg.p))
             points.append((s, float(abs(np.vdot(x, psi[:dim])))))
     return points
 

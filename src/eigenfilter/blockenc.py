@@ -5,6 +5,12 @@ subnormalization, ancilla count, and error bound; this is the production path
 and scales to the full desk-scale dimensions. Explicit mode completes
 payload/alpha to an actual unitary with one extra ancilla and exists so the
 bookkeeping can be verified against a real top-left block on tiny dimensions.
+
+The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
+sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
+when that bound is inconclusive; they accept exactly what the exact check
+accepts. The solvers build the f-independent H0/H1 encodings of an instance
+once per solve and form each H(f) from that pair with `linear_combine`.
 """
 
 from __future__ import annotations
@@ -13,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DenseOperator, StateRegister, eig_hermitian, hermitian_part
+from .numerics import (
+    DenseOperator,
+    StateRegister,
+    eig_hermitian,
+    hermitian_part,
+    spectral_norm_bound,
+)
 
 UNITARY_TOL = 1e-10
 DILATION_DIM_CAP = 2 ** 14
@@ -37,8 +49,9 @@ class BlockEncoding:
             raise ValueError("ancilla count must be non-negative")
         if self.err_bound < 0.0:
             raise ValueError("error bound must be non-negative")
-        nrm = self.payload.norm()
-        if nrm > self.alpha * (1.0 + 1e-10) + self.err_bound:
+        limit = self.alpha * (1.0 + 1e-10) + self.err_bound
+        nrm = spectral_norm_bound(self.payload, limit)
+        if nrm > limit:
             raise ValueError(
                 f"payload norm {nrm:.6g} exceeds alpha {self.alpha:.6g}: "
                 "no unitary dilation exists"
@@ -75,8 +88,9 @@ def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
     When the ancilla count is not supplied, the sparse-access convention
     m = n + 2 is recorded (n system qubits).
     """
-    nrm = A.norm()
-    if nrm > alpha * (1.0 + 1e-10):
+    limit = alpha * (1.0 + 1e-10)
+    nrm = spectral_norm_bound(A, limit)
+    if nrm > limit:
         raise ValueError(f"alpha {alpha} < ||A|| = {nrm:.6g}")
     if ancilla is None:
         ancilla = _num_qubits(A.dim) + 2

@@ -5,15 +5,25 @@ value types: a dense operator and a state register with an (ancilla | system)
 qubit split. Operators are applied either through their eigendecomposition
 (the oracle path) or through a Clenshaw recurrence on Chebyshev coefficients
 (the production path, which mirrors a quantum circuit in never diagonalizing).
+
+Spectral-norm guards (block-encoding subnormalizations, the Clenshaw
+contraction check) go through `spectral_norm_bound`: the certified bound
+sqrt(‖X‖₁·‖X‖∞) is checked first, and an SVD runs only when that bound does
+not already settle the guard, so a guard accepts exactly when the exact
+check would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+# Relative slack on the cheap norm bound: it absorbs the roundoff of both the
+# bound and the SVD, so the cheap path never accepts what the SVD would reject.
+NORM_BOUND_SLACK = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -52,6 +62,22 @@ class DenseOperator:
     def norm(self) -> float:
         """Spectral norm."""
         return float(np.linalg.norm(self.mat, 2))
+
+
+def spectral_norm_bound(op: DenseOperator | np.ndarray, limit: float) -> float:
+    """Upper bound on ‖op‖₂ that is exact whenever ‖op‖₂ exceeds limit.
+
+    Returns sqrt(‖op‖₁·‖op‖∞) when that certified bound is within limit (no
+    SVD needed), otherwise the exact spectral norm. Callers compare the
+    result against the same limit: the guard passes exactly when the exact
+    norm is at most limit, and a failure message can quote the exact norm.
+    """
+    m = op.mat if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
+    a = np.abs(m)
+    cheap = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+    if cheap * (1.0 + NORM_BOUND_SLACK) <= limit:
+        return cheap
+    return op.norm() if isinstance(op, DenseOperator) else float(np.linalg.norm(m, 2))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -166,25 +192,30 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
 
     Hn must be a contraction in spectral norm (the Chebyshev recurrence is
     unstable outside [-1, 1]); a small tolerance absorbs roundoff from the
-    callers' normalizations.
+    callers' normalizations. A series of degree D costs D matvecs.
     """
     c = _coefficients(coeffs)
     m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn, dtype=complex)
-    nrm = float(np.linalg.norm(m, 2))
+    nrm = spectral_norm_bound(Hn, 1.0 + 1e-8)
     if nrm > 1.0 + 1e-8:
         raise ValueError(f"clenshaw_apply needs ||Hn|| <= 1, got {nrm:.6f}")
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-
-    bk1 = np.zeros_like(vec)
-    bk2 = np.zeros_like(vec)
-    for k in range(c.size - 1, 0, -1):
-        bk1, bk2 = c[k] * vec + 2.0 * (m @ bk1) - bk2, bk1
-    out = c[0] * vec + m @ bk1 - bk2
+    out = _clenshaw(c, m.__matmul__, vec)
     if isinstance(v, StateRegister):
         return v.with_amps(out)
     return out
+
+
+def _clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
+    # b_D = c_D·v needs no matvec, so a degree-D series costs D matvecs
+    if c.size == 1:
+        return c[0] * vec
+    bk1, bk2 = c[-1] * vec, np.zeros_like(vec)
+    for k in range(c.size - 2, 0, -1):
+        bk1, bk2 = c[k] * vec + 2.0 * matvec(bk1) - bk2, bk1
+    return c[0] * vec + matvec(bk1) - bk2
 
 
 def linsolve(A: DenseOperator | np.ndarray, b: StateRegister | np.ndarray):

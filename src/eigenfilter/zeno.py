@@ -23,7 +23,13 @@ import numpy as np
 from .chebpoly import degree_for_accuracy
 from .filtering import apply_filter, measure_ancilla
 from .numerics import StateRegister, fidelity
-from .qlsp import QlspInstance, gap_lower_bound, make_hf, solution_state, path_vector
+from .qlsp import (
+    QlspInstance,
+    gap_lower_bound,
+    hf_encodings,
+    path_vector,
+    solution_state,
+)
 from .report import SolverReport
 
 M_FLOOR = 4  # the overlap analysis needs M >= 4
@@ -100,10 +106,9 @@ def _step_degrees(inst: QlspInstance, params: ZenoParams) -> list[int]:
     return degs
 
 
-def _exact_projector_step(inst: QlspInstance, f: float,
+def _exact_projector_step(inst: QlspInstance, x: np.ndarray,
                           psi: StateRegister) -> tuple[StateRegister, float]:
-    # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}
-    x = path_vector(inst, f)
+    # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}, x = x(f)
     dim = inst.dim
     c0 = np.vdot(x, psi.amps[:dim])
     c1 = np.vdot(inst.b.amps, psi.amps[dim:])
@@ -133,8 +138,9 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     rng = np.random.default_rng(seed)
     params = zeno_params(inst.kappa, eps)
     degs = _step_degrees(inst, params)
-    encs = [make_hf(inst, float(f)) for f in params.f_grid[1:]]
+    encs = hf_encodings(inst, params.f_grid[1:])
     gaps = [gap_lower_bound(inst, float(f)) for f in params.f_grid[1:]]
+    path = [path_vector(inst, float(f)) for f in params.f_grid[1:]]
     oracle = solution_state(inst)
     dim = inst.dim
     init = StateRegister(np.concatenate([inst.b.amps, np.zeros(dim)]),
@@ -150,12 +156,11 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         psi = init
         aborted = False
         for j in range(1, params.M + 1):
-            f = float(params.f_grid[j])
-            nxt = path_vector(inst, f)
+            nxt = path[j - 1]
             trace.per_step_overlap.append(
                 float(abs(np.vdot(psi.amps[:dim], nxt))))
             if ideal_projection:
-                psi, p = _exact_projector_step(inst, f, psi)
+                psi, p = _exact_projector_step(inst, nxt, psi)
             else:
                 out = apply_filter(encs[j - 1], 0.0, degs[j - 1], psi,
                                    mode=mode, rng=rng, gap=gaps[j - 1])

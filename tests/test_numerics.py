@@ -15,6 +15,7 @@ from eigenfilter.numerics import (
     fidelity,
     hermitian_part,
     linsolve,
+    spectral_norm_bound,
 )
 
 
@@ -104,6 +105,19 @@ def test_clenshaw_rejects_expansive_operator():
         clenshaw_apply([1.0, 0.5], 2.0 * np.eye(2), np.ones(2))
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_clenshaw_costs_one_matvec_per_degree(degree, matvec_counter):
+    h = random_hermitian(8, 5)
+    h = h / np.linalg.norm(h, 2)
+    coeffs = np.linspace(0.9, -0.4, degree + 1)
+    v = np.arange(1.0, 9.0) + 0.25j
+    got = clenshaw_apply(coeffs, h, v)
+    assert matvec_counter["matvecs"] == degree
+    want = eig_hermitian(h).apply_function(
+        lambda lam: chebyshev.chebval(lam, coeffs), v)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_clenshaw_preserves_register_split():
     reg = StateRegister(np.ones(4) / 2.0, 1, 1)
     out = clenshaw_apply([0.0, 1.0], 0.5 * np.eye(4), reg)
@@ -138,3 +152,40 @@ def test_spectral_decomposition_is_readonly():
     dec = SpectralDecomposition(np.array([1.0]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         dec.eigenvalues[0] = 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1), st.booleans(),
+       st.booleans(), st.floats(0.0, 4.0))
+def test_norm_guard_decides_like_svd(dim, seed, herm, wrap, ratio):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if herm:
+        m = hermitian_part(m)
+    exact = float(np.linalg.norm(m, 2))
+    op = DenseOperator(m, hermitian=herm) if wrap else m
+    for limit in (ratio * exact, exact, float(np.nextafter(exact, 0.0))):
+        got = spectral_norm_bound(op, limit)
+        assert (got <= limit) == (exact <= limit)
+        assert got >= exact * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("m", [
+    0.7 * np.eye(4),
+    np.ones((4, 4)) / 4.0,
+    np.outer([1.0, -1.0, 1j, 1.0], [0.5, 0.5j, -0.5, 0.5]),
+    np.diag([1.0, -0.5, 0.25]),
+])
+def test_norm_guard_is_exact_where_cheap_bound_is_tight(m):
+    # sqrt(||m||_1 ||m||_inf) equals ||m||_2 here, so the cheap bound sits
+    # on the limit up to roundoff
+    exact = float(np.linalg.norm(m, 2))
+    for limit in (exact, float(np.nextafter(exact, 0.0))):
+        assert (spectral_norm_bound(m, limit) <= limit) == (exact <= limit)
+
+
+def test_norm_guard_skips_svd_when_cheap_bound_settles_it():
+    m = np.array([[1.0, 1.0], [1.0, -1.0]])  # ||m||_2 = sqrt(2), bound 2
+    assert spectral_norm_bound(m, 3.0) == 2.0
+    assert spectral_norm_bound(m, 1.5) == pytest.approx(np.sqrt(2.0))
+    assert spectral_norm_bound(m, 1.4) > 1.4

@@ -13,6 +13,7 @@ from eigenfilter.numerics import (
     eig_hermitian,
     fidelity,
     linsolve,
+    spectral_norm_bound,
 )
 from eigenfilter.qlsp import (
     QlspInstance,
@@ -23,6 +24,7 @@ from eigenfilter.qlsp import (
     gap_lower_bound,
     lstar,
     make_h0,
+    make_h0_encoding,
     make_h1,
     make_h1_encoding,
     make_hf,
@@ -93,6 +95,21 @@ def test_encoding_bookkeeping_matches_construction():
     assert hf.alpha == pytest.approx(0.75 + 0.25 * inst.d)
     assert hf.ancilla == inst.n + 6
     assert verify(attach_unitary(hf)) <= 1e-10
+
+
+def test_h0_encoding_accepted_through_exact_norm_fallback():
+    inst = gen_instance(6, 10.0, 0)
+    h0 = make_h0(inst.b).mat
+    a = np.abs(h0)
+    cheap = math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+    # the certified bound cannot settle ||H0|| <= alpha = 1 ...
+    assert cheap == pytest.approx(2.74, abs=0.01)
+    # ... but the exact norm is 1, so the guard must still accept
+    assert np.linalg.norm(h0, 2) == pytest.approx(1.0, abs=1e-12)
+    enc = make_h0_encoding(inst)
+    assert enc.alpha == 1.0
+    limit = enc.alpha * (1.0 + 1e-10)
+    assert spectral_norm_bound(enc.payload, limit) <= limit
 
 
 def test_gap_bound_forms():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from eigenfilter import zeno
 from eigenfilter.harness import gen_instance
+from eigenfilter.qlsp import make_hf
 from eigenfilter.zeno import (
     ZenoParams,
     ZenoTrace,
@@ -119,6 +121,34 @@ def test_sample_mode_aborts_and_restarts():
     report2, _ = solve_zeno(inst, 1e-6, mode="sample", seed=13)
     assert report2.attempts == report.attempts
     assert report2.query_ledger == report.query_ledger
+
+
+@pytest.mark.parametrize("mode,seed", [("postselect", None), ("sample", 13)])
+def test_filter_ledger_equals_counted_matvecs(mode, seed, matvec_counter):
+    inst = gen_instance(3, 10.0, 5)
+    report, _ = solve_zeno(inst, 1e-6, mode=mode, seed=seed)
+    assert report.query_ledger["U_Hf_filter"] == matvec_counter["matvecs"]
+
+
+def test_walk_encodings_equal_make_hf(monkeypatch):
+    inst = gen_instance(4, 10.0, 0)
+    seen = []
+    real_filter = zeno.apply_filter
+
+    def recording_filter(enc, *args, **kwargs):
+        seen.append(enc)
+        return real_filter(enc, *args, **kwargs)
+
+    monkeypatch.setattr(zeno, "apply_filter", recording_filter)
+    solve_zeno(inst, 1e-6)
+    grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
+    assert len(seen) == grid.size
+    for enc, f in zip(seen, grid):
+        ref = make_hf(inst, float(f))
+        assert np.array_equal(enc.payload.mat, ref.payload.mat)
+        assert enc.payload.hermitian == ref.payload.hermitian
+        assert (enc.alpha, enc.ancilla, enc.err_bound) == \
+            (ref.alpha, ref.ancilla, ref.err_bound)
 
 
 def test_rejects_non_positive_definite():
