@@ -19,10 +19,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dct
 from scipy.optimize import linprog
+from scipy.special import jv
 
 # Above this gap the exponential bound 2·exp(-sqrt(2)·ell·gap) no longer
 # holds; bound and degree computations clamp to it.
 BOUND_GAP_CAP = 1.0 / math.sqrt(12.0)
+# Certified bound on the discarded tail of one Jacobi–Anger series: below
+# double-precision roundoff, so truncation adds nothing a step would show.
+JACOBI_ANGER_TAIL = 1e-16
 
 
 def cheb_eval(ell: int, x: float) -> float:
@@ -196,6 +200,37 @@ def reflection_cheb_coeffs(spec: FilterSpec) -> ChebSeries:
     c = cheb_interp_coeffs(lambda x: reflection_eval(rspec, x), 2 * spec.ell)
     c[1::2] = 0.0
     return ChebSeries(c, parity="even")
+
+
+def jacobi_anger_coeffs(x: float) -> np.ndarray:
+    """Chebyshev coefficients of exp(-i·x·y) on y in [-1, 1] (Jacobi–Anger).
+
+    c_k = (2 - δ_k0)·(-i)^k·J_k(x). The series stops at the first degree whose
+    discarded tail 2·Σ_{k>K} |J_k(x)| is certified below JACOBI_ANGER_TAIL by
+    |J_k(x)| <= (x/2)^k / k!. Since |T_k| <= 1 on [-1, 1], that tail bounds
+    the error of exp(-i·x·Hn) v for any Hermitian contraction Hn and unit v.
+    """
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError("x must be finite and non-negative")
+    degree = 0
+    while _jacobi_anger_tail(x, degree) > JACOBI_ANGER_TAIL:
+        degree += 1
+    k = np.arange(degree + 1)
+    c = np.array([1.0, -1j, -1.0, 1j])[k % 4] * jv(k, x)
+    c[1:] *= 2.0
+    return c
+
+
+def _jacobi_anger_tail(x: float, degree: int) -> float:
+    # 2·Σ_{k>degree} (x/2)^k / k!; successive terms shrink by at least
+    # r = x / (2·(degree + 2)), so the sum is below its first term / (1 - r)
+    if x == 0.0:
+        return 0.0
+    r = x / (2.0 * (degree + 2))
+    if r >= 1.0:
+        return math.inf
+    log_first = (degree + 1) * math.log(x / 2.0) - math.lgamma(degree + 2)
+    return 2.0 * math.exp(log_first) / (1.0 - r)
 
 
 def _lp_minimax(ell: int, gap: float, grid_size: int) -> float:

@@ -367,14 +367,16 @@ def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3,
     stays flat and the query slope reflects the filter degree alone. The
     search walks a fixed geometric factor grid (ascending, early exit), so
     the result is deterministic. The overlap is insensitive to dimension,
-    so calibration defaults to a small n for speed.
+    so calibration defaults to a small n for speed. The instances and their
+    targets are built once and shared by every factor tried.
     """
+    cases = []
+    for seed in range(cal_seeds):
+        inst = planted_tridiag_instance(n, kappa, seed)
+        cases.append((inst, _twoblock_target(inst)))
     for factor in CALIBRATION_FACTORS:
         cfg = AqcConfig(T=factor * kappa, p=AQC_SCHEDULE_POWER)
-        gams = []
-        for seed in range(cal_seeds):
-            inst = planted_tridiag_instance(n, kappa, seed)
-            gams.append(fidelity(_twoblock_target(inst), evolve(inst, cfg)))
+        gams = [fidelity(goal, evolve(inst, cfg)) for inst, goal in cases]
         if float(np.mean(gams)) >= target:
             return factor
     return CALIBRATION_FACTORS[-1]

@@ -5,6 +5,10 @@ value types: a dense operator and a state register with an (ancilla | system)
 qubit split. Operators are applied either through their eigendecomposition
 (the oracle path) or through a Clenshaw recurrence on Chebyshev coefficients
 (the production path, which mirrors a quantum circuit in never diagonalizing).
+The recurrence, `clenshaw`, is the one polynomial kernel: filtering and the
+inversion baseline reach it through `clenshaw_apply` with real coefficients,
+and the adiabatic time evolution calls it with the complex Jacobi–Anger
+coefficients of exp(-i·dt·H).
 
 Spectral-norm guards (block-encoding subnormalizations, the Clenshaw
 contraction check) go through `spectral_norm_bound`: the certified bound
@@ -179,8 +183,8 @@ def eig_hermitian(H: DenseOperator | np.ndarray) -> SpectralDecomposition:
 
 
 def _coefficients(coeffs) -> np.ndarray:
-    c = getattr(coeffs, "coefficients", coeffs)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    c = np.asarray(getattr(coeffs, "coefficients", coeffs)).reshape(-1)
+    c = c.astype(complex if np.iscomplexobj(c) else float)
     if c.size == 0 or not np.all(np.isfinite(c)):
         raise ValueError("invalid Chebyshev coefficients")
     return c
@@ -190,9 +194,10 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
                    v: StateRegister | np.ndarray):
     """Apply Σ_k c_k T_k(Hn) to v by the backward Clenshaw recurrence.
 
-    Hn must be a contraction in spectral norm (the Chebyshev recurrence is
-    unstable outside [-1, 1]); a small tolerance absorbs roundoff from the
-    callers' normalizations. A series of degree D costs D matvecs.
+    The coefficients may be real or complex. Hn must be a contraction in
+    spectral norm (the Chebyshev recurrence is unstable outside [-1, 1]); a
+    small tolerance absorbs roundoff from the callers' normalizations. A
+    series of degree D costs D matvecs.
     """
     c = _coefficients(coeffs)
     m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn, dtype=complex)
@@ -202,14 +207,19 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-    out = _clenshaw(c, m.__matmul__, vec)
+    out = clenshaw(c, m.__matmul__, vec)
     if isinstance(v, StateRegister):
         return v.with_amps(out)
     return out
 
 
-def _clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
-    # b_D = c_D·v needs no matvec, so a degree-D series costs D matvecs
+def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
+    """Σ_k c_k T_k(H) vec, with H given only by its matvec; no validation.
+
+    The caller guarantees that H is a contraction (clenshaw_apply checks it
+    per call; the time evolution bounds it once per run). b_D = c_D·v needs
+    no matvec, so a degree-D series costs D matvecs.
+    """
     if c.size == 1:
         return c[0] * vec
     bk1, bk2 = c[-1] * vec, np.zeros_like(vec)

@@ -13,8 +13,21 @@ from eigenfilter.aqc import (
     solve_aqc_filtered,
 )
 from eigenfilter.harness import gen_instance
-from eigenfilter.numerics import fidelity
-from eigenfilter.qlsp import solution_state
+from eigenfilter.numerics import StateRegister, eig_hermitian, fidelity
+from eigenfilter.qlsp import path_vector, solution_state
+
+
+def eigh_midpoint(inst, cfg, initial=None):
+    """Reference propagator: exp(-i·dt·H(f_mid)) through eig_hermitian."""
+    h0, h1, init = hamiltonian_pair(inst)
+    psi = (initial if initial is not None else init).amps.astype(complex)
+    k = cfg.num_steps
+    dt = cfg.T / k
+    for step in range(k):
+        f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
+        dec = eig_hermitian((1.0 - f) * h0.mat + f * h1.mat)
+        psi = dec.apply_function(lambda lam: np.exp(-1j * dt * lam), psi)
+    return psi
 
 
 def test_config_invariants():
@@ -83,12 +96,52 @@ def test_evolution_reaches_useful_overlap():
     assert 0.45 <= overlap <= 1.0
 
 
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+@pytest.mark.parametrize("T,steps", [(2.0, None), (1.0, 57), (1e-8, None)])
+def test_evolve_matches_eigh_oracle(form, T, steps):
+    inst = gen_instance(3, 10.0, 12, form=form)
+    cfg = AqcConfig(T=T, steps=steps)
+    got = evolve(inst, cfg).amps
+    assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["positive-definite", "general"])
+def test_evolve_from_explicit_initial_state_matches_eigh_oracle(form):
+    inst = gen_instance(3, 10.0, 13, form=form)
+    _, _, init = hamiltonian_pair(inst)
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=init.dim) + 1j * rng.normal(size=init.dim)
+    start = init.with_amps(amps / np.linalg.norm(amps))
+    cfg = AqcConfig(T=3.0)
+    got = evolve(inst, cfg, initial=start)
+    assert isinstance(got, StateRegister)
+    assert (got.ancilla, got.system) == (init.ancilla, init.system)
+    want = eigh_midpoint(inst, cfg, initial=start)
+    assert np.max(np.abs(got.amps - want)) <= 1e-12
+
+
+def test_evolve_observer_sees_every_step():
+    inst = gen_instance(3, 10.0, 14)
+    cfg = AqcConfig(T=1.0)
+    seen = []
+    out = evolve(inst, cfg, observer=lambda j, psi: seen.append((j, psi.copy())))
+    assert [j for j, _ in seen] == list(range(cfg.num_steps + 1))
+    assert np.array_equal(seen[0][1], hamiltonian_pair(inst)[2].amps)
+    assert np.array_equal(seen[-1][1], out.amps)
+
+
 def test_overlap_trace_endpoints():
     inst = gen_instance(3, 10.0, 4)
     pts = overlap_trace(inst, AqcConfig(T=2.0), stride=10)
     assert pts[0] == (0.0, pytest.approx(1.0, abs=1e-12))
     assert pts[-1][0] == 1.0
     assert 0.0 <= pts[-1][1] <= 1.0
+    assert [s for s, _ in pts] == [j / 40 for j in range(0, 41, 10)]
+    # the trace runs the same propagator as evolve
+    final = evolve(inst, AqcConfig(T=2.0)).amps[:inst.dim]
+    x1 = path_vector(inst, schedule_p(1.0, inst.kappa, 1.5))
+    assert pts[-1][1] == abs(np.vdot(x1, final))
     with pytest.raises(ValueError):
         overlap_trace(gen_instance(3, 10.0, 4, form="general"),
                       AqcConfig(T=1.0))

@@ -16,6 +16,7 @@ from eigenfilter.chebpoly import (
     degree_for_accuracy,
     filter_cheb_coeffs,
     filter_eval,
+    jacobi_anger_coeffs,
     minimax_oracle,
     reflection_cheb_coeffs,
     reflection_eval,
@@ -162,3 +163,24 @@ def test_spec_validation():
         FilterSpec(3, 1.5)
     with pytest.raises(ValueError):
         FilterSpec(3, 0.1, kind="projector")
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0])
+def test_jacobi_anger_series_is_the_exponential(x):
+    ys = np.linspace(-1.0, 1.0, 1001)
+    got = np.polynomial.chebyshev.chebval(ys, jacobi_anger_coeffs(x))
+    assert np.max(np.abs(got - np.exp(-1j * x * ys))) <= 1e-15
+
+
+def test_jacobi_anger_term_count_grows_with_x():
+    xs = np.concatenate([[0.0], np.geomspace(1e-12, 100.0, 200)])
+    sizes = [jacobi_anger_coeffs(float(x)).size for x in xs]
+    assert sizes[0] == 1
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] > sizes[100] > sizes[0]
+
+
+def test_jacobi_anger_rejects_bad_arguments():
+    for x in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jacobi_anger_coeffs(x)

@@ -1,6 +1,7 @@
 """Exit codes, determinism, and output formats of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -162,3 +163,17 @@ def test_module_entry_point_is_reproducible(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("instance ")
+
+
+def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"report-{threads}.json"
+        cmd = [sys.executable, "-m", "eigenfilter", "solve", "--n", "7",
+               "--kappa", "16", "--form", "planted", "--method", "aqc",
+               "--out", str(path)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, path.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from eigenfilter import harness
+from eigenfilter.aqc import AqcConfig, evolve
 from eigenfilter.harness import (
     CALIBRATION_FACTORS,
     calibrate_time_factor,
@@ -17,6 +19,7 @@ from eigenfilter.harness import (
     planted_tridiag_instance,
     zeno_log_factor,
 )
+from eigenfilter.qlsp import solution_state
 from eigenfilter.zeno import zeno_params
 
 
@@ -161,6 +164,35 @@ def test_calibrate_time_factor_walks_the_grid():
     assert factor in CALIBRATION_FACTORS
     assert factor == 0.1
     assert calibrate_time_factor(4.0) == factor
+
+
+def test_calibrate_time_factor_builds_each_instance_once(monkeypatch):
+    kappa, n, cal_seeds = 8.0, 3, 2
+
+    def rebuilt_per_factor():
+        for factor in CALIBRATION_FACTORS:
+            cfg = AqcConfig(T=factor * kappa, p=1.5)
+            gams = []
+            for seed in range(cal_seeds):
+                inst = planted_tridiag_instance(n, kappa, seed)
+                x = np.concatenate([solution_state(inst).amps,
+                                    np.zeros(inst.dim)])
+                gams.append(abs(np.vdot(x, evolve(inst, cfg).amps)))
+            if float(np.mean(gams)) >= 0.9:
+                return factor
+        return CALIBRATION_FACTORS[-1]
+
+    want = rebuilt_per_factor()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return planted_tridiag_instance(*args)
+
+    monkeypatch.setattr(harness, "planted_tridiag_instance", counted)
+    assert calibrate_time_factor(kappa, n=n, cal_seeds=cal_seeds) == want
+    assert want != CALIBRATION_FACTORS[0]
+    assert len(calls) == cal_seeds
 
 
 def test_fidelity_vs_ell_small_sweep_is_monotone():

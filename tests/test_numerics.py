@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
+from eigenfilter.chebpoly import jacobi_anger_coeffs
 from eigenfilter.numerics import (
     DenseOperator,
     SpectralDecomposition,
@@ -134,6 +135,39 @@ def test_clenshaw_agrees_with_chebval_on_scalars(coeffs, seed):
     x = float(np.random.default_rng(seed).uniform(-1.0, 1.0))
     got = clenshaw_apply(coeffs, np.array([[x]]), np.array([1.0]))
     assert got[0] == pytest.approx(chebyshev.chebval(x, coeffs), abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000), st.integers(0, 2 ** 31 - 1),
+       st.floats(0.0, 1.0), st.integers(0, 3))
+def test_clenshaw_is_stable_at_high_degree(dim, degree, seed, shrink, decay):
+    # degrees up to the ~1e4 of the kappa=64 inversion baseline. Clenshaw's
+    # rounding error on a Chebyshev series is at most of order
+    # (D+1)^2 · eps · Σ|c_k|; the eigh oracle's own error is of the same order
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(dim, seed)
+    h = h / np.linalg.norm(h, 2) * (1.0 if seed % 2 else shrink)
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1) * rng.uniform(size=degree + 1) ** decay
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    got = clenshaw_apply(coeffs, h, v)
+    want = eig_hermitian(h).apply_function(
+        lambda lam: chebyshev.chebval(lam, coeffs), v)
+    tol = 16 * np.finfo(float).eps * (degree + 1) ** 2 * np.abs(coeffs).sum()
+    assert np.linalg.norm(got - want) <= tol
+
+
+def test_clenshaw_takes_complex_coefficients():
+    # exp(-i·x·H) from its Jacobi–Anger series at a degree past 100
+    h = random_hermitian(8, 6)
+    h = h / np.linalg.norm(h, 2)
+    coeffs = jacobi_anger_coeffs(60.0)
+    assert coeffs.size > 100 and np.iscomplexobj(coeffs)
+    v = np.arange(1.0, 9.0) - 0.5j
+    got = clenshaw_apply(coeffs, h, v)
+    want = eig_hermitian(h).apply_function(lambda lam: np.exp(-60j * lam), v)
+    tol = 16 * np.finfo(float).eps * coeffs.size ** 2 * np.abs(coeffs).sum()
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(v)
 
 
 def test_linsolve_matches_numpy():
