@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebpoly import degree_for_accuracy, jacobi_anger_coeffs
-from .filtering import apply_filter, measure_ancilla
+from .filtering import apply_filter, measure_ancilla, sample_restarts
 from .numerics import StateRegister, clenshaw, fidelity, spectral_norm_bound
 from .qlsp import (
     QlspInstance,
@@ -184,12 +184,15 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
 
     The filter degree targets eps scaled by the measured seed overlap
     (a weaker seed needs a sharper filter); the final first-qubit
-    measurement removes the |1⟩|b⟩ null component.
+    measurement removes the |1⟩|b⟩ null component. In sample mode the run
+    is simulated once and seeded coins decide the restarts; the ledger
+    charges the filter once per attempt that reached it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if mode not in ("postselect", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg or AqcConfig(T=0.2 * inst.kappa)
-    rng = np.random.default_rng(seed)
 
     # the filtering picture: positive definite stays on (A, b); general
     # input filters on the extended Hermitian system
@@ -201,39 +204,27 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
     target = np.concatenate([oracle.amps, np.zeros(filt_inst.dim)])
     h1_gap = gap_lower_bound(filt_inst, 1.0)
 
-    evolved = evolve(inst, cfg)
-    if inst.form == "positive-definite":
-        seeded, accept_p = evolved, 1.0
-    else:
-        seeded, accept_p = _dilated_to_twoblock(evolved, filt_inst.n)
+    dilated = inst.form != "positive-definite"
+    seeded, accept_p = evolve(inst, cfg), 1.0
+    if dilated:
+        seeded, accept_p = _dilated_to_twoblock(seeded, filt_inst.n)
     gamma0 = float(abs(np.vdot(target, seeded.amps)))
     if gamma0 <= 1e-12:
         raise ValueError("adiabatic seed has no overlap with the solution")
     ell = degree_for_accuracy(h1_gap / enc.alpha, eps * gamma0)
 
-    attempts = 0
-    probs: list[float] = []
-    state = None
-    while state is None:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(f"no success within {max_attempts} attempts")
-        if mode == "sample" and inst.form != "positive-definite":
-            # the dilated run is accepted on a |+> outcome of its basis qubit
-            if not rng.random() < accept_p:
-                continue
-        out = apply_filter(enc, 0.0, ell, seeded, mode=mode, rng=rng,
-                           gap=h1_gap)
-        if mode == "sample" and not out.sampled_success:
-            continue
-        final = measure_ancilla(out.post_state, mode=mode, rng=rng)
-        if mode == "sample" and not final.sampled_success:
-            continue
-        probs = ([accept_p] if inst.form != "positive-definite" else [])
-        probs += [out.success_probability, final.success_probability]
-        state = final.post_state
+    out = apply_filter(enc, 0.0, ell, seeded, gap=h1_gap)
+    final = measure_ancilla(out.post_state)
+    # coin stages: the dilated run's |+> acceptance, the filter, the ancilla
+    probs = ([accept_p] if dilated else [])
+    probs += [out.success_probability, final.success_probability]
+    reached = [1] * len(probs)
+    if mode == "sample":
+        reached = sample_restarts(probs, np.random.default_rng(seed),
+                                  max_attempts)
+    attempts = reached[0]
 
-    fid = fidelity(state.amps[:filt_inst.dim], oracle.amps)
+    fid = fidelity(final.post_state.amps[:filt_inst.dim], oracle.amps)
     return SolverReport(
         method="aqc",
         params={
@@ -244,7 +235,8 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
         },
         final_fidelity=fid,
         success_probabilities=probs,
-        query_ledger={"U_H1_filter": 2 * ell * attempts, "O_B": attempts},
+        query_ledger={"U_H1_filter": 2 * ell * reached[int(dilated)],
+                      "O_B": attempts},
         formula_derived_costs={
             "aqc_evolution_queries": hsim_query_formula(inst.d, inst.kappa),
         },

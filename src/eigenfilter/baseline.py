@@ -27,6 +27,7 @@ import numpy.polynomial.chebyshev as _cheb
 from scipy.signal.windows import chebwin
 
 from .chebpoly import ChebSeries
+from .filtering import sample_restarts
 from .numerics import StateRegister, clenshaw_apply, fidelity
 from .qlsp import QlspInstance, extend_general, solution_state
 from .report import SolverReport
@@ -179,7 +180,6 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     work = inst
     if inst.form == "general":
         work = extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    rng = np.random.default_rng(seed)
     alpha = float(work.d)
     spec = build_inversion_poly(alpha * work.kappa, eps, kappa=work.kappa)
     oracle = solution_state(work)
@@ -189,10 +189,8 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     p = float(np.linalg.norm(out) ** 2)
     attempts = 1
     if mode == "sample":
-        while not rng.random() < p:
-            attempts += 1
-            if attempts > max_attempts:
-                raise RuntimeError(f"no success within {max_attempts} attempts")
+        [attempts] = sample_restarts([p], np.random.default_rng(seed),
+                                     max_attempts)
     state = StateRegister(out / np.linalg.norm(out),
                           ancilla=work.b.ancilla, system=work.b.system)
     fid = fidelity(state, oracle)

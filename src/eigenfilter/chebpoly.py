@@ -29,16 +29,6 @@ BOUND_GAP_CAP = 1.0 / math.sqrt(12.0)
 JACOBI_ANGER_TAIL = 1e-16
 
 
-def cheb_eval(ell: int, x: float) -> float:
-    """Chebyshev polynomial T_ell(x), valid inside and outside [-1, 1]."""
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    if abs(x) <= 1.0:
-        return float(math.cos(ell * math.acos(x)))
-    sign = 1.0 if (x > 0.0 or ell % 2 == 0) else -1.0
-    return sign * float(math.cosh(ell * math.acosh(abs(x))))
-
-
 def _log_cosh(t: float) -> float:
     # log(cosh t) without overflow for large t
     return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)

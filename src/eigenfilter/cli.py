@@ -10,9 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or input-parse failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -42,7 +40,14 @@ from .qlsp import (
     make_h1_encoding,
     make_hf,
 )
-from .storage import StorageError, load_instance, save_experiment, save_instance, save_report
+from .storage import (
+    StorageError,
+    load_instance,
+    save_experiment,
+    save_instance,
+    save_report,
+    write_table,
+)
 from .zeno import solve_zeno, validate_zeno_bounds, zeno_params
 
 USAGE_ERROR = 1
@@ -61,16 +66,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
-                         for v in row])
-    Path(path).write_text(buf.getvalue(), encoding="ascii")
 
 
 def _instance_from_args(args) -> QlspInstance:
@@ -112,7 +107,7 @@ def _cmd_poly(args) -> int:
     fn = filter_eval if args.kind == "filter" else reflection_eval
     rows = [(float(x), float(fn(spec, float(x)))) for x in xs]
     if args.out:
-        _write_csv(args.out, ["x", "value"], rows)
+        write_table(args.out, ["x", "value"], rows)
     dmax = max(abs(v) for x, v in rows if abs(x) >= args.gap)
     print(f"poly kind={args.kind} ell={spec.ell} gap={spec.gap!r} "
           f"points={args.points} max_on_gap_region={dmax!r} "
@@ -134,18 +129,24 @@ def _cmd_filter(args) -> int:
     ell = args.ell
     if ell is None:
         ell = degree_for_accuracy(transformed_gap(enc, lam), args.eps)
-    rng = np.random.default_rng(args.seed)
-    out = apply_filter(enc, lam, ell, inst.b, mode=args.mode, rng=rng)
+    out = apply_filter(enc, lam, ell, inst.b)
+    post, sampled = out.post_state, None
+    if args.mode == "sample":
+        # one seeded coin; the failure branch keeps b as its post state
+        sampled = bool(np.random.default_rng(args.seed).random()
+                       < out.success_probability)
+        if not sampled:
+            post = inst.b
     mask = np.abs(dec.eigenvalues - lam) <= 1e-8
     proj = (dec.eigenvectors[:, mask] @
             (dec.eigenvectors[:, mask].conj().T @ inst.b.amps))
     oracle = proj / np.linalg.norm(proj)
-    fid = fidelity(out.post_state, StateRegister(oracle, 0, inst.n))
+    fid = fidelity(post, StateRegister(oracle, 0, inst.n))
     record = {
         "kind": "filter-outcome", "lam": lam, "ell": ell, "mode": args.mode,
         "success_probability": float(out.success_probability),
         "fidelity_vs_oracle": float(fid),
-        "sampled_success": out.sampled_success,
+        "sampled_success": sampled,
         "ancilla_budget": out.ancilla_budget,
     }
     text = json.dumps(record, sort_keys=True, indent=2) + "\n"
@@ -182,7 +183,7 @@ def _cmd_solve(args) -> int:
         save_report(args.out, report)
     if trace_rows is not None:
         header, pts = trace_rows
-        _write_csv(args.trace_out, header.split(","), pts)
+        write_table(args.trace_out, header.split(","), pts)
     print(f"solve method={report.method} "
           f"fidelity={float(report.final_fidelity)!r} "
           f"attempts={report.attempts} queries={report.total_queries}")

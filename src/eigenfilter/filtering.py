@@ -36,16 +36,14 @@ EIGENSPACE_TOL = 1e-8
 class MeasurementOutcome:
     """Projection result: success probability plus the renormalized state.
 
-    In postselect mode the projection is deterministic and the probability is
-    recorded; in sample mode a seeded coin decides sampled_success, and on
-    failure the caller is expected to restart (the failure branch state is
-    not modeled).
+    The projection is deterministic; a sampled run draws its coins against
+    the recorded probability (see sample_restarts), and the failure branch
+    state is not modeled.
     """
 
     success_probability: float
     post_state: StateRegister
     mode: str = "postselect"
-    sampled_success: bool | None = None
     ancilla_budget: int | None = None
 
     def __post_init__(self):
@@ -88,7 +86,6 @@ def transformed_gap(enc: BlockEncoding, lam: float, gap: float | None = None) ->
 
 
 def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
-                 mode: str = "postselect", rng: np.random.Generator | None = None,
                  gap: float | None = None) -> MeasurementOutcome:
     """Filter psi toward the λ-eigenspace with the degree-2ell polynomial.
 
@@ -101,18 +98,10 @@ def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
     series = filter_cheb_coeffs(FilterSpec(ell, gap_t))
     out = clenshaw_apply(series, htilde, psi)
     p = float(out.norm() ** 2)
-    budget = enc.ancilla + 2
-    if mode == "postselect":
-        if p <= 1e-300:
-            raise ValueError("state filtered to zero: no overlap with eigenspace")
-        return MeasurementOutcome(min(p, 1.0), out.normalized(), mode,
-                                  ancilla_budget=budget)
-    if rng is None:
-        raise ValueError("sample mode needs a generator")
-    success = bool(rng.random() < p)
-    post = out.normalized() if success else psi
-    return MeasurementOutcome(min(p, 1.0), post, mode, sampled_success=success,
-                              ancilla_budget=budget)
+    if p <= 1e-300:
+        raise ValueError("state filtered to zero: no overlap with eigenspace")
+    return MeasurementOutcome(min(p, 1.0), out.normalized(),
+                              ancilla_budget=enc.ancilla + 2)
 
 
 def projector_error(enc: BlockEncoding, lam: float, ell: int,
@@ -159,8 +148,7 @@ def theta_reflection_apply(enc: BlockEncoding, lam: float, ell: int, theta: floa
     return MeasurementOutcome(p, out.normalized(), ancilla_budget=enc.ancilla + 3)
 
 
-def measure_ancilla(state: StateRegister, mode: str = "postselect",
-                    rng: np.random.Generator | None = None) -> MeasurementOutcome:
+def measure_ancilla(state: StateRegister) -> MeasurementOutcome:
     """Measure all ancilla qubits, keeping the all-zero outcome.
 
     The all-zero block is the leading 2**system amplitudes (ancillas occupy
@@ -171,17 +159,30 @@ def measure_ancilla(state: StateRegister, mode: str = "postselect",
     nsys = 1 << state.system
     block = state.amps[:nsys]
     p = float(np.linalg.norm(block) ** 2 / state.norm() ** 2)
+    if p <= 1e-300:
+        raise ValueError("all-zero ancilla outcome has zero probability")
     projected = np.zeros_like(state.amps)
     projected[:nsys] = block
-    if mode == "postselect":
-        if p <= 1e-300:
-            raise ValueError("all-zero ancilla outcome has zero probability")
-        return MeasurementOutcome(min(p, 1.0),
-                                  state.with_amps(projected).normalized(), mode)
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("sample mode needs a generator")
-    success = bool(rng.random() < p)
-    post = state.with_amps(projected).normalized() if success else state
-    return MeasurementOutcome(min(p, 1.0), post, mode, sampled_success=success)
+    return MeasurementOutcome(min(p, 1.0),
+                              state.with_amps(projected).normalized())
+
+
+def sample_restarts(probs: list[float], rng: np.random.Generator,
+                    max_attempts: int) -> list[int]:
+    """Sample a chain of measurements, restarting it from the top on failure.
+
+    Each attempt draws one coin rng.random() < probs[i] per stage, in order,
+    and stops at the first failure; the first attempt that passes every
+    stage ends the run. Returns how many times each stage was reached, so
+    entry 0 is the number of attempts; a ledger charges each stage's cost
+    that many times.
+    """
+    reached = [0] * len(probs)
+    for _ in range(max_attempts):
+        for i, p in enumerate(probs):
+            reached[i] += 1
+            if not rng.random() < p:
+                break
+        else:
+            return reached
+    raise RuntimeError(f"no success within {max_attempts} attempts")

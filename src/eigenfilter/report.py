@@ -1,9 +1,12 @@
 """Result records shared by the solvers and the experiment drivers.
 
 Query counts split into two maps that are never merged: `query_ledger` holds
-exact measured integers (polynomial applications actually performed), while
+exact integers for the polynomial applications of the modeled run, while
 `formula_derived_costs` holds closed-form estimates for subroutines that are
-emulated rather than simulated (flagged by living in this map).
+emulated rather than simulated (flagged by living in this map). A sampled
+run simulates its measurement chain once and restarts by seeded coins; its
+ledger charges each stage's queries once per attempt that reached the stage,
+so aborted attempts pay for what they ran and nothing more.
 """
 
 from __future__ import annotations

@@ -202,13 +202,18 @@ def _sidecar(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def save_experiment(path, result: ExperimentResult) -> None:
+def write_table(path, columns, rows) -> None:
+    """CSV table: the header line, then one line per row (repr floats)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
+    writer.writerow(columns)
+    for row in rows:
         writer.writerow([_cell(v) for v in row])
     Path(path).write_text(buf.getvalue(), encoding="ascii")
+
+
+def save_experiment(path, result: ExperimentResult) -> None:
+    write_table(path, result.columns, result.rows)
     meta = {"kind": "experiment-meta", "name": result.name,
             "columns": list(result.columns), "diagnostics": result.diagnostics}
     _sidecar(path).write_text(_dump_json(meta), encoding="ascii")

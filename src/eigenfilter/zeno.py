@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebpoly import degree_for_accuracy
-from .filtering import apply_filter, measure_ancilla
+from .filtering import apply_filter, measure_ancilla, sample_restarts
 from .numerics import StateRegister, fidelity
 from .qlsp import (
     QlspInstance,
@@ -124,9 +124,11 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
                max_attempts: int = 10_000) -> tuple[SolverReport, ZenoTrace]:
     """Walk the schedule grid with filtering projections; final step at eps/4.
 
-    In sample mode any failed measurement aborts the attempt and restarts the
-    whole walk from |0⟩|b⟩; the ledger accumulates the queries of aborted
-    attempts too (they were spent).
+    In sample mode the walk is simulated once and seeded coins decide the
+    restarts: any failed measurement aborts the attempt and restarts the
+    whole walk from |0⟩|b⟩. The ledger charges every filter step each time
+    an attempt reached it, aborted attempts included (those queries were
+    spent).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -135,7 +137,6 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     if inst.form != "positive-definite":
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
         raise ValueError("traversal solver requires a positive-definite instance")
-    rng = np.random.default_rng(seed)
     params = zeno_params(inst.kappa, eps)
     degs = _step_degrees(inst, params)
     encs = hf_encodings(inst, params.f_grid[1:])
@@ -143,45 +144,37 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     path = [path_vector(inst, float(f)) for f in params.f_grid[1:]]
     oracle = solution_state(inst)
     dim = inst.dim
-    init = StateRegister(np.concatenate([inst.b.amps, np.zeros(dim)]),
-                         ancilla=1, system=inst.n)
+    psi = StateRegister(np.concatenate([inst.b.amps, np.zeros(dim)]),
+                        ancilla=1, system=inst.n)
+    trace = ZenoTrace()
+    probs: list[float] = []  # coin stages: each filter step, then the ancilla
+    for j in range(1, params.M + 1):
+        nxt = path[j - 1]
+        trace.per_step_overlap.append(
+            float(abs(np.vdot(psi.amps[:dim], nxt))))
+        if ideal_projection:
+            psi, p = _exact_projector_step(inst, nxt, psi)
+        else:
+            out = apply_filter(encs[j - 1], 0.0, degs[j - 1], psi,
+                               gap=gaps[j - 1])
+            psi, p = out.post_state, out.success_probability
+            probs.append(p)
+        if j == params.M:
+            final = measure_ancilla(psi)
+            psi = final.post_state
+            p *= final.success_probability
+            probs.append(final.success_probability)
+        trace.per_step_success.append(p)
+        trace.states.append(np.array(psi.amps[:dim]) /
+                            np.linalg.norm(psi.amps[:dim]))
 
-    queries = 0
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(f"no success within {max_attempts} attempts")
-        trace = ZenoTrace()
-        psi = init
-        aborted = False
-        for j in range(1, params.M + 1):
-            nxt = path[j - 1]
-            trace.per_step_overlap.append(
-                float(abs(np.vdot(psi.amps[:dim], nxt))))
-            if ideal_projection:
-                psi, p = _exact_projector_step(inst, nxt, psi)
-            else:
-                out = apply_filter(encs[j - 1], 0.0, degs[j - 1], psi,
-                                   mode=mode, rng=rng, gap=gaps[j - 1])
-                queries += 2 * degs[j - 1]
-                p = out.success_probability
-                if mode == "sample" and not out.sampled_success:
-                    aborted = True
-                    break
-                psi = out.post_state
-            if j == params.M:
-                final = measure_ancilla(psi, mode=mode, rng=rng)
-                p *= final.success_probability
-                if mode == "sample" and not final.sampled_success:
-                    aborted = True
-                    break
-                psi = final.post_state
-            trace.per_step_success.append(p)
-            trace.states.append(np.array(psi.amps[:dim]) /
-                                np.linalg.norm(psi.amps[:dim]))
-        if not aborted:
-            break
+    reached = [1] * len(probs)
+    if mode == "sample":
+        reached = sample_restarts(probs, np.random.default_rng(seed),
+                                  max_attempts)
+    attempts = reached[0]
+    queries = 0 if ideal_projection else sum(
+        2 * deg * r for deg, r in zip(degs, reached))
 
     trace.total_success = float(np.prod(trace.per_step_success))
     trace.final_fidelity = fidelity(psi.amps[:dim], oracle.amps)

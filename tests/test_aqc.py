@@ -194,6 +194,29 @@ def test_sampled_runs_are_seeded():
     assert a.final_fidelity == b.final_fidelity
 
 
+def test_sampled_ledger_charges_filters_that_ran():
+    # the dilated run's |+> acceptance fails in most attempts, before the
+    # filter is applied; only attempts that got past it pay 2·ell
+    inst = gen_instance(3, 6.0, 1, form="hermitian-indefinite")
+    rep = solve_aqc_filtered(inst, 1e-3, mode="sample", seed=3)
+    rng = np.random.default_rng(3)
+    attempts = filtered = 0
+    passed = False
+    while not passed:
+        attempts += 1
+        for stage, p in enumerate(rep.success_probabilities):
+            filtered += stage == 1
+            if not rng.random() < p:
+                break
+        else:
+            passed = True
+    assert rep.attempts == attempts
+    ell = rep.params["ell"]
+    assert rep.query_ledger == {"U_H1_filter": 2 * ell * filtered,
+                                "O_B": attempts}
+    assert filtered < attempts
+
+
 def test_hsim_formula_positive_and_growing():
     q10 = hsim_query_formula(3, 10.0)
     q100 = hsim_query_formula(3, 100.0)

@@ -11,7 +11,6 @@ from eigenfilter.chebpoly import (
     BOUND_GAP_CAP,
     ChebSeries,
     FilterSpec,
-    cheb_eval,
     cheb_interp_coeffs,
     degree_for_accuracy,
     filter_cheb_coeffs,
@@ -21,23 +20,6 @@ from eigenfilter.chebpoly import (
     reflection_cheb_coeffs,
     reflection_eval,
 )
-
-
-def test_cheb_eval_matches_numpy_inside():
-    xs = np.linspace(-1, 1, 41)
-    for ell in (0, 1, 2, 5, 11):
-        coeffs = np.zeros(ell + 1)
-        coeffs[ell] = 1.0
-        want = np.polynomial.chebyshev.chebval(xs, coeffs)
-        got = [cheb_eval(ell, float(x)) for x in xs]
-        assert np.allclose(got, want, atol=1e-12)
-
-
-def test_cheb_eval_outside_interval():
-    # T_3(x) = 4x^3 - 3x
-    assert cheb_eval(3, 2.0) == pytest.approx(4 * 8 - 6)
-    assert cheb_eval(3, -2.0) == pytest.approx(-(4 * 8 - 6))
-    assert cheb_eval(4, -1.5) == pytest.approx(8 * 1.5 ** 4 - 8 * 1.5 ** 2 + 1)
 
 
 def test_filter_is_one_at_zero_exactly():

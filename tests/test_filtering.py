@@ -10,6 +10,7 @@ from eigenfilter.filtering import (
     measure_ancilla,
     projector_error,
     reflection_apply,
+    sample_restarts,
     theta_reflection_apply,
     transformed_gap,
 )
@@ -75,16 +76,18 @@ def test_apply_filter_fidelity_improves_with_ell():
 
 
 def test_apply_filter_sample_mode_is_seeded():
+    # the projection is deterministic; a sampled run draws its coin against
+    # the recorded probability, so one seed gives one restart count
     enc, _ = planted(n=3, gap=0.2, seed=5, lam=0.0)
     psi = trial_state(8, 6)
-    a = apply_filter(enc, 0.0, 4, psi, mode="sample",
-                     rng=np.random.default_rng(9))
-    b = apply_filter(enc, 0.0, 4, psi, mode="sample",
-                     rng=np.random.default_rng(9))
-    assert a.sampled_success == b.sampled_success
+    a = apply_filter(enc, 0.0, 4, psi)
+    b = apply_filter(enc, 0.0, 4, psi)
     assert np.array_equal(a.post_state.amps, b.post_state.amps)
-    with pytest.raises(ValueError):
-        apply_filter(enc, 0.0, 4, psi, mode="sample")
+    p = [a.success_probability]
+    runs = [sample_restarts(p, np.random.default_rng(9), 10_000)
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] >= 1
 
 
 def test_apply_filter_starves_orthogonal_start():
@@ -127,8 +130,55 @@ def test_measure_ancilla_postselect_and_sample():
     out = measure_ancilla(state)
     assert out.success_probability == pytest.approx(0.36)
     assert np.allclose(out.post_state.amps, [1.0, 0.0, 0.0, 0.0])
-    sampled = measure_ancilla(state, mode="sample",
-                              rng=np.random.default_rng(0))
-    assert sampled.sampled_success in (True, False)
+    # seed 0 draws 0.637 then 0.270: one rejection, then acceptance at 0.36
+    assert sample_restarts([out.success_probability],
+                           np.random.default_rng(0), 10) == [2]
     with pytest.raises(ValueError):
         measure_ancilla(StateRegister(np.ones(2) / np.sqrt(2), 0, 1))
+
+
+def _replay(probs, seed):
+    # reference: a stage counter walked over one pre-drawn stream of coins
+    coins = np.random.default_rng(seed).random(100_000)
+    reached = [0] * len(probs)
+    stage = 0
+    for u in coins:
+        reached[stage] += 1
+        stage = stage + 1 if u < probs[stage] else 0
+        if stage == len(probs):
+            return reached
+    raise AssertionError("coin stream exhausted")
+
+
+@pytest.mark.parametrize("probs", [[0.5], [0.9, 0.3, 0.8],
+                                   [0.2, 1.0, 0.6, 0.95]])
+def test_sample_restarts_reach_counts(probs):
+    for seed in range(20):
+        reached = sample_restarts(probs, np.random.default_rng(seed), 10_000)
+        assert reached == _replay(probs, seed)
+        # entry 0 counts the attempts; later stages are reached no more often
+        assert all(a >= b >= 1 for a, b in zip(reached, reached[1:]))
+    certain = sample_restarts([1.0, 1.0, 1.0], np.random.default_rng(0), 1)
+    assert certain == [1, 1, 1]
+
+
+def test_sample_restarts_is_seeded():
+    probs = [0.4, 0.7]
+    runs = {tuple(sample_restarts(probs, np.random.default_rng(5), 10_000))
+            for _ in range(3)}
+    assert len(runs) == 1
+    draws = {tuple(sample_restarts(probs, np.random.default_rng(s), 10_000))
+             for s in range(10)}
+    assert len(draws) > 1
+
+
+def test_sample_restarts_enforces_max_attempts():
+    probs = [0.3, 0.5]
+    need = sample_restarts(probs, np.random.default_rng(4), 10_000)[0]
+    assert need >= 2
+    assert sample_restarts(probs, np.random.default_rng(4), need)[0] == need
+    short = need - 1
+    with pytest.raises(RuntimeError, match=f"no success within {short} attempts"):
+        sample_restarts(probs, np.random.default_rng(4), short)
+    with pytest.raises(RuntimeError, match="no success within 5 attempts"):
+        sample_restarts([0.0], np.random.default_rng(0), 5)

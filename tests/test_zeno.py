@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenfilter import zeno
+from eigenfilter import filtering, zeno
 from eigenfilter.harness import gen_instance
 from eigenfilter.qlsp import make_hf
 from eigenfilter.zeno import (
@@ -128,6 +128,36 @@ def test_filter_ledger_equals_counted_matvecs(mode, seed, matvec_counter):
     inst = gen_instance(3, 10.0, 5)
     report, _ = solve_zeno(inst, 1e-6, mode=mode, seed=seed)
     assert report.query_ledger["U_Hf_filter"] == matvec_counter["matvecs"]
+
+
+def test_sampled_walk_runs_once_and_charges_every_stage_reached(
+        matvec_counter, monkeypatch):
+    # seed 159 aborts the first walk at its seventh projection, then succeeds
+    inst = gen_instance(3, 10.0, 5)
+    base, _ = solve_zeno(inst, 1e-6)
+    seen = []
+
+    def recording(probs, rng, max_attempts):
+        seen.append((list(probs), filtering.sample_restarts(probs, rng,
+                                                             max_attempts)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(zeno, "sample_restarts", recording)
+    matvec_counter["matvecs"] = 0
+    report, _ = solve_zeno(inst, 1e-6, mode="sample", seed=159)
+    [(probs, reached)] = seen
+    assert report.attempts == reached[0] == 2
+    assert reached[6] == 2 and reached[7] == 1
+    # one coin per filter step, then one for the final ancilla measurement
+    assert len(probs) == report.params["M"] + 1
+    assert probs[:-2] == base.success_probabilities[:-1]
+    # the walk itself ran once, as in postselect mode ...
+    assert matvec_counter["matvecs"] == base.query_ledger["U_Hf_filter"]
+    # ... while the ledger charges each step every time an attempt reached it
+    ells = report.params["ells"]
+    charged = sum(2 * ell * r for ell, r in zip(ells, reached))
+    assert report.query_ledger == {"U_Hf_filter": charged, "O_B": 2}
+    assert charged > matvec_counter["matvecs"]
 
 
 def test_walk_encodings_equal_make_hf(monkeypatch):
