@@ -23,7 +23,13 @@ import numpy as np
 
 from .chebpoly import degree_for_accuracy, jacobi_anger_coeffs
 from .filtering import apply_filter, measure_ancilla, sample_restarts
-from .numerics import StateRegister, clenshaw, fidelity, spectral_norm_bound
+from .numerics import (
+    StateRegister,
+    clenshaw,
+    fidelity,
+    matvec_of,
+    spectral_norm_bound,
+)
 from .qlsp import (
     QlspInstance,
     path_vector,
@@ -105,7 +111,8 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
     matvecs. alpha bounds ‖H0‖ and ‖H1‖, hence every convex combination
-    H(f), so each H/alpha is a contraction. The midpoint rule is
+    H(f), so each H/alpha is a contraction; a real H0 or H1 is multiplied
+    in float64 (numerics.matvec_of). The midpoint rule is
     second-order accurate in 1/K; each step is unitary to the series'
     truncation tolerance (1e-16). observer(j, amps), if given, sees the
     state after j steps, for j = 0 (the initial state) through K.
@@ -118,14 +125,14 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     # it holds for every step, so the loop needs no per-step guard
     alpha = max(spectral_norm_bound(h, math.inf) for h in (h0, h1))
     coeffs = jacobi_anger_coeffs(dt * alpha)
-    h0m, h1m = h0.mat, h1.mat
+    h0v, h1v = matvec_of(h0.mat), matvec_of(h1.mat)
     if observer is not None:
         observer(0, psi)
     for step in range(k):
         f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
         w0, w1 = (1.0 - f) / alpha, f / alpha
         # two matvecs per term cost less than forming H(f) at every step
-        psi = clenshaw(coeffs, lambda x: w0 * (h0m @ x) + w1 * (h1m @ x), psi)
+        psi = clenshaw(coeffs, lambda x: w0 * h0v(x) + w1 * h1v(x), psi)
         if observer is not None:
             observer(step + 1, psi)
     return init.with_amps(psi)
@@ -137,6 +144,12 @@ def hsim_query_formula(d: int, kappa: float) -> float:
     return dk * math.log(dk) / math.log(max(math.log(dk), math.e))
 
 
+def require_trace_form(inst: QlspInstance) -> None:
+    """Raise unless overlap_trace can follow inst (positive-definite only)."""
+    if inst.form != "positive-definite":
+        raise ValueError("overlap trace requires a positive-definite instance")
+
+
 def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
                   stride: int = 1) -> list[tuple[float, float]]:
     """(s, |<0, x(f(s))|psi(s)>|) along the evolution, every stride steps.
@@ -145,8 +158,7 @@ def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
     two-block null vector |0>|x(f)>). The first point is s = 0 and the last
     s = 1.
     """
-    if inst.form != "positive-definite":
-        raise ValueError("overlap trace requires a positive-definite instance")
+    require_trace_form(inst)
     k = cfg.num_steps
     points: list[tuple[float, float]] = []
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -116,6 +117,7 @@ def _passes(coeffs: np.ndarray, c: float, eps_prime: float, delta: float,
     return bool(np.max(np.abs(_cheb.chebval(grid, coeffs))) <= 1.0 + 1e-12)
 
 
+@lru_cache(maxsize=64)
 def build_inversion_poly(alpha_kappa: float, eps: float,
                          kappa: float | None = None) -> InversionPolySpec:
     """Odd approximant of 1/(cx) with c = 4·alpha·kappa/3, eps' = 3·eps/(4·kappa).
@@ -123,7 +125,8 @@ def build_inversion_poly(alpha_kappa: float, eps: float,
     kappa defaults to alpha_kappa (subnormalization 1). The accuracy target
     is validated on dense grids over the working domain and the kernel length
     is minimized by bisection; a growth loop (degree cap 10^6) covers the
-    failure side.
+    failure side. Memoized: every instance at one (alpha·kappa, eps, kappa)
+    shares one polynomial, and the returned spec is immutable.
     """
     if alpha_kappa <= 1.0:
         raise ValueError("alpha*kappa must exceed 1")

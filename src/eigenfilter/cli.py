@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aqc import AqcConfig, overlap_trace, solve_aqc_filtered
+from .aqc import AqcConfig, overlap_trace, require_trace_form, solve_aqc_filtered
 from .baseline import solve_qsp_direct
 from .blockenc import attach_unitary, encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
@@ -163,6 +163,8 @@ def _cmd_solve(args) -> int:
     if args.method == "qsp-direct":
         report = solve_qsp_direct(inst, args.eps, mode=args.mode, seed=args.seed)
     elif args.method == "aqc":
+        if args.trace_out:
+            require_trace_form(inst)  # before the solve, not after it
         cfg = AqcConfig(T=args.T_factor * inst.kappa, p=args.p)
         report = solve_aqc_filtered(inst, args.eps, cfg=cfg, mode=args.mode,
                                     seed=args.seed)

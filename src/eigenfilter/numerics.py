@@ -1,14 +1,21 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
 Everything downstream (filtering, solvers, experiments) runs on two small
-value types: a dense operator and a state register with an (ancilla | system)
-qubit split. Operators are applied either through their eigendecomposition
-(the oracle path) or through a Clenshaw recurrence on Chebyshev coefficients
-(the production path, which mirrors a quantum circuit in never diagonalizing).
-The recurrence, `clenshaw`, is the one polynomial kernel: filtering and the
-inversion baseline reach it through `clenshaw_apply` with real coefficients,
-and the adiabatic time evolution calls it with the complex Jacobi–Anger
-coefficients of exp(-i·dt·H).
+value types: a dense complex operator and a state register with an
+(ancilla | system) qubit split. Operators are applied either through their
+eigendecomposition (the oracle path) or through a Clenshaw recurrence on
+Chebyshev coefficients (the production path, which mirrors a quantum circuit
+in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
+kernel: filtering and the inversion baseline reach it through
+`clenshaw_apply` with real coefficients, and the adiabatic time evolution
+calls it with the complex Jacobi–Anger coefficients of exp(-i·dt·H).
+
+Every matvec of the kernel goes through `matvec_of`, which multiplies in
+float64 whenever the operator's imaginary part is zero (as it is for every
+operator the generators, dilations and encodings build): a real vector meets
+a GEMV, a complex one a GEMM on its (N, 2) float view. A genuinely complex
+operator keeps the complex product. Operators and states keep their complex
+dtypes; only the arithmetic inside the kernel changes.
 
 Spectral-norm guards (block-encoding subnormalizations, the Clenshaw
 contraction check) go through `spectral_norm_bound`: the certified bound
@@ -76,7 +83,7 @@ def spectral_norm_bound(op: DenseOperator | np.ndarray, limit: float) -> float:
     result against the same limit: the guard passes exactly when the exact
     norm is at most limit, and a failure message can quote the exact norm.
     """
-    m = op.mat if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
+    m = op.mat if isinstance(op, DenseOperator) else np.asarray(op)
     a = np.abs(m)
     cheap = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
     if cheap * (1.0 + NORM_BOUND_SLACK) <= limit:
@@ -197,20 +204,54 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
     The coefficients may be real or complex. Hn must be a contraction in
     spectral norm (the Chebyshev recurrence is unstable outside [-1, 1]); a
     small tolerance absorbs roundoff from the callers' normalizations. A
-    series of degree D costs D matvecs.
+    series of degree D costs D matvecs. When Hn, the coefficients and v are
+    all real the recurrence runs in float64; the result is complex either
+    way.
     """
     c = _coefficients(coeffs)
-    m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn, dtype=complex)
+    m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn)
     nrm = spectral_norm_bound(Hn, 1.0 + 1e-8)
     if nrm > 1.0 + 1e-8:
         raise ValueError(f"clenshaw_apply needs ||Hn|| <= 1, got {nrm:.6f}")
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-    out = clenshaw(c, m.__matmul__, vec)
+    out = clenshaw(c, matvec_of(m), real_if_real(vec)).astype(complex)
     if isinstance(v, StateRegister):
         return v.with_amps(out)
     return out
+
+
+def real_if_real(a) -> np.ndarray:
+    """a as float64 when its imaginary part is exactly zero, else complex128."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return a.astype(float, copy=False)
+    if a.imag.any():
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real, dtype=float)
+
+
+def matvec_of(m: np.ndarray):
+    """x ↦ m @ x, multiplied in float64 whenever m is real-valued.
+
+    Whether m is real is read from its entries (real_if_real). A real m
+    meets a real x in a GEMV and a complex x in a GEMM on x's float view,
+    its real and imaginary parts as two columns; numpy's own real @ complex
+    would convert m to complex on every call. A complex m keeps the complex
+    product.
+    """
+    m = real_if_real(m)
+    if np.iscomplexobj(m):
+        return m.__matmul__
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        if x.dtype.kind != "c":
+            return m @ x
+        cols = np.ascontiguousarray(x, dtype=complex).view(float)
+        return (m @ cols.reshape(x.shape[0], -1)).view(complex).reshape(x.shape)
+
+    return matvec
 
 
 def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:

@@ -190,13 +190,33 @@ class EigenpathPoint:
     derivative_norm: float
 
 
+def path_vectors(inst: QlspInstance, fs) -> list[np.ndarray]:
+    """Normalized null vectors x(f) ∝ ((1-f)I + fA)⁻¹ b, one per f.
+
+    Each point is guarded by σ_min((1-f)I + fA) > 1e-12. For Hermitian A
+    that is min_i |1-f+f·λ_i|, from one eigvalsh(A) for all points; any
+    other A takes one SVD per point.
+    """
+    a = inst.A.mat
+    eye = np.eye(inst.dim)
+    lam = np.linalg.eigvalsh(a) if inst.A.hermitian else None
+    out = []
+    for f in fs:
+        f = float(f)
+        shifted = (1.0 - f) * eye + f * a
+        if lam is not None:
+            smin = float(np.abs(1.0 - f + f * lam).min())
+        else:
+            smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        if smin <= 1e-12:
+            raise ValueError(f"(1-f)I + fA is numerically singular at f={f}")
+        y = np.linalg.solve(shifted, inst.b.amps)
+        out.append(y / np.linalg.norm(y))
+    return out
+
+
 def path_vector(inst: QlspInstance, f: float) -> np.ndarray:
-    shifted = (1.0 - f) * np.eye(inst.dim) + f * inst.A.mat
-    smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if smin <= 1e-12:
-        raise ValueError(f"(1-f)I + fA is numerically singular at f={f}")
-    y = np.linalg.solve(shifted, inst.b.amps)
-    return y / np.linalg.norm(y)
+    return path_vectors(inst, [f])[0]
 
 
 def _transported(ref: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .qlsp import (
     QlspInstance,
     gap_lower_bound,
     hf_encodings,
-    path_vector,
+    path_vectors,
     solution_state,
 )
 from .report import SolverReport
@@ -141,7 +141,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     degs = _step_degrees(inst, params)
     encs = hf_encodings(inst, params.f_grid[1:])
     gaps = [gap_lower_bound(inst, float(f)) for f in params.f_grid[1:]]
-    path = [path_vector(inst, float(f)) for f in params.f_grid[1:]]
+    path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
     dim = inst.dim
     psi = StateRegister(np.concatenate([inst.b.amps, np.zeros(dim)]),
@@ -232,7 +232,7 @@ def validate_zeno_bounds(trace: ZenoTrace, params: ZenoParams,
           and never below 1/2.
     """
     m = params.M
-    path = [path_vector(inst, float(f)) for f in params.f_grid]
+    path = path_vectors(inst, params.f_grid)
     eps_p = params.eps_p
 
     bound_i = 1.0 - 1.0 / (2.0 * m)

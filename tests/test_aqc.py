@@ -14,7 +14,7 @@ from eigenfilter.aqc import (
 )
 from eigenfilter.harness import gen_instance
 from eigenfilter.numerics import StateRegister, eig_hermitian, fidelity
-from eigenfilter.qlsp import path_vector, solution_state
+from eigenfilter.qlsp import QlspInstance, path_vector, solution_state
 
 
 def eigh_midpoint(inst, cfg, initial=None):
@@ -102,6 +102,23 @@ def test_evolution_reaches_useful_overlap():
 def test_evolve_matches_eigh_oracle(form, T, steps):
     inst = gen_instance(3, 10.0, 12, form=form)
     cfg = AqcConfig(T=T, steps=steps)
+    got = evolve(inst, cfg).amps
+    assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+def test_evolve_with_complex_b_matches_eigh_oracle(form):
+    # a complex right-hand side makes H0 and H1 genuinely complex, so the
+    # propagator keeps complex matvecs
+    inst = gen_instance(3, 10.0, 15, form=form)
+    rng = np.random.default_rng(1)
+    b = inst.b.amps + 1j * rng.normal(size=inst.dim)
+    inst = QlspInstance(inst.A, inst.b.with_amps(b / np.linalg.norm(b)),
+                        inst.kappa, inst.d, form=form)
+    h0, h1, _ = hamiltonian_pair(inst)
+    assert np.abs(h0.mat.imag).max() > 0.0 and np.abs(h1.mat.imag).max() > 0.0
+    cfg = AqcConfig(T=2.0)
     got = evolve(inst, cfg).amps
     assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
 

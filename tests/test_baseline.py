@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eigenfilter import baseline
 from eigenfilter.baseline import (
     InversionPolySpec,
     build_inversion_poly,
@@ -27,6 +28,21 @@ def test_build_input_validation():
         build_inversion_poly(4.0, 0.0)
     with pytest.raises(ValueError):
         build_inversion_poly(4.0, 1.0)
+
+
+def test_build_is_memoized(monkeypatch):
+    first = build_inversion_poly(5.5, 2e-3)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a repeated build must not search again")
+
+    monkeypatch.setattr(baseline, "_passes", no_search)
+    assert build_inversion_poly(5.5, 2e-3) is first
+    assert not first.series.coefficients.flags.writeable
+    with pytest.raises(ValueError):
+        build_inversion_poly(1.0, 2e-3)
+    with pytest.raises(ValueError):
+        build_inversion_poly(5.5, 0.0)
 
 
 @pytest.mark.parametrize("alpha_kappa,eps", [(4.0, 1e-3), (12.0, 1e-4)])

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 
+from eigenfilter import cli
 from eigenfilter.chebpoly import FilterSpec
 from eigenfilter.cli import main
 from eigenfilter.storage import load_experiment, load_instance, load_report
@@ -120,6 +121,23 @@ def test_solve_writes_report_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("solve method=") == 3
     assert "np.float64" not in out
+
+
+def test_aqc_trace_form_is_checked_before_solving(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an instance the trace rejects")
+
+    monkeypatch.setattr(cli, "solve_aqc_filtered", no_solve)
+    report_path = tmp_path / "aqc.json"
+    for form in ("hermitian-indefinite", "general"):
+        assert run("solve", "--n", "3", "--kappa", "6", "--form", form,
+                   "--method", "aqc", "--out", str(report_path),
+                   "--trace-out", str(tmp_path / "trace.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: overlap trace requires a positive-definite "
+                       "instance\n")
+    assert not report_path.exists()
 
 
 def test_exit_codes(tmp_path):

@@ -11,11 +11,14 @@ from eigenfilter.numerics import (
     DenseOperator,
     SpectralDecomposition,
     StateRegister,
+    clenshaw,
     clenshaw_apply,
     eig_hermitian,
     fidelity,
     hermitian_part,
     linsolve,
+    matvec_of,
+    real_if_real,
     spectral_norm_bound,
 )
 
@@ -168,6 +171,63 @@ def test_clenshaw_takes_complex_coefficients():
     want = eig_hermitian(h).apply_function(lambda lam: np.exp(-60j * lam), v)
     tol = 16 * np.finfo(float).eps * coeffs.size ** 2 * np.abs(coeffs).sum()
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3000), st.integers(0, 2 ** 31 - 1),
+       st.booleans(), st.booleans(), st.booleans())
+def test_real_kernel_matches_complex_recurrence(dim, degree, seed, complex_v,
+                                                complex_c, wrap):
+    # a real operator runs the recurrence in float64 (real v and c) or its
+    # matvecs as float64 GEMMs (complex v or c); the reference is the same
+    # recurrence with every product in complex arithmetic
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(dim, dim))
+    h = (h + h.T) / 2.0
+    h /= np.linalg.norm(h, 2)
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    if complex_c:
+        coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, degree + 1)
+    v = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_v else 0.0)
+    op = DenseOperator(h, hermitian=True) if wrap else h
+    got = clenshaw_apply(coeffs, op, v)
+    assert got.dtype == complex
+    hc = h.astype(complex)
+    want = clenshaw(coeffs.astype(complex), hc.__matmul__, v.astype(complex))
+    tol = 16 * np.finfo(float).eps * (degree + 1) ** 2 * np.abs(coeffs).sum()
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(v)
+
+
+def test_matvec_of_multiplies_real_operators_in_float64():
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(6, 6))
+    mat = DenseOperator(h).mat  # stored complex, imaginary part zero
+    assert real_if_real(mat).dtype == float
+    mv = matvec_of(mat)
+    x = rng.normal(size=6)
+    assert mv(x).dtype == float and np.array_equal(mv(x), h @ x)
+    z = x + 1j * rng.normal(size=6)
+    got = mv(z)
+    assert got.dtype == complex and got.shape == z.shape
+    assert np.allclose(got, h @ z.real + 1j * (h @ z.imag), rtol=0, atol=1e-14)
+    block = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    assert np.allclose(mv(block), h.astype(complex) @ block, rtol=0, atol=1e-13)
+
+
+def test_complex_hermitian_operator_keeps_complex_arithmetic():
+    # a genuinely complex operator must not lose its imaginary part, also
+    # when the vector and the coefficients are real
+    h = random_hermitian(8, 11)
+    h = h / np.linalg.norm(h, 2)
+    op = DenseOperator(h, hermitian=True)
+    assert real_if_real(op.mat).dtype == complex
+    assert np.iscomplexobj(matvec_of(op.mat)(np.ones(8)))
+    coeffs = np.array([0.1, -0.6, 0.3, 0.2, -0.4])
+    v = np.linspace(-1.0, 1.0, 8)
+    got = clenshaw_apply(coeffs, op, v)
+    want = eig_hermitian(op).apply_function(
+        lambda lam: chebyshev.chebval(lam, coeffs), v)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_linsolve_matches_numpy():

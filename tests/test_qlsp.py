@@ -29,6 +29,7 @@ from eigenfilter.qlsp import (
     make_h1_encoding,
     make_hf,
     path_vector,
+    path_vectors,
     solution_state,
 )
 from eigenfilter.zeno import zeno_params
@@ -155,6 +156,46 @@ def test_path_vector_endpoints():
     assert fidelity(path_vector(inst, 0.0), inst.b.amps) >= 1.0 - 1e-12
     x = solution_state(inst)
     assert fidelity(path_vector(inst, 1.0), x.amps) >= 1.0 - 1e-12
+
+
+def test_path_vectors_match_pointwise_solves_without_svd(monkeypatch):
+    inst = gen_instance(3, 10.0, 9)
+    fs = np.linspace(0.0, 1.0, 7)
+    want = []
+    for f in fs:
+        y = np.linalg.solve((1.0 - f) * np.eye(inst.dim) + f * inst.A.mat,
+                            inst.b.amps)
+        want.append(y / np.linalg.norm(y))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("Hermitian A needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    got = path_vectors(inst, fs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(path_vector(inst, fs[3]), want[3])
+
+
+def _eigenvalue_minus_one(hermitian: bool) -> QlspInstance:
+    # eigenvalue -1 makes (1-f)I + fA singular at f = 1/2; all singular
+    # values are 1. The non-Hermitian variant adds a 90-degree rotation
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]]) if not hermitian else np.eye(2)
+    a = np.block([[np.diag([-1.0, 1.0]), np.zeros((2, 2))],
+                  [np.zeros((2, 2)), rot]])
+    form = "hermitian-indefinite" if hermitian else "general"
+    return QlspInstance(DenseOperator(a, hermitian=hermitian),
+                        StateRegister(np.ones(4) / 2.0, 0, 2),
+                        kappa=2.0, d=1, form=form)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_path_vectors_reject_singular_shift(hermitian):
+    inst = _eigenvalue_minus_one(hermitian)
+    assert len(path_vectors(inst, [0.0, 0.25, 0.75])) == 3
+    with pytest.raises(ValueError, match="numerically singular at f=0.5"):
+        path_vectors(inst, [0.25, 0.5])
+    with pytest.raises(ValueError, match="numerically singular"):
+        path_vector(inst, 0.5)
 
 
 def test_eigenpath_state_is_null_vector():
