@@ -180,6 +180,8 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if mode not in ("postselect", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
     work = inst
     if inst.form == "general":
         work = extend_general(inst.A, inst.b, inst.kappa, inst.d)

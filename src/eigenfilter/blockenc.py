@@ -9,8 +9,9 @@ bookkeeping can be verified against a real top-left block on tiny dimensions.
 The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
 sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
 when that bound is inconclusive; they accept exactly what the exact check
-accepts. The solvers build the f-independent H0/H1 encodings of an instance
-once per solve and form each H(f) from that pair with `linear_combine`.
+accepts. The Zeno walk builds the f-independent H0/H1 encodings of an
+instance once per solve and forms each step's H(f) from that pair with
+`linear_combine` when the walk reaches it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class BlockEncoding:
     ancilla: int
     err_bound: float = 0.0
     unitary: DenseOperator | None = None
-    phase: float = 0.0  # global-phase metadata from shifts; never applied
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -86,12 +86,9 @@ def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
     """Abstract encoding of A with subnormalization alpha.
 
     When the ancilla count is not supplied, the sparse-access convention
-    m = n + 2 is recorded (n system qubits).
+    m = n + 2 is recorded (n system qubits). The norm guard is the one
+    `BlockEncoding` runs on construction.
     """
-    limit = alpha * (1.0 + 1e-10)
-    nrm = spectral_norm_bound(A, limit)
-    if nrm > limit:
-        raise ValueError(f"alpha {alpha} < ||A|| = {nrm:.6g}")
     if ancilla is None:
         ancilla = _num_qubits(A.dim) + 2
     return BlockEncoding(A, float(alpha), ancilla, err_bound)
@@ -100,8 +97,8 @@ def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
 def shift_add_identity(enc: BlockEncoding, c: complex) -> BlockEncoding:
     """Encoding of A + cI with factor alpha + |c| and one more ancilla.
 
-    The underlying circuit produces a global phase for complex c; it is kept
-    as metadata since the payload stores A + cI directly.
+    The payload stores A + cI directly, so the global phase the circuit
+    produces for complex c is not represented.
     """
     c = complex(c)
     shifted = DenseOperator(
@@ -109,7 +106,7 @@ def shift_add_identity(enc: BlockEncoding, c: complex) -> BlockEncoding:
         hermitian=enc.payload.hermitian and c.imag == 0.0,
     )
     return BlockEncoding(shifted, enc.alpha + abs(c), enc.ancilla + 1,
-                         enc.err_bound, phase=float(np.angle(c) if c != 0 else 0.0))
+                         enc.err_bound)
 
 
 def multiply(e1: BlockEncoding, e2: BlockEncoding) -> BlockEncoding:
@@ -180,8 +177,7 @@ def attach_unitary(enc: BlockEncoding) -> BlockEncoding:
     bookkeeping stays on the abstract object.
     """
     u = dilate_to_unitary(enc)
-    return BlockEncoding(enc.payload, enc.alpha, 1, enc.err_bound, unitary=u,
-                         phase=enc.phase)
+    return BlockEncoding(enc.payload, enc.alpha, 1, enc.err_bound, unitary=u)
 
 
 def verify(enc: BlockEncoding) -> float:

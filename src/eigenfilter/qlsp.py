@@ -115,18 +115,15 @@ def make_h0_encoding(inst: QlspInstance) -> BlockEncoding:
     return BlockEncoding(make_h0(inst.b), 1.0, 1)
 
 
-def hf_encodings(inst: QlspInstance, fs) -> list[BlockEncoding]:
-    """(1-f+f·d, n+6, 0)-encodings of H(f) at each f, from one H0/H1 pair."""
-    fs = [float(f) for f in fs]
-    if not all(0.0 <= f <= 1.0 for f in fs):
+def make_hf(inst: QlspInstance, f: float) -> BlockEncoding:
+    """(1-f+f·d, n+6, 0)-encoding of H(f) = (1-f)·H0 + f·H1.
+
+    The Zeno walk forms each step's H(f) from one H0/H1 pair the same way.
+    """
+    if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")
     pair = [make_h0_encoding(inst), make_h1_encoding(inst)]
-    return [linear_combine(pair, [1.0 - f, f]) for f in fs]
-
-
-def make_hf(inst: QlspInstance, f: float) -> BlockEncoding:
-    """(1-f+f·d, n+6, 0)-encoding of H(f) = (1-f)·H0 + f·H1."""
-    return hf_encodings(inst, [f])[0]
+    return linear_combine(pair, [1 - f, f])
 
 
 def gap_lower_bound(inst: QlspInstance, f: float) -> float:

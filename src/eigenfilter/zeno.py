@@ -11,6 +11,9 @@ The walk stays in the |0⟩-block of the two-block picture (the filter
 polynomial is even, hence block-diagonal in the first qubit), so the final
 first-qubit measurement succeeds with probability 1 up to roundoff; it is
 still performed, and its probability is recorded in the last step entry.
+
+The H0/H1 encoding pair is built once per solve; each step forms its H(f)
+from that pair with `linear_combine` when the walk reaches it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockenc import linear_combine
 from .chebpoly import degree_for_accuracy
 from .filtering import apply_filter, measure_ancilla, sample_restarts
 from .numerics import StateRegister, fidelity
 from .qlsp import (
     QlspInstance,
     gap_lower_bound,
-    hf_encodings,
+    make_h0_encoding,
+    make_h1_encoding,
     path_vectors,
     solution_state,
 )
@@ -95,17 +100,6 @@ class ZenoTrace:
             raise AssertionError("total success != product of step successes")
 
 
-def _step_degrees(inst: QlspInstance, params: ZenoParams) -> list[int]:
-    degs = []
-    for j in range(1, params.M + 1):
-        f = float(params.f_grid[j])
-        alpha = 1.0 - f + f * inst.d
-        gap_t = gap_lower_bound(inst, f) / alpha
-        target = params.eps_p if j < params.M else params.final_eps
-        degs.append(degree_for_accuracy(gap_t, target))
-    return degs
-
-
 def _exact_projector_step(inst: QlspInstance, x: np.ndarray,
                           psi: StateRegister) -> tuple[StateRegister, float]:
     # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}, x = x(f)
@@ -138,9 +132,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
         raise ValueError("traversal solver requires a positive-definite instance")
     params = zeno_params(inst.kappa, eps)
-    degs = _step_degrees(inst, params)
-    encs = hf_encodings(inst, params.f_grid[1:])
-    gaps = [gap_lower_bound(inst, float(f)) for f in params.f_grid[1:]]
+    pair = [make_h0_encoding(inst), make_h1_encoding(inst)]
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
     dim = inst.dim
@@ -148,15 +140,21 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
                         ancilla=1, system=inst.n)
     trace = ZenoTrace()
     probs: list[float] = []  # coin stages: each filter step, then the ancilla
+    ells: list[int] = []
     for j in range(1, params.M + 1):
+        f = float(params.f_grid[j])
+        enc = linear_combine(pair, [1 - f, f])
+        gap = gap_lower_bound(inst, f)
+        target = params.eps_p if j < params.M else params.final_eps
+        ell = degree_for_accuracy(gap / enc.alpha, target)
+        ells.append(ell)
         nxt = path[j - 1]
         trace.per_step_overlap.append(
             float(abs(np.vdot(psi.amps[:dim], nxt))))
         if ideal_projection:
             psi, p = _exact_projector_step(inst, nxt, psi)
         else:
-            out = apply_filter(encs[j - 1], 0.0, degs[j - 1], psi,
-                               gap=gaps[j - 1])
+            out = apply_filter(enc, 0.0, ell, psi, gap=gap)
             psi, p = out.post_state, out.success_probability
             probs.append(p)
         if j == params.M:
@@ -174,7 +172,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
                                   max_attempts)
     attempts = reached[0]
     queries = 0 if ideal_projection else sum(
-        2 * deg * r for deg, r in zip(degs, reached))
+        2 * deg * r for deg, r in zip(ells, reached))
 
     trace.total_success = float(np.prod(trace.per_step_success))
     trace.final_fidelity = fidelity(psi.amps[:dim], oracle.amps)
@@ -183,7 +181,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         params={
             "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
             "M": params.M, "eps_p": params.eps_p, "mode": mode, "seed": seed,
-            "ideal_projection": ideal_projection, "ells": degs,
+            "ideal_projection": ideal_projection, "ells": ells,
             "form": inst.form,
         },
         final_fidelity=trace.final_fidelity,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigenfilter import baseline
+from eigenfilter.aqc import solve_aqc_filtered
 from eigenfilter.baseline import (
     InversionPolySpec,
     build_inversion_poly,
@@ -13,6 +14,7 @@ from eigenfilter.chebpoly import ChebSeries
 from eigenfilter.harness import gen_instance
 from eigenfilter.numerics import DenseOperator, StateRegister
 from eigenfilter.qlsp import QlspInstance
+from eigenfilter.zeno import solve_zeno
 
 
 def test_spec_rejects_even_series():
@@ -114,3 +116,11 @@ def test_general_form_routes_through_hermitian_extension():
     report = solve_qsp_direct(inst, eps)
     assert report.params["form"] == "general"
     assert report.final_fidelity >= 1.0 - eps
+
+
+@pytest.mark.parametrize(
+    "solver", [solve_qsp_direct, solve_aqc_filtered, solve_zeno],
+    ids=["qsp-direct", "aqc", "zeno"])
+def test_solvers_reject_unknown_mode(solver):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        solver(gen_instance(2, 4.0, 0), 1e-3, mode="bogus")

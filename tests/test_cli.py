@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from eigenfilter import cli
 from eigenfilter.chebpoly import FilterSpec
@@ -183,15 +184,35 @@ def test_module_entry_point_is_reproducible(tmp_path):
     assert first.stdout.startswith("instance ")
 
 
-def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
+def solve_under_blas_thread_counts(tmp_path, *solve_args):
+    # stdout and report bytes of one `solve` under one and two BLAS threads
     outputs = []
     for threads in ("1", "2"):
         path = tmp_path / f"report-{threads}.json"
-        cmd = [sys.executable, "-m", "eigenfilter", "solve", "--n", "7",
-               "--kappa", "16", "--form", "planted", "--method", "aqc",
+        cmd = [sys.executable, "-m", "eigenfilter", "solve", *solve_args,
                "--out", str(path)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout, path.read_bytes()))
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
+    one, two = solve_under_blas_thread_counts(
+        tmp_path, "--n", "7", "--kappa", "16", "--form", "planted",
+        "--method", "aqc")
+    assert one == two
+
+
+@pytest.mark.parametrize("solve_args", [
+    ("--n", "7", "--kappa", "16", "--form", "planted", "--method", "zeno"),
+    ("--n", "7", "--kappa", "16", "--form", "planted",
+     "--method", "qsp-direct"),
+    # the dilated adiabatic path
+    ("--n", "4", "--kappa", "6", "--seed", "1",
+     "--form", "hermitian-indefinite", "--method", "aqc"),
+], ids=["zeno", "qsp-direct", "aqc-dilated"])
+def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
+    one, two = solve_under_blas_thread_counts(tmp_path, *solve_args)
+    assert one == two
