@@ -14,18 +14,18 @@ degree with equiripple leakage; subtracting its value at 0 and dividing by x
 in the Chebyshev basis gives an exactly odd approximant of 1/x on
 [-1,-delta] ∪ [delta,1], scaled by 1/c. The kernel length is trimmed by
 binary search to the smallest value passing the error/boundedness grids.
+The kernel is the odd-length Dolph-Chebyshev window, computed in numpy from
+its closed form (Chebyshev polynomial samples and one FFT).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
-from scipy.signal.windows import chebwin
 
 from .chebpoly import ChebSeries
 from .filtering import sample_restarts
@@ -59,6 +59,25 @@ class InversionPolySpec:
         return self.series(x)
 
 
+def _dolph_chebyshev_half(m: int, att_db: float) -> np.ndarray:
+    """Centre-outward half of the odd length-m Dolph-Chebyshev window, peak 1.
+
+    The window's DFT samples T_{m-1}(beta·cos(pi k/m)), with beta set by the
+    sidelobe attenuation att_db; the same construction as scipy's chebwin.
+    """
+    order = m - 1.0
+    beta = np.cosh(1.0 / order * np.arccosh(10.0 ** (abs(att_db) / 20.0)))
+    x = beta * np.cos(np.pi * np.arange(m) / m)
+    p = np.empty(m)
+    big, small = x > 1.0, x < -1.0
+    mid = ~(big | small)
+    p[big] = np.cosh(order * np.arccosh(x[big]))
+    p[small] = np.cosh(order * np.arccosh(-x[small]))  # order is even
+    p[mid] = np.cos(order * np.arccos(x[mid]))
+    w = np.fft.fft(p).real[:(m + 1) // 2]
+    return w / w[0]
+
+
 def _smoothed_step(delta: float, ripple: float, m: int | None) -> np.ndarray:
     """Even polynomial ~0 on |x| < lo, ~1 on |x| > delta, exact degree.
 
@@ -78,12 +97,8 @@ def _smoothed_step(delta: float, ripple: float, m: int | None) -> np.ndarray:
             if 2.0 * math.acos(arg) <= half_w:
                 break
             m = int(m * 1.03 + 2) | 1
-    att_db = -20.0 * math.log10(ripple)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # low-attenuation advisory
-        window = chebwin(m, at=att_db)
-    half = (m - 1) // 2
-    kernel = window[half:] / window[half]
+    kernel = _dolph_chebyshev_half(m, -20.0 * math.log10(ripple))
+    half = kernel.size - 1
     t1 = math.acos(mid)
     j = np.arange(1, half + 1)
     coeffs = np.empty(half + 1)

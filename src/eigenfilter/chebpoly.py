@@ -7,7 +7,11 @@ ratio overflows long before ell reaches the regimes the solvers need.
 
 An independent linear-programming oracle (discretized minimax over even
 polynomials) is provided so optimality is tested against something that knows
-nothing about the closed form.
+nothing about the closed form; it is the one function here that imports scipy.
+
+Everything else is numpy: the type-I DCT behind Chebyshev interpolation is an
+FFT of the even extension, and the Bessel values of the Jacobi–Anger series
+come from Miller's backward recurrence.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import linprog
-from scipy.special import jv
 
 # Above this gap the exponential bound 2·exp(-sqrt(2)·ell·gap) no longer
 # holds; bound and degree computations clamp to it.
@@ -29,9 +30,9 @@ BOUND_GAP_CAP = 1.0 / math.sqrt(12.0)
 JACOBI_ANGER_TAIL = 1e-16
 
 
-def _log_cosh(t: float) -> float:
+def _log_cosh(t: np.ndarray) -> np.ndarray:
     # log(cosh t) without overflow for large t
-    return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+    return t + np.log1p(np.exp(-2.0 * t)) - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,27 @@ class FilterSpec:
         return 2.0 * math.exp(-math.sqrt(2.0) * self.ell * self.bound_gap)
 
 
-def filter_eval(spec: FilterSpec, x: float) -> float:
-    """R_ell(x; gap), exactly 1 at x = 0."""
+def filter_eval(spec: FilterSpec, x):
+    """R_ell(x; gap), exactly 1 at x = 0; x a float or an array of floats."""
     if spec.kind != "filter":
         raise ValueError("filter_eval needs kind='filter'")
     ell, gap = spec.ell, spec.gap
     g2 = gap * gap
+    x = np.asarray(x, dtype=float)
     y = -1.0 + 2.0 * (x * x - g2) / (1.0 - g2)
     y0 = -1.0 - 2.0 * g2 / (1.0 - g2)
-    t0 = math.acosh(-y0)
-    log_den = _log_cosh(ell * t0)  # |T_ell(y0)|, sign (-1)^ell
+    # |T_ell(y0)|, sign (-1)^ell; through the same ufuncs as the |x| < gap
+    # branch, so that x = 0 gives exactly 1
+    log_den = float(_log_cosh(ell * np.arccosh(-y0)))
     par = 1.0 if ell % 2 == 0 else -1.0
-    if y < -1.0:
-        # |x| < gap: both numerator and denominator carry (-1)^ell
-        t = math.acosh(-y)
-        return math.exp(_log_cosh(ell * t) - log_den)
-    if y <= 1.0:
-        return par * math.cos(ell * math.acos(y)) * math.exp(-log_den)
-    return par * math.exp(_log_cosh(ell * math.acosh(y)) - log_den)
+    inner = y < -1.0  # |x| < gap: numerator and denominator carry (-1)^ell
+    outer = y > 1.0
+    band = ~(inner | outer)
+    out = np.empty_like(y)
+    out[inner] = np.exp(_log_cosh(ell * np.arccosh(-y[inner])) - log_den)
+    out[band] = par * np.cos(ell * np.arccos(y[band])) * math.exp(-log_den)
+    out[outer] = par * np.exp(_log_cosh(ell * np.arccosh(y[outer])) - log_den)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=256)
@@ -85,11 +89,11 @@ def _reflection_norm(ell: int, gap: float) -> float:
     """max over [-1,1] of |2·R_ell - 1|: dense grid then golden-section."""
     spec = FilterSpec(ell, gap, "filter")
 
-    def g(x: float) -> float:
-        return abs(2.0 * filter_eval(spec, x) - 1.0)
+    def g(x):
+        return np.abs(2.0 * filter_eval(spec, x) - 1.0)
 
     xs = np.linspace(-1.0, 1.0, 10_001)
-    vals = np.array([g(x) for x in xs])
+    vals = g(xs)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
@@ -107,10 +111,10 @@ def _reflection_norm(ell: int, gap: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = g(d)
-    return max(vals[i], fc, fd)
+    return float(max(vals[i], fc, fd))
 
 
-def reflection_eval(spec: FilterSpec, x: float) -> float:
+def reflection_eval(spec: FilterSpec, x):
     """S_ell(x; gap) = (2·R_ell - 1) normalized to sup-norm 1 on [-1, 1]."""
     if spec.kind != "reflection":
         raise ValueError("reflection_eval needs kind='reflection'")
@@ -162,15 +166,16 @@ class ChebSeries:
 def cheb_interp_coeffs(fn, degree: int) -> np.ndarray:
     """Coefficients of the degree-`degree` interpolant at Chebyshev extrema.
 
-    Uses the type-I DCT of the samples at x_k = cos(pi k / degree); exact for
-    polynomials of degree <= `degree`.
+    `fn` takes an array of points. Uses the type-I DCT of the samples at
+    x_k = cos(pi k / degree), taken as the real FFT of their even extension;
+    exact for polynomials of degree <= `degree`.
     """
     if degree < 1:
         return np.array([float(fn(1.0))])
     k = np.arange(degree + 1)
     xs = np.cos(np.pi * k / degree)
-    vals = np.array([float(fn(x)) for x in xs])
-    c = dct(vals, type=1) / degree
+    vals = np.asarray(fn(xs), dtype=float)
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / degree
     c[0] /= 2.0
     c[-1] /= 2.0
     return c
@@ -206,9 +211,39 @@ def jacobi_anger_coeffs(x: float) -> np.ndarray:
     while _jacobi_anger_tail(x, degree) > JACOBI_ANGER_TAIL:
         degree += 1
     k = np.arange(degree + 1)
-    c = np.array([1.0, -1j, -1.0, 1j])[k % 4] * jv(k, x)
+    c = np.array([1.0, -1j, -1.0, 1j])[k % 4] * _bessel_j(degree, x)
     c[1:] *= 2.0
     return c
+
+
+def _bessel_j(degree: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_degree(x) for x >= 0 by Miller's backward recurrence.
+
+    J_{k-1} = (2k/x)·J_k - J_{k+1} is run down from an order far enough past
+    max(degree, x) that the arbitrary start has decayed below roundoff, then
+    normalized by the identity J_0 + 2·Σ_{k>=1} J_{2k} = 1.
+    """
+    out = np.zeros(degree + 1)
+    if x == 0.0:
+        out[0] = 1.0
+        return out
+    top = max(degree, int(math.ceil(x)))
+    start = top + 20 + int(math.sqrt(60.0 * top))
+    above, here = 0.0, 1e-300  # J_{start+1}, J_start up to a common factor
+    norm = 0.0  # Σ over even orders of (2 - δ_k0)·J_k, same factor
+    for k in range(start, 0, -1):
+        if k <= degree:
+            out[k] = here
+        if k % 2 == 0:
+            norm += 2.0 * here
+        above, here = here, (2.0 * k / x) * here - above
+        if abs(here) > 1e250:  # rescale before the upward growth overflows
+            above *= 1e-250
+            here *= 1e-250
+            norm *= 1e-250
+            out *= 1e-250
+    out[0] = here
+    return out / (norm + here)
 
 
 def _jacobi_anger_tail(x: float, degree: int) -> float:
@@ -227,6 +262,8 @@ def _lp_minimax(ell: int, gap: float, grid_size: int) -> float:
     # Even polynomial p = sum_j a_j T_{2j}, j = 0..ell, with p(0) = 1.
     # Minimize t subject to |p(x_i)| <= t on a grid over [gap, 1] (evenness
     # makes the negative half redundant).
+    from scipy.optimize import linprog  # test oracle only
+
     xs = np.linspace(gap, 1.0, grid_size)
     theta = np.arccos(xs)
     j = np.arange(ell + 1)

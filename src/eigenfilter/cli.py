@@ -105,7 +105,7 @@ def _cmd_poly(args) -> int:
     spec = FilterSpec(args.ell, args.gap, kind=args.kind)
     xs = np.linspace(-1.0, 1.0, args.points)
     fn = filter_eval if args.kind == "filter" else reflection_eval
-    rows = [(float(x), float(fn(spec, float(x)))) for x in xs]
+    rows = list(zip(xs.tolist(), fn(spec, xs).tolist()))
     if args.out:
         write_table(args.out, ["x", "value"], rows)
     dmax = max(abs(v) for x, v in rows if abs(x) >= args.gap)
@@ -212,7 +212,7 @@ def _validate_minimax(args, failures):
             spec = FilterSpec(ell, gap)
             xs = np.concatenate([np.linspace(gap, 1.0, 2001),
                                  np.linspace(-1.0, -gap, 2001)])
-            got = max(abs(filter_eval(spec, float(x))) for x in xs)
+            got = float(np.max(np.abs(filter_eval(spec, xs))))
             ok = got <= spec.error_bound
             print(f"{'ok' if ok else 'FAIL'} minimax ell={ell} gap={gap!r} "
                   f"max={got!r} bound={spec.error_bound!r}")

@@ -114,7 +114,7 @@ def projector_error(enc: BlockEncoding, lam: float, ell: int,
     dec = eig_hermitian(enc.payload)
     shifted = (dec.eigenvalues - lam) / denom
     inside = np.abs(dec.eigenvalues - lam) <= EIGENSPACE_TOL
-    vals = np.array([filter_eval(spec, x) for x in shifted])
+    vals = filter_eval(spec, shifted)
     return float(np.abs(vals - inside.astype(float)).max())
 
 

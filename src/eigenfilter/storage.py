@@ -11,7 +11,8 @@ floats, no timestamps), so identical inputs produce byte-identical files.
                     (path + ".meta.json") holding name and diagnostics
 
 Floats are written with repr (JSON) or 18 significant digits (MatrixMarket),
-both exact for doubles, so roundtrips reproduce values bit for bit.
+both exact for doubles, so roundtrips reproduce values bit for bit. The
+MatrixMarket block is written and read by scipy.io, imported on first use.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread, mmwrite
-from scipy.sparse import coo_matrix
 
 from .numerics import DenseOperator, StateRegister
 from .qlsp import QlspInstance
@@ -65,6 +64,9 @@ def _dump_json(obj) -> str:
 
 
 def _matrix_block(mat: np.ndarray) -> str:
+    from scipy.io import mmwrite
+    from scipy.sparse import coo_matrix
+
     coo = coo_matrix(mat)
     if coo.nnz == 0:
         raise StorageError("refusing to write an empty matrix")
@@ -75,6 +77,8 @@ def _matrix_block(mat: np.ndarray) -> str:
 
 def _parse_matrix_block(text: str, offset: int) -> np.ndarray:
     """offset = number of file lines before the block (for error reporting)."""
+    from scipy.io import mmread
+
     try:
         mat = mmread(io.BytesIO(text.encode("ascii")))
     except Exception:

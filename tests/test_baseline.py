@@ -23,6 +23,21 @@ def test_spec_rejects_even_series():
                           c=2.0, eps_prime=1e-3, delta=0.5, degree_budget=10)
 
 
+@pytest.mark.parametrize("m", [5, 7, 9, 21, 101, 501, 1001, 4001, 9999, 20001])
+def test_dolph_chebyshev_window_matches_scipy_chebwin(m):
+    # scipy's chebwin is the reference for the numpy window; np.fft and
+    # scipy.fft differ in the last bits at odd lengths, so not bitwise
+    from scipy.signal.windows import chebwin
+
+    half = (m - 1) // 2
+    for ripple in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 3e-12):
+        att_db = -20.0 * np.log10(ripple)
+        window = chebwin(m, at=att_db)
+        got = baseline._dolph_chebyshev_half(m, att_db)
+        ref = window[half:] / window[half]
+        assert np.max(np.abs(got - ref)) <= 1e-13, ripple
+
+
 def test_build_input_validation():
     with pytest.raises(ValueError):
         build_inversion_poly(1.0, 1e-3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eigenfilter.chebpoly import (
     BOUND_GAP_CAP,
+    _bessel_j,
     ChebSeries,
     FilterSpec,
     cheb_interp_coeffs,
@@ -26,6 +27,20 @@ def test_filter_is_one_at_zero_exactly():
     for ell in (1, 7, 64, 301):
         spec = FilterSpec(ell, 0.1)
         assert filter_eval(spec, 0.0) == 1.0
+
+
+def test_filter_eval_takes_arrays_and_floats():
+    spec = FilterSpec(40, 0.1)
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 401), [0.0, 0.1, -0.1]])
+    vals = filter_eval(spec, xs)
+    assert vals.shape == xs.shape
+    for x, v in zip(xs, vals):
+        got = filter_eval(spec, float(x))
+        assert type(got) is float
+        assert got == pytest.approx(v, rel=0.0, abs=1e-15)
+    assert vals[xs == 0.0].tolist() == [1.0, 1.0]
+    rspec = FilterSpec(40, 0.1, "reflection")
+    assert reflection_eval(rspec, xs)[200] == reflection_eval(rspec, 0.0)
 
 
 def test_closed_form_small_case():
@@ -129,6 +144,37 @@ def test_reflection_coeffs_bounded():
 def test_cheb_interp_exact_for_polynomials():
     coeffs = cheb_interp_coeffs(lambda x: 8 * x ** 4 - 8 * x ** 2 + 1, 4)
     assert np.allclose(coeffs, [0, 0, 0, 0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [4, 50, 600, 1200])
+def test_cheb_interp_dct_matches_scipy(degree):
+    # scipy's type-I DCT is the reference for the FFT of the even extension
+    from scipy.fft import dct
+
+    spec = FilterSpec(max(degree // 2, 1), 0.05)
+
+    def fn(xs):
+        return filter_eval(spec, xs) + 0.25 * xs ** 3
+
+    xs = np.cos(np.pi * np.arange(degree + 1) / degree)
+    ref = dct(fn(xs), type=1) / degree
+    ref[0] /= 2.0
+    ref[-1] /= 2.0
+    assert np.max(np.abs(cheb_interp_coeffs(fn, degree) - ref)) <= 1e-15
+
+
+def test_bessel_recurrence_matches_scipy_jv():
+    # scipy.special.jv is the reference; near x = 100 its own error against
+    # high-precision values is ~6e-15, so the bound is 1e-14
+    from scipy.special import jv
+
+    k = np.arange(61)
+    xs = np.concatenate([np.linspace(0.0, 100.0, 1001),
+                         np.geomspace(1e-12, 100.0, 201)])
+    for x in xs:
+        got = _bessel_j(60, float(x))
+        assert np.max(np.abs(got - jv(k, x))) <= 1e-14, x
+    assert _bessel_j(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_cheb_series_parity_enforced():

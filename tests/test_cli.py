@@ -184,13 +184,12 @@ def test_module_entry_point_is_reproducible(tmp_path):
     assert first.stdout.startswith("instance ")
 
 
-def solve_under_blas_thread_counts(tmp_path, *solve_args):
-    # stdout and report bytes of one `solve` under one and two BLAS threads
+def under_blas_thread_counts(tmp_path, *argv):
+    # stdout and --out file bytes of one command under one and two BLAS threads
     outputs = []
     for threads in ("1", "2"):
-        path = tmp_path / f"report-{threads}.json"
-        cmd = [sys.executable, "-m", "eigenfilter", "solve", *solve_args,
-               "--out", str(path)]
+        path = tmp_path / f"out-{threads}"
+        cmd = [sys.executable, "-m", "eigenfilter", *argv, "--out", str(path)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -199,8 +198,8 @@ def solve_under_blas_thread_counts(tmp_path, *solve_args):
 
 
 def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
-    one, two = solve_under_blas_thread_counts(
-        tmp_path, "--n", "7", "--kappa", "16", "--form", "planted",
+    one, two = under_blas_thread_counts(
+        tmp_path, "solve", "--n", "7", "--kappa", "16", "--form", "planted",
         "--method", "aqc")
     assert one == two
 
@@ -212,7 +211,17 @@ def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
     # the dilated adiabatic path
     ("--n", "4", "--kappa", "6", "--seed", "1",
      "--form", "hermitian-indefinite", "--method", "aqc"),
-], ids=["zeno", "qsp-direct", "aqc-dilated"])
+    # the inversion polynomial's Dolph-Chebyshev window on a dilated instance
+    ("--n", "3", "--kappa", "6", "--seed", "1", "--form", "general",
+     "--method", "qsp-direct"),
+], ids=["zeno", "qsp-direct", "aqc-dilated", "qsp-direct-general"])
 def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
-    one, two = solve_under_blas_thread_counts(tmp_path, *solve_args)
+    one, two = under_blas_thread_counts(tmp_path, "solve", *solve_args)
+    assert one == two
+
+
+def test_poly_is_identical_across_blas_thread_counts(tmp_path):
+    # the array filter evaluation and the reflection norm's grid search
+    one, two = under_blas_thread_counts(
+        tmp_path, "poly", "--ell", "64", "--gap", "0.05", "--kind", "reflection")
     assert one == two
