@@ -3,7 +3,9 @@
 R_ell(x; gap) is the ratio of shifted Chebyshev polynomials that is 1 at x=0
 and uniformly small on D_gap = [-1, -gap] ∪ [gap, 1]. It is evaluated in the
 log domain: the denominator grows like exp(sqrt(2)·ell·gap), so the naive
-ratio overflows long before ell reaches the regimes the solvers need.
+ratio overflows long before ell reaches the regimes the solvers need. The
+reflection variant 2·R_ell - 1 is normalized by its sup-norm on [-1, 1],
+which is 1 + 2·|R_ell(1)| in closed form.
 
 An independent linear-programming oracle (discretized minimax over even
 polynomials) is provided so optimality is tested against something that knows
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,42 +85,19 @@ def filter_eval(spec: FilterSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=256)
-def _reflection_norm(ell: int, gap: float) -> float:
-    """max over [-1,1] of |2·R_ell - 1|: dense grid then golden-section."""
-    spec = FilterSpec(ell, gap, "filter")
-
-    def g(x):
-        return np.abs(2.0 * filter_eval(spec, x) - 1.0)
-
-    xs = np.linspace(-1.0, 1.0, 10_001)
-    vals = g(xs)
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = g(d)
-    return float(max(vals[i], fc, fd))
-
-
 def reflection_eval(spec: FilterSpec, x):
-    """S_ell(x; gap) = (2·R_ell - 1) normalized to sup-norm 1 on [-1, 1]."""
+    """S_ell(x; gap) = (2·R_ell - 1) normalized to sup-norm 1 on [-1, 1].
+
+    The norm is 1 + 2·|R_ell(1)| in closed form. For |x| <= gap, R_ell lies
+    in [0, 1], where |2·R_ell - 1| <= 1. On the band R_ell swings between
+    ±1/|T_ell(y0)| = ±|R_ell(1)| (since y(1) = 1), and its negative end
+    gives the maximum.
+    """
     if spec.kind != "reflection":
         raise ValueError("reflection_eval needs kind='reflection'")
     base = FilterSpec(spec.ell, spec.gap, "filter")
-    return (2.0 * filter_eval(base, x) - 1.0) / _reflection_norm(spec.ell, spec.gap)
+    norm = 1.0 + 2.0 * abs(filter_eval(base, 1.0))
+    return (2.0 * filter_eval(base, x) - 1.0) / norm
 
 
 def degree_for_accuracy(gap: float, eps: float) -> int:

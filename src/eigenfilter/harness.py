@@ -232,6 +232,8 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
     per-kappa linear fits of log(1 - eta) versus ell above the 1e-10 floor
     and the initial fidelity in both conventions.
     """
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     rows = []
     per_kappa: dict[str, dict] = {}
     init_all: list[float] = []
@@ -286,6 +288,8 @@ def experiment_ell_vs_kappa(etas=(0.9, 0.99), kappas=(10.0, 20.0, 40.0, 80.0),
     a linear fit of ell* versus kappa per target and the ratios between
     consecutive (doubling) kappa values.
     """
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     rows = []
     targets = sorted(etas)
     stars: dict[float, list[int]] = {t: [] for t in targets}
@@ -395,6 +399,8 @@ def experiment_kappa_scaling(kappas=(4.0, 8.0, 16.0, 32.0, 64.0),
     traversal solver a deflated slope (raw queries divided by the known log
     factor, see zeno_log_factor) is reported alongside the raw one.
     """
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     rows = []
     means: dict[str, list[float]] = {"qsp-direct": [], "aqc": [], "zeno": []}
     factors: list[float] = []

@@ -6,6 +6,8 @@ the null space of H(f) = (1-f)·H0 + f·H1 from |0⟩|b⟩ at f=0 to |0⟩|x⟩ 
 f=1. This module builds those Hamiltonians (including the dilated forms for
 indefinite and non-Hermitian input), bounds their spectral gap, and exposes
 the exact eigenpath with its length and derivative diagnostics.
+H1's encoding is the matrix H1 with the bookkeeping of its circuit, and
+the eigenpath derivative is exact.
 """
 
 from __future__ import annotations
@@ -15,14 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, encode, linear_combine, make_qb, multiply
-from .numerics import (
-    DenseOperator,
-    StateRegister,
-    eig_hermitian,
-    hermitian_part,
-    linsolve,
-)
+from .blockenc import BlockEncoding, linear_combine, make_qb
+from .numerics import DenseOperator, StateRegister, linsolve
 
 FORMS = ("positive-definite", "hermitian-indefinite", "general")
 
@@ -94,20 +90,12 @@ def make_h1(A: DenseOperator, b: StateRegister) -> DenseOperator:
 
 
 def make_h1_encoding(inst: QlspInstance) -> BlockEncoding:
-    """(d, n+4, 0)-encoding of H1 as a product of three encodings."""
-    n = inst.n
-    qb = make_qb(inst.b).payload.mat
-    wall = DenseOperator(
-        np.block([[np.eye(inst.dim), np.zeros((inst.dim, inst.dim))],
-                  [np.zeros((inst.dim, inst.dim)), qb]]),
-        hermitian=True,
-    )
-    w_enc = encode(wall, 1.0, ancilla=1)
-    mid = encode(DenseOperator(np.kron(_SX, inst.A.mat), hermitian=True),
-                 float(inst.d), ancilla=n + 2)
-    prod = multiply(multiply(w_enc, mid), w_enc)
-    payload = DenseOperator(hermitian_part(prod.payload.mat), hermitian=True)
-    return BlockEncoding(payload, prod.alpha, prod.ancilla, prod.err_bound)
+    """(d, n+4, 0)-encoding of H1 = W·(sigma_x⊗A)·W with W = diag(I, Q_b).
+
+    W is a (1, 1, 0)-encoding and sigma_x⊗A a (d, n+2, 0)-encoding, so the
+    product has alpha = d and m = 1 + (n+2) + 1 = n+4 ancillas.
+    """
+    return BlockEncoding(make_h1(inst.A, inst.b), float(inst.d), inst.n + 4)
 
 
 def make_h0_encoding(inst: QlspInstance) -> BlockEncoding:
@@ -216,30 +204,20 @@ def path_vector(inst: QlspInstance, f: float) -> np.ndarray:
     return path_vectors(inst, [f])[0]
 
 
-def _transported(ref: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # discrete parallel transport: re-phase v so <ref|v> is real non-negative
-    ov = np.vdot(ref, v)
-    if abs(ov) == 0.0:
-        return v
-    return v * (ov.conjugate() / abs(ov))
+def eigenpath_state(inst: QlspInstance, f: float) -> EigenpathPoint:
+    """Exact eigenpath point and derivative norm, endpoints included.
 
-
-def eigenpath_state(inst: QlspInstance, f: float,
-                    fd_step: float = 1e-5) -> EigenpathPoint:
-    """Exact eigenpath point with a finite-difference derivative norm.
-
-    The central stencil is shifted inward near the endpoints; neighbor states
-    are parallel-transported before differencing so the geometric phase does
-    not pollute the derivative.
+    With M = (1-f)I + fA and y = M⁻¹b, ∂_f y = M⁻¹(I - A)·y. The parallel-
+    transported derivative of x = y/‖y‖ is the part of ∂_f y/‖y‖ orthogonal
+    to x: ‖∂_f x‖ = ‖(I - |x⟩⟨x|)·M⁻¹(I - A)·x‖.
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")
     x = path_vector(inst, f)
-    lo = max(f - fd_step, 0.0)
-    hi = min(f + fd_step, 1.0)
-    xlo = _transported(x, path_vector(inst, lo))
-    xhi = _transported(x, path_vector(inst, hi))
-    deriv = float(np.linalg.norm((xhi - xlo) / (hi - lo)))
+    a = inst.A.mat
+    shifted = (1.0 - f) * np.eye(inst.dim) + f * a
+    v = np.linalg.solve(shifted, x - a @ x)
+    deriv = float(np.linalg.norm(v - x * np.vdot(x, v)))
     return EigenpathPoint(f, inst.b.with_amps(x), deriv)
 
 

@@ -10,7 +10,7 @@ floats, no timestamps), so identical inputs produce byte-identical files.
   ExperimentResult  CSV table with declared header, plus a JSON sidecar
                     (path + ".meta.json") holding name and diagnostics
 
-Floats are written with repr (JSON) or 18 significant digits (MatrixMarket),
+Floats are written with repr (JSON) or 17 significant digits (MatrixMarket),
 both exact for doubles, so roundtrips reproduce values bit for bit. The
 MatrixMarket block is written and read by scipy.io, imported on first use.
 """
@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import DenseOperator, StateRegister
-from .qlsp import QlspInstance
+from .qlsp import FORMS, QlspInstance
 from .report import ExperimentResult, SolverReport
 
-MM_PRECISION = 17  # digits after the point; 18 significant, exact for doubles
+MM_PRECISION = 17  # significant digits, exact for doubles
 
 
 class StorageError(ValueError):
@@ -61,6 +61,35 @@ def _plain(value):
 
 def _dump_json(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+_NUM = (int, float)
+# field -> (type, type of each list element or dict value, or None)
+_INSTANCE_FIELDS = {"b_real": (list, _NUM), "b_imag": (list, _NUM),
+                    "n": (int, None), "kappa": (_NUM, None), "d": (int, None),
+                    "form": (str, None), "seed": ((int, type(None)), None)}
+_REPORT_FIELDS = {"method": (str, None), "params": (dict, None),
+                  "final_fidelity": (_NUM, None),
+                  "success_probabilities": (list, _NUM),
+                  "query_ledger": (dict, int),
+                  "formula_derived_costs": (dict, _NUM), "attempts": (int, None)}
+
+
+def _is(value, kinds) -> bool:
+    # JSON true/false load as bool, a subclass of int; no field takes them
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _fields(record: dict, schema: dict, line: int | None = None) -> dict:
+    """The schema's fields of record; StorageError if one is missing or ill-typed."""
+    for key, (kinds, items) in schema.items():
+        if key not in record:
+            raise StorageError(f"missing field {key!r}", line)
+        value = record[key]
+        elems = value.values() if isinstance(value, dict) else value
+        if not _is(value, kinds) or items and not all(_is(v, items) for v in elems):
+            raise StorageError(f"ill-typed field {key!r}", line)
+    return {key: record[key] for key in schema}
 
 
 def _matrix_block(mat: np.ndarray) -> str:
@@ -145,19 +174,22 @@ def load_instance(path) -> QlspInstance:
         raise StorageError("malformed instance header", 1, e.colno) from None
     if not isinstance(meta, dict) or meta.get("kind") != "qlsp-instance":
         raise StorageError("not an instance file", 1, 1)
-    mat = _parse_matrix_block(rest, offset=1)
+    meta = _fields(meta, _INSTANCE_FIELDS, line=1)
     amps = np.asarray(meta["b_real"], dtype=float)
     imag = np.asarray(meta["b_imag"], dtype=float)
+    n, form = meta["n"], meta["form"]
+    if imag.size != amps.size or not 0 <= n < 64 or amps.size != 1 << n:
+        raise StorageError(f"right-hand state of {amps.size} real and "
+                           f"{imag.size} imaginary amplitudes for n = {n}", 1)
+    if form not in FORMS:
+        raise StorageError(f"unknown form {form!r}", 1)
+    mat = _parse_matrix_block(rest, offset=1)
     if np.any(imag):
         amps = amps + 1j * imag
-    n = int(meta["n"])
     b = StateRegister(amps, ancilla=0, system=n)
-    hermitian = meta["form"] != "general"
-    seed = meta["seed"]
-    return QlspInstance(DenseOperator(mat, hermitian=hermitian), b,
-                        kappa=float(meta["kappa"]), d=int(meta["d"]),
-                        form=str(meta["form"]),
-                        seed=None if seed is None else int(seed))
+    return QlspInstance(DenseOperator(mat, hermitian=form != "general"), b,
+                        kappa=float(meta["kappa"]), d=meta["d"], form=form,
+                        seed=meta["seed"])
 
 
 def save_report(path, report: SolverReport) -> None:
@@ -171,16 +203,9 @@ def load_report(path) -> SolverReport:
         record = json.loads(text)
     except json.JSONDecodeError as e:
         raise StorageError("malformed report", e.lineno, e.colno) from None
-    if record.get("kind") != "solver-report":
+    if not isinstance(record, dict) or record.get("kind") != "solver-report":
         raise StorageError("not a report file", 1, 1)
-    return SolverReport(
-        method=record["method"], params=record["params"],
-        final_fidelity=record["final_fidelity"],
-        success_probabilities=record["success_probabilities"],
-        query_ledger=record["query_ledger"],
-        formula_derived_costs=record["formula_derived_costs"],
-        attempts=record["attempts"],
-    )
+    return SolverReport(**_fields(record, _REPORT_FIELDS))
 
 
 def _cell(value) -> str:

@@ -135,6 +135,42 @@ def test_reflection_normalization_and_value_at_zero():
     assert 1.0 / (1.0 + base_bound) <= reflection_eval(spec, 0.0) <= 1.0
 
 
+def _searched_reflection_norm(ell, gap):
+    # max over [-1, 1] of |2·R_ell - 1| by a 10,001-point grid, refined by
+    # golden-section search around the best grid point
+    spec = FilterSpec(ell, gap)
+
+    def g(x):
+        return np.abs(2.0 * filter_eval(spec, x) - 1.0)
+
+    xs = np.linspace(-1.0, 1.0, 10_001)
+    vals = g(xs)
+    i = int(np.argmax(vals))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a > 1e-12:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = g(d)
+    return float(max(vals[i], fc, fd))
+
+
+@pytest.mark.parametrize("gap", [0.01, 0.05, 0.1, 0.3, 0.6, 0.9])
+def test_reflection_norm_matches_search(gap):
+    # S_ell(0) = 1 / (sup-norm of 2·R_ell - 1), the closed form
+    for ell in (1, 2, 3, 4, 5, 8, 16, 30, 48, 64, 100):
+        norm = 1.0 / reflection_eval(FilterSpec(ell, gap, "reflection"), 0.0)
+        want = _searched_reflection_norm(ell, gap)
+        assert abs(norm - want) <= 4 * math.ulp(want), (ell, norm, want)
+
+
 def test_reflection_coeffs_bounded():
     series = reflection_cheb_coeffs(FilterSpec(8, 0.2))
     xs = np.linspace(-1, 1, 2001)

@@ -150,6 +150,20 @@ def test_exit_codes(tmp_path):
     assert run("solve", "--in", str(csv_path), "--method", "aqc") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("experiment", "fig-a2-right", "--trials", "0"),
+    ("poly", "--ell", "8", "--gap", "0.2", "--points", "0"),
+], ids=["experiment-trials", "poly-points"])
+def test_empty_counts_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if argv[0] == "poly":
+        assert "--points" in err
+
+
 def test_validate_minimax_suite(capsys):
     assert run("validate", "--suite", "minimax") == 0
     out = capsys.readouterr().out
@@ -221,7 +235,7 @@ def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
 
 
 def test_poly_is_identical_across_blas_thread_counts(tmp_path):
-    # the array filter evaluation and the reflection norm's grid search
+    # the array filter evaluation and the closed-form reflection norm
     one, two = under_blas_thread_counts(
         tmp_path, "poly", "--ell", "64", "--gap", "0.05", "--kind", "reflection")
     assert one == two

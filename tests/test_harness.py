@@ -78,6 +78,13 @@ def test_gen_instance_validation():
         gen_instance(3, 10.0, 0, form="bogus")
 
 
+@pytest.mark.parametrize("experiment", [
+    experiment_fidelity_vs_ell, experiment_ell_vs_kappa, experiment_kappa_scaling])
+def test_experiments_need_a_seed(experiment):
+    with pytest.raises(ValueError, match="at least one seed"):
+        experiment(seeds=0)
+
+
 def test_planted_hermitian_exact_distances():
     lam, alpha, gap = 0.1, 2.0, 0.2
     op, proj, evs = planted_hermitian(4, gap, 0, lam=lam, alpha=alpha)

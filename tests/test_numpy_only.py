@@ -1,4 +1,4 @@
-"""The solvers and the sweep run on numpy alone: no scipy module is loaded."""
+"""The solvers, the sweep and validate run on numpy alone, loading no scipy."""
 
 import subprocess
 import sys
@@ -15,7 +15,11 @@ SCRIPT = textwrap.dedent("""
 
     sys.meta_path.insert(0, BlockScipy())
 
+    import contextlib
+    import io
+
     import eigenfilter as ef
+    from eigenfilter import cli
 
     eps = 1e-3
     inst = ef.gen_instance(2, 4.0, 0)
@@ -27,6 +31,10 @@ SCRIPT = textwrap.dedent("""
     ef.solve_aqc_filtered(ef.gen_instance(2, 4.0, 1, "hermitian-indefinite"), eps)
     ef.solve_qsp_direct(ef.gen_instance(2, 4.0, 1, "general"), eps)
     ef.experiment_kappa_scaling(kappas=(2.0, 3.0), seeds=1, n=2)
+    ef.reflection_eval(ef.FilterSpec(16, 0.1, "reflection"), 0.5)
+    ef.eigenpath_length(inst)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["validate", "--suite", "all"]) == 0
     print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
 

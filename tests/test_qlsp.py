@@ -1,17 +1,19 @@
 """Interpolating Hamiltonians, dilations, and the exact eigenpath."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from eigenfilter.blockenc import attach_unitary, verify
-from eigenfilter.harness import gen_instance
+from eigenfilter.blockenc import attach_unitary, encode, make_qb, multiply, verify
+from eigenfilter.harness import gen_instance, planted_tridiag_instance
 from eigenfilter.numerics import (
     DenseOperator,
     StateRegister,
     eig_hermitian,
     fidelity,
+    hermitian_part,
     linsolve,
     spectral_norm_bound,
 )
@@ -83,6 +85,49 @@ def test_hf_interpolates_and_gap_bound_holds():
         evs = eig_hermitian(enc.payload).eigenvalues
         nonzero = np.abs(evs)[np.abs(evs) > 1e-10]
         assert nonzero.min() >= gap_lower_bound(inst, f) - 1e-10
+
+
+def _h1_encoding_product(inst):
+    # the circuit W·(sigma_x⊗A)·W with W = diag(I, Q_b), formed as a product
+    # of three block encodings: the reference for make_h1_encoding
+    qb = make_qb(inst.b).payload.mat
+    zero = np.zeros((inst.dim, inst.dim))
+    wall = encode(DenseOperator(np.block([[np.eye(inst.dim), zero], [zero, qb]]),
+                                hermitian=True), 1.0, ancilla=1)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mid = encode(DenseOperator(np.kron(sx, inst.A.mat), hermitian=True),
+                 float(inst.d), ancilla=inst.n + 2)
+    prod = multiply(multiply(wall, mid), wall)
+    return prod, hermitian_part(prod.payload.mat)
+
+
+def _complex_b(inst, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
+    return dataclasses.replace(inst, b=inst.b.with_amps(amps / np.linalg.norm(amps)))
+
+
+def test_h1_encoding_is_the_three_encoding_product():
+    for n in (2, 3, 4):
+        for seed in (0, 1):
+            general = gen_instance(n, 8.0, seed, "general")
+            cases = [
+                planted_tridiag_instance(n, 8.0, seed),
+                gen_instance(n, 8.0, seed),
+                gen_instance(n, 8.0, seed, "hermitian-indefinite"),
+                extend_general(general.A, general.b, general.kappa, general.d),
+            ]
+            for inst in cases:
+                prod, payload = _h1_encoding_product(inst)
+                enc = make_h1_encoding(inst)
+                assert np.array_equal(enc.payload.mat, payload)
+                assert enc.alpha == prod.alpha == float(inst.d)
+                assert enc.ancilla == prod.ancilla == inst.n + 4
+                assert enc.err_bound == prod.err_bound == 0.0
+    # a complex right-hand state changes only the rounding of the products
+    inst = _complex_b(gen_instance(3, 8.0, 2), 5)
+    _, payload = _h1_encoding_product(inst)
+    assert np.max(np.abs(make_h1_encoding(inst).payload.mat - payload)) <= 1e-15
 
 
 def test_encoding_bookkeeping_matches_construction():
@@ -210,6 +255,37 @@ def test_eigenpath_state_is_null_vector():
         hf = make_hf(inst, f).payload.mat
         lifted = np.concatenate([pt.state.amps, np.zeros(inst.dim)])
         assert np.linalg.norm(hf @ lifted) <= 1e-10
+
+
+def _central_difference(inst, f, h=1e-5):
+    # neighbours are parallel-transported (re-phased so their overlap with
+    # x(f) is real and positive) so the geometric phase does not count
+    x = path_vector(inst, f)
+
+    def transported(g):
+        v = path_vector(inst, g)
+        ov = np.vdot(x, v)
+        return v * (ov.conjugate() / abs(ov))
+
+    lo, hi = f - h, f + h
+    return float(np.linalg.norm((transported(hi) - transported(lo)) / (hi - lo)))
+
+
+def test_derivative_norm_matches_central_difference():
+    cases = [gen_instance(4, kappa, seed) for kappa in (10.0, 100.0)
+             for seed in (0, 1)]
+    cases += [gen_instance(3, 10.0, 0, "general"),
+              _complex_b(gen_instance(3, 10.0, 1), 3)]
+    for inst in cases:
+        for f in (0.1, 0.25, 0.5, 0.75, 0.9):
+            got = eigenpath_state(inst, f).derivative_norm
+            assert got == pytest.approx(_central_difference(inst, f), rel=1e-7)
+        # at f = 0 the path state is b, and ∂_f x = (I - |b⟩⟨b|)·A·b there
+        b = inst.b.amps
+        ab = inst.A.mat @ b
+        want = np.linalg.norm(ab - b * np.vdot(b, ab))
+        assert eigenpath_state(inst, 0.0).derivative_norm == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_derivative_bound_and_length():

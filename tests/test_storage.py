@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eigenfilter.cli import main
 from eigenfilter.harness import gen_instance
 from eigenfilter.numerics import DenseOperator, StateRegister
 from eigenfilter.qlsp import QlspInstance
@@ -14,6 +15,7 @@ from eigenfilter.storage import (
     io_roundtrip,
     load,
     load_instance,
+    load_report,
     save,
     save_instance,
 )
@@ -162,6 +164,41 @@ def test_report_kind_is_checked(tmp_path):
     path.write_text('{ not json')
     with pytest.raises(StorageError, match="malformed report"):
         load(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.pop("b_real"), "missing field 'b_real'"),
+    (lambda h: h.update(kappa="x"), "ill-typed field 'kappa'"),
+    (lambda h: h.update(n=h["n"] + 1), "right-hand state"),
+], ids=["missing-b_real", "string-kappa", "n-mismatch"])
+def test_bad_instance_header_fields_fail_to_parse(tmp_path, capsys, edit, match):
+    path = tmp_path / "inst.qlsp"
+    save_instance(path, gen_instance(2, 3.0, 0))
+    head, _, rest = path.read_text().partition("\n")
+    header = json.loads(head)
+    edit(header)
+    path.write_text(json.dumps(header) + "\n" + rest)
+    with pytest.raises(StorageError, match=match) as err:
+        load_instance(path)
+    assert err.value.line == 1
+    # an input-parse failure: exit 2, not a traceback or a usage error
+    assert main(["solve", "--in", str(path), "--method", "zeno"]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_missing_or_ill_typed_report_fields_fail_to_parse(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"kind": "solver-report"}\n')
+    with pytest.raises(StorageError, match="missing field 'method'"):
+        load_report(path)
+    record = {"kind": "solver-report", **small_report().to_dict()}
+    record["query_ledger"] = {"U_A": 41.5}
+    path.write_text(json.dumps(record))
+    with pytest.raises(StorageError, match="ill-typed field 'query_ledger'"):
+        load_report(path)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(StorageError, match="not a report file"):
+        load_report(path)
 
 
 def test_short_csv_row_reports_line(tmp_path):
