@@ -111,8 +111,9 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
     matvecs. alpha bounds ‖H0‖ and ‖H1‖, hence every convex combination
-    H(f), so each H/alpha is a contraction; a real H0 or H1 is multiplied
-    in float64 (numerics.matvec_of). The midpoint rule is
+    H(f), so each H/alpha is a contraction; H0 and H1 of a real instance
+    are stored as float64 and multiplied in float64 (numerics.matvec_of),
+    while the state is complex from the first step. The midpoint rule is
     second-order accurate in 1/K; each step is unitary to the series'
     truncation tolerance (1e-16). observer(j, amps), if given, sees the
     state after j steps, for j = 0 (the initial state) through K.

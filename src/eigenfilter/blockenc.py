@@ -137,13 +137,17 @@ def linear_combine(encs, weights) -> BlockEncoding:
     return BlockEncoding(DenseOperator(total, hermitian=herm), alpha, anc, err)
 
 
-def make_qb(b: StateRegister) -> BlockEncoding:
-    """Encoding of the projector Q_b = I - |b⟩⟨b| (one ancilla)."""
+def qb_matrix(b: StateRegister) -> np.ndarray:
+    """The projector Q_b = I - |b⟩⟨b| of a unit vector b, as a matrix."""
     if abs(b.norm() - 1.0) > 1e-12:
         raise ValueError("b must be a unit vector")
     v = b.amps
-    qb = np.eye(v.size) - np.outer(v, v.conj())
-    return BlockEncoding(DenseOperator(qb, hermitian=True), 1.0, 1)
+    return np.eye(v.size) - np.outer(v, v.conj())
+
+
+def make_qb(b: StateRegister) -> BlockEncoding:
+    """Encoding of the projector Q_b = I - |b⟩⟨b| (one ancilla)."""
+    return BlockEncoding(DenseOperator(qb_matrix(b), hermitian=True), 1.0, 1)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -208,6 +208,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _check(failures, ok, label, detail=""):
+    """Print one check's ok/FAIL line and record its label if it failed."""
+    print(f"{'ok' if ok else 'FAIL'} {label} {detail}".rstrip())
+    if not ok:
+        failures.append(label)
+
+
 def _validate_minimax(args, failures):
     for gap in (0.05, 0.1, 0.2):
         for ell in (8, 16, 32):
@@ -215,11 +222,9 @@ def _validate_minimax(args, failures):
             xs = np.concatenate([np.linspace(gap, 1.0, 2001),
                                  np.linspace(-1.0, -gap, 2001)])
             got = float(np.max(np.abs(filter_eval(spec, xs))))
-            ok = got <= spec.error_bound
-            print(f"{'ok' if ok else 'FAIL'} minimax ell={ell} gap={gap!r} "
-                  f"max={got!r} bound={spec.error_bound!r}")
-            if not ok:
-                failures.append(f"minimax ell={ell} gap={gap}")
+            _check(failures, got <= spec.error_bound,
+                   f"minimax ell={ell} gap={gap!r}",
+                   f"max={got!r} bound={spec.error_bound!r}")
 
 
 def _validate_eigenpath(args, failures):
@@ -227,43 +232,32 @@ def _validate_eigenpath(args, failures):
         inst = gen_instance(4, kappa, args.seed)
         L = eigenpath_length(inst)
         bound = 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
-        ok = L <= bound
-        print(f"{'ok' if ok else 'FAIL'} eigenpath kappa={kappa!r} "
-              f"length={L!r} bound={bound!r}")
-        if not ok:
-            failures.append(f"eigenpath length kappa={kappa}")
-        for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-            pt = eigenpath_state(inst, f)
-            dbound = 2.0 / gap_lower_bound(inst, f)
-            ok = pt.derivative_norm <= dbound
-            if not ok:
-                print(f"FAIL eigenpath derivative kappa={kappa!r} f={f!r} "
-                      f"norm={pt.derivative_norm!r} bound={dbound!r}")
-                failures.append(f"eigenpath derivative kappa={kappa} f={f}")
-        print(f"ok eigenpath derivatives kappa={kappa!r}")
+        _check(failures, L <= bound, f"eigenpath kappa={kappa!r}",
+               f"length={L!r} bound={bound!r}")
+        over = [f for f in (0.0, 0.25, 0.5, 0.75, 1.0)
+                if eigenpath_state(inst, f).derivative_norm
+                > 2.0 / gap_lower_bound(inst, f)]
+        _check(failures, not over, f"eigenpath derivatives kappa={kappa!r}",
+               f"over 2/gap at f={over!r}" if over else "")
         params = zeno_params(kappa, 1e-4)
         seg = [lstar(kappa, float(a), float(b))
                for a, b in zip(params.f_grid[:-1], params.f_grid[1:])]
         spread = max(seg) - min(seg)
-        ok = spread <= 1e-10
-        print(f"{'ok' if ok else 'FAIL'} equal-segment grid kappa={kappa!r} "
-              f"spread={spread!r}")
-        if not ok:
-            failures.append(f"grid segmentation kappa={kappa}")
+        _check(failures, spread <= 1e-10, f"equal-segment grid kappa={kappa!r}",
+               f"spread={spread!r}")
 
 
 def _validate_zeno(args, failures):
     inst = gen_instance(4, 10.0, args.seed)
     report, trace = solve_zeno(inst, 1e-6)
-    params = zeno_params(inst.kappa, 1e-6)
     try:
-        validate_zeno_bounds(trace, params, inst)  # raises unless all hold
+        validate_zeno_bounds(trace, zeno_params(inst.kappa, 1e-6), inst)
     except AssertionError as e:
-        print(f"FAIL zeno bounds: {e}")
-        failures.append("zeno overlap bounds")
+        _check(failures, False, "zeno bounds", str(e))
         return
-    print(f"ok zeno bounds fidelity={report.final_fidelity!r} "
-          f"total_success={trace.total_success!r}")
+    _check(failures, True, "zeno bounds",
+           f"fidelity={report.final_fidelity!r} "
+           f"total_success={trace.total_success!r}")
 
 
 def _validate_blockenc(args, failures):
@@ -271,18 +265,14 @@ def _validate_blockenc(args, failures):
     enc = make_h1_encoding(inst)
     err = verify(attach_unitary(enc))
     ok = err <= 1e-10 and enc.ancilla == inst.n + 4 and enc.alpha == inst.d
-    print(f"{'ok' if ok else 'FAIL'} encoding H1 alpha={enc.alpha!r} "
-          f"m={enc.ancilla} err={err!r}")
-    if not ok:
-        failures.append("H1 encoding bookkeeping")
+    _check(failures, ok, "encoding H1",
+           f"alpha={enc.alpha!r} m={enc.ancilla} err={err!r}")
     hf = make_hf(inst, 0.5)
     want_alpha = 1.0 - 0.5 + 0.5 * inst.d
     err = verify(attach_unitary(hf))
     ok = err <= 1e-10 and hf.ancilla == inst.n + 6 and hf.alpha == want_alpha
-    print(f"{'ok' if ok else 'FAIL'} encoding H(f) alpha={hf.alpha!r} "
-          f"m={hf.ancilla} err={err!r}")
-    if not ok:
-        failures.append("H(f) encoding bookkeeping")
+    _check(failures, ok, "encoding H(f)",
+           f"alpha={hf.alpha!r} m={hf.ancilla} err={err!r}")
 
 
 def _cmd_validate(args) -> int:

@@ -26,7 +26,7 @@ from .chebpoly import (
     filter_eval,
     reflection_cheb_coeffs,
 )
-from .numerics import StateRegister, clenshaw_apply, eig_hermitian, real_if_real
+from .numerics import StateRegister, clenshaw_apply, eig_hermitian
 
 # Eigenvalues within this distance of λ count as the target eigenspace.
 EIGENSPACE_TOL = 1e-8
@@ -58,8 +58,7 @@ def _shifted_contraction(enc: BlockEncoding, lam: float):
     if not h.hermitian:
         raise ValueError("filtering needs a Hermitian payload")
     denom = enc.alpha + abs(lam)
-    # a real payload gives a real H̃, which Clenshaw multiplies in float64
-    htilde = (real_if_real(h.mat) - lam * np.eye(h.dim)) / denom
+    htilde = (h.mat - lam * np.eye(h.dim)) / denom
     return htilde, denom
 
 

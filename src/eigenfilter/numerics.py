@@ -1,7 +1,7 @@
 """Dense linear-algebra kernel.
 
 Everything downstream (filtering, solvers, experiments) runs on two small
-value types: a dense complex operator and a state register with an
+value types: a dense operator and a complex state register with an
 (ancilla | system) qubit split. Operators are applied either through their
 eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
@@ -10,12 +10,12 @@ kernel: filtering and the inversion baseline reach it through
 `clenshaw_apply` with real coefficients, and the adiabatic time evolution
 calls it with the complex Jacobi–Anger coefficients of exp(-i·dt·H).
 
-Every matvec of the kernel goes through `matvec_of`, which multiplies in
-float64 whenever the operator's imaginary part is zero (as it is for every
-operator the generators, dilations and encodings build): a real vector meets
-a GEMV, a complex one a GEMM on its (N, 2) float view. A genuinely complex
-operator keeps the complex product. Operators and states keep their complex
-dtypes; only the arithmetic inside the kernel changes.
+An operator's dtype is decided once, when a DenseOperator is built: float64
+when every imaginary part is exactly zero (as for every operator built from
+a real instance), complex128 otherwise. Every matvec of the kernel goes
+through `matvec_of`, which dispatches on that dtype: a real operator meets a
+real vector in a GEMV and a complex one in a GEMM on its (N, 2) float view;
+a complex operator keeps the complex product. States stay complex128.
 
 Spectral-norm guards (block-encoding subnormalizations, the Clenshaw
 contraction check) go through `spectral_norm_bound`: the certified bound
@@ -45,13 +45,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Square complex matrix with an optional Hermitian tag."""
+    """Square matrix with an optional Hermitian tag, stored read-only as
+    float64 when every imaginary part is zero and complex128 otherwise."""
 
     mat: np.ndarray
     hermitian: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = real_if_real(self.mat)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -173,7 +174,7 @@ def eig_hermitian(H: DenseOperator | np.ndarray) -> SpectralDecomposition:
     repeated constructions; inputs that are not Hermitian within tolerance
     are rejected outright.
     """
-    m = H.mat if isinstance(H, DenseOperator) else np.asarray(H, dtype=complex)
+    m = np.asarray(H.mat if isinstance(H, DenseOperator) else H, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("eig_hermitian needs a square matrix of dim >= 1")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
@@ -233,16 +234,15 @@ def real_if_real(a) -> np.ndarray:
 
 
 def matvec_of(m: np.ndarray):
-    """x ↦ m @ x, multiplied in float64 whenever m is real-valued.
+    """x ↦ m @ x, multiplied in float64 whenever m has a real dtype.
 
-    Whether m is real is read from its entries (real_if_real). A real m
-    meets a real x in a GEMV and a complex x in a GEMM on x's float view,
-    its real and imaginary parts as two columns; numpy's own real @ complex
-    would convert m to complex on every call. A complex m keeps the complex
-    product.
+    The dtype of a DenseOperator's mat already says whether it is real. A
+    real m meets a real x in a GEMV and a complex x in a GEMM on x's float
+    view, its real and imaginary parts as two columns; numpy's own
+    real @ complex would convert m to complex on every call. A complex m
+    keeps the complex product.
     """
-    m = real_if_real(m)
-    if np.iscomplexobj(m):
+    if m.dtype.kind == "c":
         return m.__matmul__
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -271,7 +271,7 @@ def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
 
 def linsolve(A: DenseOperator | np.ndarray, b: StateRegister | np.ndarray):
     """Solve A x = b for invertible A (classical oracle for A⁻¹b)."""
-    m = A.mat if isinstance(A, DenseOperator) else np.asarray(A, dtype=complex)
+    m = np.asarray(A.mat if isinstance(A, DenseOperator) else A, dtype=complex)
     rhs = b.amps if isinstance(b, StateRegister) else np.asarray(b, dtype=complex)
     smin = float(np.linalg.svd(m, compute_uv=False)[-1])
     if smin <= 1e-12:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, linear_combine, make_qb
+from .blockenc import BlockEncoding, linear_combine, qb_matrix
 from .numerics import DenseOperator, StateRegister, linsolve
 
 FORMS = ("positive-definite", "hermitian-indefinite", "general")
@@ -42,8 +42,8 @@ class QlspInstance:
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
-        if self.kappa <= 1.0:
-            raise ValueError("kappa must exceed 1")
+        if not 1.0 < self.kappa < math.inf:  # also rejects NaN
+            raise ValueError("kappa must exceed 1 and be finite")
         if self.d < 1:
             raise ValueError("sparsity must be positive")
         if self.A.dim != self.b.dim:
@@ -76,13 +76,12 @@ def solution_state(inst: QlspInstance) -> StateRegister:
 
 def make_h0(b: StateRegister) -> DenseOperator:
     """H0 = sigma_x ⊗ Q_b; null space spans |0⟩|b⟩ and |1⟩|b⟩."""
-    qb = make_qb(b).payload.mat
-    return DenseOperator(np.kron(_SX, qb), hermitian=True)
+    return DenseOperator(np.kron(_SX, qb_matrix(b)), hermitian=True)
 
 
 def make_h1(A: DenseOperator, b: StateRegister) -> DenseOperator:
     """H1 = |0⟩⟨1| ⊗ AQ_b + |1⟩⟨0| ⊗ Q_bA; null space |0⟩|x⟩, |1⟩|b⟩."""
-    qb = make_qb(b).payload.mat
+    qb = qb_matrix(b)
     a = A.mat
     top = a @ qb
     return DenseOperator(np.kron(_SP, top) + np.kron(_SM, qb @ a),

@@ -5,7 +5,9 @@ floats, no timestamps), so identical inputs produce byte-identical files.
 
   QlspInstance      single file: a one-line JSON header (kappa, d, form,
                     seed, right-hand state) followed by the matrix as a
-                    MatrixMarket coordinate block
+                    MatrixMarket coordinate block, real or complex as the
+                    matrix is (a complex block with zero imaginary parts
+                    loads as the same float64 matrix)
   SolverReport      indented JSON record
   ExperimentResult  CSV table with declared header, plus a JSON sidecar
                     (path + ".meta.json") holding name and diagnostics
@@ -186,10 +188,13 @@ def load_instance(path) -> QlspInstance:
     mat = _parse_matrix_block(rest, offset=1)
     if np.any(imag):
         amps = amps + 1j * imag
-    b = StateRegister(amps, ancilla=0, system=n)
-    return QlspInstance(DenseOperator(mat, hermitian=form != "general"), b,
-                        kappa=float(meta["kappa"]), d=meta["d"], form=form,
-                        seed=meta["seed"])
+    try:  # the value checks of the header and the block against each other
+        return QlspInstance(DenseOperator(mat, hermitian=form != "general"),
+                            StateRegister(amps, ancilla=0, system=n),
+                            kappa=float(meta["kappa"]), d=meta["d"], form=form,
+                            seed=meta["seed"])
+    except ValueError as e:
+        raise StorageError(f"invalid instance: {e}") from None
 
 
 def save_report(path, report: SolverReport) -> None:

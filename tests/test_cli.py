@@ -171,6 +171,16 @@ def test_validate_minimax_suite(capsys):
     assert "validate suite=minimax all checks passed" in out
 
 
+def test_validate_reports_each_failed_check(capsys, monkeypatch):
+    # a filter that misses its bound everywhere fails all nine minimax checks
+    monkeypatch.setattr(cli, "filter_eval", lambda spec, xs: np.full_like(xs, 2.0))
+    assert run("validate", "--suite", "minimax") == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("FAIL minimax") == 9
+    assert "all checks passed" not in captured.out
+    assert "minimax ell=8 gap=0.05; minimax ell=16 gap=0.05" in captured.err
+
+
 def test_validate_blockenc_suite(capsys):
     assert run("validate", "--suite", "blockenc") == 0
     out = capsys.readouterr().out
@@ -231,6 +241,14 @@ def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
 ], ids=["zeno", "qsp-direct", "aqc-dilated", "qsp-direct-general"])
 def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
     one, two = under_blas_thread_counts(tmp_path, "solve", *solve_args)
+    assert one == two
+
+
+def test_gen_is_identical_across_blas_thread_counts(tmp_path):
+    # the planted spectrum, the SVD behind measured_kappa and the real-field
+    # matrix block
+    one, two = under_blas_thread_counts(
+        tmp_path, "gen", "--n", "7", "--kappa", "16", "--form", "planted")
     assert one == two
 
 

@@ -18,7 +18,6 @@ from eigenfilter.numerics import (
     hermitian_part,
     linsolve,
     matvec_of,
-    real_if_real,
     spectral_norm_bound,
 )
 
@@ -38,6 +37,33 @@ def test_dense_operator_rejects_false_hermitian_tag():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         DenseOperator(m, hermitian=True)
+
+
+def test_dense_operator_stores_real_input_as_float64():
+    h = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    for given in (h, h.astype(complex), np.array([[2, -1], [-1, 2]])):
+        op = DenseOperator(given, hermitian=True)
+        assert op.mat.dtype == float and np.array_equal(op.mat, h)
+    # any nonzero imaginary part, however small, keeps complex128
+    z = h.astype(complex)
+    z[0, 1], z[1, 0] = -1.0 + 1e-300j, -1.0 - 1e-300j
+    op = DenseOperator(z, hermitian=True)
+    assert op.mat.dtype == complex and np.array_equal(op.mat, z)
+
+
+@pytest.mark.parametrize("mat, hermitian, match", [
+    (np.zeros((2, 3)), False, "square"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), False, "non-finite"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), True, "hermitian flag"),
+    (np.full((2, 3), 1j), False, "square"),
+    (np.array([[1.0, complex(0.0, np.inf)], [1j, 1.0]]), False, "non-finite"),
+    # symmetric but not Hermitian: the complex check conjugates
+    (np.array([[0.0, 1j], [1j, 0.0]]), True, "hermitian flag"),
+], ids=["real-nonsquare", "real-nonfinite", "real-asymmetric",
+        "complex-nonsquare", "complex-nonfinite", "complex-non-hermitian"])
+def test_dense_operator_checks_hold_in_either_dtype(mat, hermitian, match):
+    with pytest.raises(ValueError, match=match):
+        DenseOperator(mat, hermitian=hermitian)
 
 
 def test_dense_operator_is_immutable():
@@ -201,8 +227,8 @@ def test_real_kernel_matches_complex_recurrence(dim, degree, seed, complex_v,
 def test_matvec_of_multiplies_real_operators_in_float64():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(6, 6))
-    mat = DenseOperator(h).mat  # stored complex, imaginary part zero
-    assert real_if_real(mat).dtype == float
+    mat = DenseOperator(h.astype(complex)).mat  # zero imaginary part: float64
+    assert mat.dtype == float
     mv = matvec_of(mat)
     x = rng.normal(size=6)
     assert mv(x).dtype == float and np.array_equal(mv(x), h @ x)
@@ -220,7 +246,7 @@ def test_complex_hermitian_operator_keeps_complex_arithmetic():
     h = random_hermitian(8, 11)
     h = h / np.linalg.norm(h, 2)
     op = DenseOperator(h, hermitian=True)
-    assert real_if_real(op.mat).dtype == complex
+    assert op.mat.dtype == complex
     assert np.iscomplexobj(matvec_of(op.mat)(np.ones(8)))
     coeffs = np.array([0.1, -0.6, 0.3, 0.2, -0.4])
     v = np.linspace(-1.0, 1.0, 8)

@@ -1,5 +1,6 @@
 """Roundtrips, determinism, and parse-error locations for the file formats."""
 
+import io
 import json
 
 import numpy as np
@@ -19,6 +20,16 @@ from eigenfilter.storage import (
     save,
     save_instance,
 )
+
+
+def mm_block(mat) -> str:
+    # a MatrixMarket block written the way save_instance writes one
+    from scipy.io import mmwrite
+    from scipy.sparse import coo_matrix
+
+    buf = io.BytesIO()
+    mmwrite(buf, coo_matrix(mat), precision=17)
+    return buf.getvalue().decode("ascii")
 
 
 def small_report() -> SolverReport:
@@ -48,6 +59,22 @@ def test_instance_roundtrip_is_exact(tmp_path):
     assert (back.kappa, back.d, back.form, back.seed, back.n) == \
         (inst.kappa, inst.d, inst.form, inst.seed, inst.n)
     assert back.A.hermitian
+
+
+def test_complex_field_matrix_block_loads_as_the_real_matrix(tmp_path):
+    # files written before operators were stored as float64 carry a complex
+    # block with zero imaginary parts
+    inst = gen_instance(3, 5.0, 4)
+    real_path, complex_path = tmp_path / "real.qlsp", tmp_path / "complex.qlsp"
+    save_instance(real_path, inst)
+    head, _, block = real_path.read_text().partition("\n")
+    assert "coordinate real symmetric" in block
+    old = mm_block(inst.A.mat.astype(complex))
+    assert "coordinate complex symmetric" in old
+    complex_path.write_text(head + "\n" + old)
+    want, got = load_instance(real_path).A.mat, load_instance(complex_path).A.mat
+    assert want.dtype == got.dtype == float
+    assert want.tobytes() == got.tobytes() == inst.A.mat.tobytes()
 
 
 def test_complex_right_hand_state_roundtrips(tmp_path):
@@ -166,21 +193,32 @@ def test_report_kind_is_checked(tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("edit, match", [
-    (lambda h: h.pop("b_real"), "missing field 'b_real'"),
-    (lambda h: h.update(kappa="x"), "ill-typed field 'kappa'"),
-    (lambda h: h.update(n=h["n"] + 1), "right-hand state"),
-], ids=["missing-b_real", "string-kappa", "n-mismatch"])
-def test_bad_instance_header_fields_fail_to_parse(tmp_path, capsys, edit, match):
+@pytest.mark.parametrize("edit, match, line", [
+    (lambda h, a: h.pop("b_real"), "missing field 'b_real'", 1),
+    (lambda h, a: h.update(kappa="x"), "ill-typed field 'kappa'", 1),
+    (lambda h, a: h.update(n=h["n"] + 1), "right-hand state", 1),
+    # values that parse but fail the instance's checks (no single line)
+    (lambda h, a: h.update(n=1, b_real=[1.0, 0.0], b_imag=[0.0, 0.0]),
+     "dimensions differ", None),
+    (lambda h, a: h.update(b_real=[2.0 * x for x in h["b_real"]]),
+     "must be normalized", None),
+    (lambda h, a: h.update(kappa=0.5), "kappa must exceed 1", None),
+    (lambda h, a: h.update(kappa=float("nan")), "kappa must exceed 1", None),
+    (lambda h, a: np.multiply(a, 2.0, out=a), "exceeds 1", None),
+], ids=["missing-b_real", "string-kappa", "n-mismatch", "dim-mismatch",
+        "unnormalized-b", "kappa-below-1", "kappa-nan", "norm-above-1"])
+def test_bad_instance_header_fields_fail_to_parse(tmp_path, capsys, edit,
+                                                  match, line):
     path = tmp_path / "inst.qlsp"
-    save_instance(path, gen_instance(2, 3.0, 0))
-    head, _, rest = path.read_text().partition("\n")
-    header = json.loads(head)
-    edit(header)
-    path.write_text(json.dumps(header) + "\n" + rest)
+    inst = gen_instance(2, 3.0, 0)
+    save_instance(path, inst)
+    header = json.loads(path.read_text().partition("\n")[0])
+    mat = inst.A.mat.copy()
+    edit(header, mat)
+    path.write_text(json.dumps(header) + "\n" + mm_block(mat))
     with pytest.raises(StorageError, match=match) as err:
         load_instance(path)
-    assert err.value.line == 1
+    assert err.value.line == line
     # an input-parse failure: exit 2, not a traceback or a usage error
     assert main(["solve", "--in", str(path), "--method", "zeno"]) == 2
     assert match in capsys.readouterr().err
