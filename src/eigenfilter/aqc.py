@@ -111,12 +111,15 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
     matvecs. alpha bounds ‖H0‖ and ‖H1‖, hence every convex combination
-    H(f), so each H/alpha is a contraction; H0 and H1 of a real instance
-    are stored as float64 and multiplied in float64 (numerics.matvec_of),
-    while the state is complex from the first step. The midpoint rule is
-    second-order accurate in 1/K; each step is unitary to the series'
-    truncation tolerance (1e-16). observer(j, amps), if given, sees the
-    state after j steps, for j = 0 (the initial state) through K.
+    H(f), so each H/alpha is a contraction. Each step forms
+    H(f)/alpha = ((1-f)·H0 + f·H1)/alpha in place, in one buffer allocated
+    before the loop, so a series of degree D costs D matvecs. The buffer is
+    float64 when H0 and H1 both are (as for every real instance) and is
+    multiplied in float64 (numerics.matvec_of), while the state is complex
+    from the first step. The midpoint rule is second-order accurate in
+    1/K; each step is unitary to the series' truncation tolerance (1e-16).
+    observer(j, amps), if given, sees the state after j steps, for j = 0
+    (the initial state) through K.
     """
     h0, h1, init = hamiltonian_pair(inst)
     psi = (initial if initial is not None else init).amps.astype(complex)
@@ -126,14 +129,15 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     # it holds for every step, so the loop needs no per-step guard
     alpha = max(spectral_norm_bound(h, math.inf) for h in (h0, h1))
     coeffs = jacobi_anger_coeffs(dt * alpha)
-    h0v, h1v = matvec_of(h0.mat), matvec_of(h1.mat)
+    hf = np.empty(h0.mat.shape, np.result_type(h0.mat, h1.mat))
+    hfv = matvec_of(hf)
     if observer is not None:
         observer(0, psi)
     for step in range(k):
         f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
-        w0, w1 = (1.0 - f) / alpha, f / alpha
-        # two matvecs per term cost less than forming H(f) at every step
-        psi = clenshaw(coeffs, lambda x: w0 * h0v(x) + w1 * h1v(x), psi)
+        np.multiply(h0.mat, (1.0 - f) / alpha, out=hf)
+        hf += (f / alpha) * h1.mat
+        psi = clenshaw(coeffs, hfv, psi)
         if observer is not None:
             observer(step + 1, psi)
     return init.with_amps(psi)

@@ -25,6 +25,7 @@ from .numerics import (
     StateRegister,
     eig_hermitian,
     hermitian_part,
+    real_if_real,
     spectral_norm_bound,
 )
 
@@ -138,11 +139,12 @@ def linear_combine(encs, weights) -> BlockEncoding:
 
 
 def qb_matrix(b: StateRegister) -> np.ndarray:
-    """The projector Q_b = I - |b⟩⟨b| of a unit vector b, as a matrix."""
+    """The projector Q_b = I - |b⟩⟨b| of a unit vector b, as a matrix:
+    float64 when b is real, so products with a real A stay real."""
     if abs(b.norm() - 1.0) > 1e-12:
         raise ValueError("b must be a unit vector")
     v = b.amps
-    return np.eye(v.size) - np.outer(v, v.conj())
+    return real_if_real(np.eye(v.size) - np.outer(v, v.conj()))
 
 
 def make_qb(b: StateRegister) -> BlockEncoding:

@@ -8,7 +8,9 @@ Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
 kernel: filtering and the inversion baseline reach it through
 `clenshaw_apply` with real coefficients, and the adiabatic time evolution
-calls it with the complex Jacobi–Anger coefficients of exp(-i·dt·H).
+calls it with the complex Jacobi–Anger coefficients of exp(-i·dt·H) and the
+matvec of a buffer that holds each step's H(f), formed once per step, so
+every term above degree 0 costs one matvec.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
@@ -270,10 +272,17 @@ def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
 
 
 def linsolve(A: DenseOperator | np.ndarray, b: StateRegister | np.ndarray):
-    """Solve A x = b for invertible A (classical oracle for A⁻¹b)."""
+    """Solve A x = b for invertible A (classical oracle for A⁻¹b).
+
+    The singularity guard is σ_min(A) > 1e-12: min|λ| from one eigvalsh for
+    a Hermitian-tagged operator, the last singular value otherwise.
+    """
     m = np.asarray(A.mat if isinstance(A, DenseOperator) else A, dtype=complex)
     rhs = b.amps if isinstance(b, StateRegister) else np.asarray(b, dtype=complex)
-    smin = float(np.linalg.svd(m, compute_uv=False)[-1])
+    if isinstance(A, DenseOperator) and A.hermitian:
+        smin = float(np.abs(np.linalg.eigvalsh(A.mat)).min())
+    else:
+        smin = float(np.linalg.svd(m, compute_uv=False)[-1])
     if smin <= 1e-12:
         raise ValueError(f"matrix is numerically singular (σ_min = {smin:.3e})")
     x = np.linalg.solve(m, rhs)

@@ -1,8 +1,11 @@
 """Adiabatic schedule, ideal evolution, and the seeded-filter solver."""
 
+import math
+
 import numpy as np
 import pytest
 
+from eigenfilter import aqc
 from eigenfilter.aqc import (
     AqcConfig,
     evolve,
@@ -12,8 +15,15 @@ from eigenfilter.aqc import (
     schedule_p,
     solve_aqc_filtered,
 )
+from eigenfilter.chebpoly import jacobi_anger_coeffs
 from eigenfilter.harness import gen_instance
-from eigenfilter.numerics import StateRegister, eig_hermitian, fidelity
+from eigenfilter.numerics import (
+    DenseOperator,
+    StateRegister,
+    eig_hermitian,
+    fidelity,
+    spectral_norm_bound,
+)
 from eigenfilter.qlsp import QlspInstance, path_vector, solution_state
 
 
@@ -121,6 +131,55 @@ def test_evolve_with_complex_b_matches_eigh_oracle(form):
     cfg = AqcConfig(T=2.0)
     got = evolve(inst, cfg).amps
     assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
+    # a complex A under a real b leaves H0 real and makes H1 complex, so
+    # each step's H(f) is formed in complex arithmetic from mixed dtypes
+    inst = gen_instance(3, 10.0, 16, form=form)
+    rng = np.random.default_rng(2)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=inst.dim))
+    a = phases[:, None] * inst.A.mat * phases.conj()[None, :]
+    inst = QlspInstance(DenseOperator(a, hermitian=inst.A.hermitian), inst.b,
+                        inst.kappa, inst.d, form=form)
+    h0, h1, _ = hamiltonian_pair(inst)
+    assert h0.mat.dtype == np.float64 and h1.mat.dtype == np.complex128
+    cfg = AqcConfig(T=2.0)
+    got = evolve(inst, cfg).amps
+    assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
+
+
+def test_evolve_costs_one_matvec_per_term(monkeypatch):
+    inst = gen_instance(3, 10.0, 17)
+    cfg = AqcConfig(T=2.0)
+    h0, h1, _ = hamiltonian_pair(inst)
+    alpha = max(spectral_norm_bound(h, math.inf) for h in (h0, h1))
+    coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * alpha)
+    assert coeffs.size > 1
+    # count the series evaluations at the recurrence and the operator
+    # products at the matvecs it is handed
+    counter = {"calls": 0, "matvecs": 0}
+    recurrence, make_matvec = aqc.clenshaw, aqc.matvec_of
+
+    def counted_clenshaw(c, matvec, vec):
+        counter["calls"] += 1
+        return recurrence(c, matvec, vec)
+
+    def counted_matvec_of(m):
+        matvec = make_matvec(m)
+
+        def mv(x):
+            counter["matvecs"] += 1
+            return matvec(x)
+        return mv
+
+    monkeypatch.setattr(aqc, "clenshaw", counted_clenshaw)
+    monkeypatch.setattr(aqc, "matvec_of", counted_matvec_of)
+    evolve(inst, cfg)
+    assert counter["calls"] == cfg.num_steps
+    assert counter["matvecs"] == cfg.num_steps * (coeffs.size - 1)
 
 
 @pytest.mark.parametrize("form", ["positive-definite", "general"])

@@ -11,6 +11,7 @@ from eigenfilter.blockenc import (
     linear_combine,
     make_qb,
     multiply,
+    qb_matrix,
     shift_add_identity,
     verify,
 )
@@ -144,6 +145,16 @@ def test_make_qb_is_projector_encoding():
     u = dilate_to_unitary(enc).mat
     assert np.linalg.norm(u.conj().T @ u - np.eye(16), 2) <= 1e-7
     assert np.linalg.norm(q - u[:8, :8], 2) <= 1e-7
+
+
+def test_qb_matrix_is_real_for_a_real_b():
+    rng = np.random.default_rng(15)
+    v = rng.normal(size=8)
+    real_b = StateRegister(v / np.linalg.norm(v), 0, 3)
+    assert qb_matrix(real_b).dtype == np.float64
+    w = v + 1j * rng.normal(size=8)
+    complex_b = StateRegister(w / np.linalg.norm(w), 0, 3)
+    assert qb_matrix(complex_b).dtype == np.complex128
 
 
 def test_block_encoding_rejects_overfull_payload():

@@ -268,6 +268,22 @@ def test_linsolve_rejects_singular():
         linsolve(np.zeros((2, 2)), np.ones(2))
 
 
+def test_linsolve_guards_hermitian_operators_without_svd(monkeypatch):
+    h = random_hermitian(6, 5) + 7.0 * np.eye(6)
+    b = np.arange(1.0, 7.0) + 0j
+    want = np.linalg.solve(h, b)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a Hermitian operator needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert np.array_equal(linsolve(DenseOperator(h, hermitian=True), b), want)
+    singular = DenseOperator(np.diag([1.0, -0.5, 0.0]), hermitian=True)
+    with pytest.raises(ValueError,
+                       match=r"matrix is numerically singular \(σ_min = 0\.000e\+00\)"):
+        linsolve(singular, np.ones(3))
+
+
 def test_spectral_decomposition_is_readonly():
     dec = SpectralDecomposition(np.array([1.0]), np.array([[1.0]]))
     with pytest.raises(ValueError):

@@ -74,6 +74,21 @@ def test_h0_h1_null_spaces():
     assert np.linalg.norm(h1 @ one_b) <= 1e-12
 
 
+def test_h1_of_a_real_instance_is_bitwise_the_complex_product():
+    # Q_b of a real b is float64, so AQ_b and Q_bA run in real arithmetic;
+    # they must equal the real parts of the complex products exactly
+    inst = gen_instance(7, 32.0, 0)
+    v = inst.b.amps
+    qb = np.eye(v.size, dtype=complex) - np.outer(v, v.conj())
+    a = inst.A.mat.astype(complex)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    want = np.kron(sp, a @ qb) + np.kron(sp.T, qb @ a)
+    assert not want.imag.any()
+    got = make_h1(inst.A, inst.b).mat
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want.real)
+
+
 def test_hf_interpolates_and_gap_bound_holds():
     inst = gen_instance(3, 10.0, 3)
     h0 = make_h0(inst.b).mat
