@@ -26,11 +26,11 @@ from .filtering import apply_filter, measure_ancilla, sample_restarts
 from .numerics import (
     StateRegister,
     clenshaw,
+    convex_combination,
     fidelity,
-    matvec_of,
-    spectral_norm_bound,
 )
 from .qlsp import (
+    NORM_BOUND,
     QlspInstance,
     path_vector,
     dilate_indefinite,
@@ -110,12 +110,13 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
 
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
-    matvecs. alpha bounds ‖H0‖ and ‖H1‖, hence every convex combination
-    H(f), so each H/alpha is a contraction. Each step forms
-    H(f)/alpha = ((1-f)·H0 + f·H1)/alpha in place, in one buffer allocated
-    before the loop, so a series of degree D costs D matvecs. The buffer is
-    float64 when H0 and H1 both are (as for every real instance) and is
-    multiplied in float64 (numerics.matvec_of), while the state is complex
+    matvecs. alpha = qlsp.NORM_BOUND, the bound every instance puts on ‖A‖:
+    in each picture ‖H0‖ <= 1 and ‖H1‖ <= ‖A‖, hence every convex
+    combination H(f) is bounded too and each H/alpha is a contraction, with
+    no norm computed here. Each step forms H(f)/alpha with
+    numerics.convex_combination, in one buffer allocated before the loop,
+    so a series of degree D costs D matvecs. The buffer is float64 when H0
+    and H1 both are (as for every real instance), while the state is complex
     from the first step. The midpoint rule is second-order accurate in
     1/K; each step is unitary to the series' truncation tolerance (1e-16).
     observer(j, amps), if given, sees the state after j steps, for j = 0
@@ -125,19 +126,13 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     psi = (initial if initial is not None else init).amps.astype(complex)
     k = cfg.num_steps
     dt = cfg.T / k
-    # an infinite limit returns the certified bound sqrt(‖X‖₁·‖X‖∞), no SVD;
-    # it holds for every step, so the loop needs no per-step guard
-    alpha = max(spectral_norm_bound(h, math.inf) for h in (h0, h1))
-    coeffs = jacobi_anger_coeffs(dt * alpha)
-    hf = np.empty(h0.mat.shape, np.result_type(h0.mat, h1.mat))
-    hfv = matvec_of(hf)
+    coeffs = jacobi_anger_coeffs(dt * NORM_BOUND)
+    form = convex_combination(h0.mat, h1.mat)
     if observer is not None:
         observer(0, psi)
     for step in range(k):
         f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
-        np.multiply(h0.mat, (1.0 - f) / alpha, out=hf)
-        hf += (f / alpha) * h1.mat
-        psi = clenshaw(coeffs, hfv, psi)
+        psi = clenshaw(coeffs, form(f, NORM_BOUND), psi)
         if observer is not None:
             observer(step + 1, psi)
     return init.with_amps(psi)

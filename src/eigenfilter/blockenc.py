@@ -9,9 +9,8 @@ bookkeeping can be verified against a real top-left block on tiny dimensions.
 The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
 sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
 when that bound is inconclusive; they accept exactly what the exact check
-accepts. The Zeno walk builds the f-independent H0/H1 encodings of an
-instance once per solve and forms each step's H(f) from that pair with
-`linear_combine` when the walk reaches it.
+accepts. The solvers build an instance's H0/H1 encodings once per solve;
+their guards bound every step's H(f), which no encoding is built for.
 """
 
 from __future__ import annotations

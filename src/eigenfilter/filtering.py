@@ -26,6 +26,7 @@ from .chebpoly import (
     filter_eval,
     reflection_cheb_coeffs,
 )
+from . import numerics
 from .numerics import StateRegister, clenshaw_apply, eig_hermitian
 
 # Eigenvalues within this distance of λ count as the target eigenspace.
@@ -53,13 +54,11 @@ class MeasurementOutcome:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _shifted_contraction(enc: BlockEncoding, lam: float):
+def _shifted_contraction(enc: BlockEncoding, lam: float) -> np.ndarray:
     h = enc.payload
     if not h.hermitian:
         raise ValueError("filtering needs a Hermitian payload")
-    denom = enc.alpha + abs(lam)
-    htilde = (h.mat - lam * np.eye(h.dim)) / denom
-    return htilde, denom
+    return (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam))
 
 
 def _measured_gap(enc: BlockEncoding, lam: float) -> float:
@@ -93,15 +92,25 @@ def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
     gap of the payload around λ (the algorithm-as-specified path); by default
     the gap is measured from the eigendecomposition.
     """
-    htilde, _ = _shifted_contraction(enc, lam)
-    gap_t = transformed_gap(enc, lam, gap)
+    htilde = _shifted_contraction(enc, lam)
+    return filter_matvec(numerics.contraction_matvec(htilde),
+                         transformed_gap(enc, lam, gap), ell, psi,
+                         ancilla_budget=enc.ancilla + 2)
+
+
+def filter_matvec(matvec, gap_t: float, ell: int, psi: StateRegister,
+                  ancilla_budget: int | None = None) -> MeasurementOutcome:
+    """apply_filter's unguarded core, on the contraction H̃ behind matvec
+    with gap gap_t around 0; numerics.clenshaw is looked up per call, so a
+    counting wrapper there sees it."""
     series = filter_cheb_coeffs(FilterSpec(ell, gap_t))
-    out = clenshaw_apply(series, htilde, psi)
+    out = psi.with_amps(numerics.clenshaw(
+        series.coefficients, matvec, numerics.real_if_real(psi.amps)))
     p = float(out.norm() ** 2)
     if p <= 1e-300:
         raise ValueError("state filtered to zero: no overlap with eigenspace")
     return MeasurementOutcome(min(p, 1.0), out.normalized(),
-                              ancilla_budget=enc.ancilla + 2)
+                              ancilla_budget=ancilla_budget)
 
 
 def projector_error(enc: BlockEncoding, lam: float, ell: int,
@@ -121,7 +130,7 @@ def reflection_apply(enc: BlockEncoding, lam: float, ell: int,
                      psi: StateRegister,
                      gap: float | None = None) -> MeasurementOutcome:
     """Apply the normalized reflection polynomial about the λ-eigenspace."""
-    htilde, _ = _shifted_contraction(enc, lam)
+    htilde = _shifted_contraction(enc, lam)
     gap_t = transformed_gap(enc, lam, gap)
     series = reflection_cheb_coeffs(FilterSpec(ell, gap_t, "reflection"))
     out = clenshaw_apply(series, htilde, psi)

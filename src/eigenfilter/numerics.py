@@ -6,11 +6,10 @@ value types: a dense operator and a complex state register with an
 eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
-kernel: filtering and the inversion baseline reach it through
-`clenshaw_apply` with real coefficients, and the adiabatic time evolution
-calls it with the complex Jacobi–Anger coefficients of exp(-i·dt·H) and the
-matvec of a buffer that holds each step's H(f), formed once per step, so
-every term above degree 0 costs one matvec.
+kernel. Both solvers step along H(f) = (1-f)·H0 + f·H1: `convex_combination`
+forms each step's H(f)/alpha in one buffer per solve and hands `clenshaw`
+its matvec, for the Zeno walk's filters and the Jacobi–Anger series of the
+adiabatic evolution, with no per-step guard.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
@@ -19,8 +18,8 @@ through `matvec_of`, which dispatches on that dtype: a real operator meets a
 real vector in a GEMV and a complex one in a GEMM on its (N, 2) float view;
 a complex operator keeps the complex product. States stay complex128.
 
-Spectral-norm guards (block-encoding subnormalizations, the Clenshaw
-contraction check) go through `spectral_norm_bound`: the certified bound
+Spectral-norm guards (block-encoding subnormalizations,
+`contraction_matvec`) go through `spectral_norm_bound`: the certified bound
 sqrt(‖X‖₁·‖X‖∞) is checked first, and an SVD runs only when that bound does
 not already settle the guard, so a guard accepts exactly when the exact
 check would.
@@ -204,22 +203,17 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
                    v: StateRegister | np.ndarray):
     """Apply Σ_k c_k T_k(Hn) to v by the backward Clenshaw recurrence.
 
-    The coefficients may be real or complex. Hn must be a contraction in
-    spectral norm (the Chebyshev recurrence is unstable outside [-1, 1]); a
-    small tolerance absorbs roundoff from the callers' normalizations. A
-    series of degree D costs D matvecs. When Hn, the coefficients and v are
-    all real the recurrence runs in float64; the result is complex either
-    way.
+    The coefficients may be real or complex; Hn must be a contraction (see
+    contraction_matvec). A series of degree D costs D matvecs. When Hn, the
+    coefficients and v are all real the recurrence runs in float64; the
+    result is complex either way.
     """
     c = _coefficients(coeffs)
     m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn)
-    nrm = spectral_norm_bound(Hn, 1.0 + 1e-8)
-    if nrm > 1.0 + 1e-8:
-        raise ValueError(f"clenshaw_apply needs ||Hn|| <= 1, got {nrm:.6f}")
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-    out = clenshaw(c, matvec_of(m), real_if_real(vec)).astype(complex)
+    out = clenshaw(c, contraction_matvec(m), real_if_real(vec)).astype(complex)
     if isinstance(v, StateRegister):
         return v.with_amps(out)
     return out
@@ -256,11 +250,37 @@ def matvec_of(m: np.ndarray):
     return matvec
 
 
+def contraction_matvec(m: np.ndarray):
+    """matvec_of(m) once ‖m‖ <= 1 + 1e-8 is checked (the Chebyshev
+    recurrence is unstable outside [-1, 1])."""
+    nrm = spectral_norm_bound(m, 1.0 + 1e-8)
+    if nrm > 1.0 + 1e-8:
+        raise ValueError(f"a Chebyshev series needs ||Hn|| <= 1, got {nrm:.6f}")
+    return matvec_of(m)
+
+
+def convex_combination(m0: np.ndarray, m1: np.ndarray):
+    """form(f, alpha) writes ((1-f)/alpha)·m0 + (f/alpha)·m1 into one buffer,
+    allocated with its scratch term once, and returns its matvec_of, valid
+    until the next call. The caller guarantees a contraction."""
+    hf = np.empty(m0.shape, np.result_type(m0, m1))
+    term = np.empty_like(m1)
+    hfv = matvec_of(hf)
+
+    def form(f: float, alpha: float):
+        np.multiply(m0, (1.0 - f) / alpha, out=hf)
+        np.multiply(m1, f / alpha, out=term)
+        np.add(hf, term, out=hf)
+        return hfv
+
+    return form
+
+
 def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
     """Σ_k c_k T_k(H) vec, with H given only by its matvec; no validation.
 
-    The caller guarantees that H is a contraction (clenshaw_apply checks it
-    per call; the time evolution bounds it once per run). b_D = c_D·v needs
+    The caller guarantees that H is a contraction (contraction_matvec checks
+    it per call; the solvers bound H(f) once per run). b_D = c_D·v needs
     no matvec, so a degree-D series costs D matvecs.
     """
     if c.size == 1:

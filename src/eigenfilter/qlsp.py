@@ -26,6 +26,9 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma_+ = |0><1|
 _SM = _SP.T
+# Every instance has ‖A‖ <= NORM_BOUND, so every H0 and H1 built here, in
+# each picture, has spectral norm at most NORM_BOUND too (see aqc.evolve).
+NORM_BOUND = 1.0 + 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class QlspInstance:
         if abs(self.b.norm() - 1.0) > 1e-12:
             raise ValueError("right-hand state must be normalized")
         sv = np.linalg.svd(self.A.mat, compute_uv=False)
-        if sv[0] > 1.0 + 1e-10:
+        if sv[0] > NORM_BOUND:
             raise ValueError(f"||A|| = {sv[0]:.6g} exceeds 1")
         if sv[-1] < 1.0 / self.kappa - 1e-10:
             raise ValueError(
@@ -105,7 +108,8 @@ def make_h0_encoding(inst: QlspInstance) -> BlockEncoding:
 def make_hf(inst: QlspInstance, f: float) -> BlockEncoding:
     """(1-f+f·d, n+6, 0)-encoding of H(f) = (1-f)·H0 + f·H1.
 
-    The Zeno walk forms each step's H(f) from one H0/H1 pair the same way.
+    The solvers form H(f)/alpha(f) without an encoding, from one H0/H1 pair
+    (numerics.convex_combination); the Zeno walk's alpha(f) equals this one.
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")
@@ -136,7 +140,7 @@ def dilate_indefinite(A: DenseOperator, b: StateRegister):
     """
     dim = A.dim
     plus_b = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), b.amps)
-    q = np.eye(2 * dim) - np.outer(plus_b, plus_b.conj())
+    q = qb_matrix(StateRegister(plus_b, ancilla=1, system=b.system))
     sz_i = np.kron(_SZ, np.eye(dim))
     sx_a = np.kron(_SX, A.mat)
     h0 = np.kron(_SP, sz_i @ q) + np.kron(_SM, q @ sz_i)

@@ -12,8 +12,9 @@ polynomial is even, hence block-diagonal in the first qubit), so the final
 first-qubit measurement succeeds with probability 1 up to roundoff; it is
 still performed, and its probability is recorded in the last step entry.
 
-The H0/H1 encoding pair is built once per solve; each step forms its H(f)
-from that pair with `linear_combine` when the walk reaches it.
+The H0/H1 encoding pair is built, and its norms guarded, once per solve;
+each step forms H(f)/alpha(f) with `numerics.convex_combination`, as the
+adiabatic evolution does, and filters it without a further guard.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import linear_combine
-from .chebpoly import degree_for_accuracy
-from .filtering import apply_filter, measure_ancilla, sample_restarts
-from .numerics import StateRegister, fidelity
+from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
+from .filtering import filter_matvec, measure_ancilla, sample_restarts
+from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
     gap_lower_bound,
@@ -132,7 +132,10 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
         raise ValueError("traversal solver requires a positive-definite instance")
     params = zeno_params(inst.kappa, eps)
-    pair = [make_h0_encoding(inst), make_h1_encoding(inst)]
+    # the encodings' guards bound ‖H0‖ <= alpha0 and ‖H1‖ <= alpha1, so by
+    # the triangle inequality every H(f)/alpha(f) is a contraction
+    h0, h1 = make_h0_encoding(inst), make_h1_encoding(inst)
+    form = convex_combination(h0.payload.mat, h1.payload.mat)
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
     dim = inst.dim
@@ -143,10 +146,10 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     ells: list[int] = []
     for j in range(1, params.M + 1):
         f = float(params.f_grid[j])
-        enc = linear_combine(pair, [1 - f, f])
-        gap = gap_lower_bound(inst, f)
+        alpha = (1 - f) * h0.alpha + f * h1.alpha
+        gap = gap_lower_bound(inst, f) / alpha
         target = params.eps_p if j < params.M else params.final_eps
-        ell = degree_for_accuracy(gap / enc.alpha, target)
+        ell = degree_for_accuracy(gap, target)
         ells.append(ell)
         nxt = path[j - 1]
         trace.per_step_overlap.append(
@@ -154,7 +157,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         if ideal_projection:
             psi, p = _exact_projector_step(inst, nxt, psi)
         else:
-            out = apply_filter(enc, 0.0, ell, psi, gap=gap)
+            out = filter_matvec(form(f, alpha), min(gap, BOUND_GAP_CAP), ell, psi)
             psi, p = out.post_state, out.success_probability
             probs.append(p)
         if j == params.M:

@@ -1,7 +1,5 @@
 """Adiabatic schedule, ideal evolution, and the seeded-filter solver."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -22,9 +20,8 @@ from eigenfilter.numerics import (
     StateRegister,
     eig_hermitian,
     fidelity,
-    spectral_norm_bound,
 )
-from eigenfilter.qlsp import QlspInstance, path_vector, solution_state
+from eigenfilter.qlsp import NORM_BOUND, QlspInstance, path_vector, solution_state
 
 
 def eigh_midpoint(inst, cfg, initial=None):
@@ -154,32 +151,45 @@ def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
 def test_evolve_costs_one_matvec_per_term(monkeypatch):
     inst = gen_instance(3, 10.0, 17)
     cfg = AqcConfig(T=2.0)
-    h0, h1, _ = hamiltonian_pair(inst)
-    alpha = max(spectral_norm_bound(h, math.inf) for h in (h0, h1))
-    coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * alpha)
+    coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
     assert coeffs.size > 1
     # count the series evaluations at the recurrence and the operator
-    # products at the matvecs it is handed
+    # products at the matvecs each step's H(f) hands it
     counter = {"calls": 0, "matvecs": 0}
-    recurrence, make_matvec = aqc.clenshaw, aqc.matvec_of
+    recurrence, make_form = aqc.clenshaw, aqc.convex_combination
 
     def counted_clenshaw(c, matvec, vec):
         counter["calls"] += 1
         return recurrence(c, matvec, vec)
 
-    def counted_matvec_of(m):
-        matvec = make_matvec(m)
+    def counted_convex_combination(m0, m1):
+        form = make_form(m0, m1)
 
-        def mv(x):
-            counter["matvecs"] += 1
-            return matvec(x)
-        return mv
+        def counted_form(f, alpha):
+            matvec = form(f, alpha)
+
+            def mv(x):
+                counter["matvecs"] += 1
+                return matvec(x)
+            return mv
+        return counted_form
 
     monkeypatch.setattr(aqc, "clenshaw", counted_clenshaw)
-    monkeypatch.setattr(aqc, "matvec_of", counted_matvec_of)
+    monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
     evolve(inst, cfg)
     assert counter["calls"] == cfg.num_steps
     assert counter["matvecs"] == cfg.num_steps * (coeffs.size - 1)
+
+
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+def test_propagator_alpha_bounds_exact_pair_norms(form):
+    # evolve takes alpha = NORM_BOUND from the instance's bound on ‖A‖
+    # instead of computing a norm; the exact spectral norms must agree
+    for seed in range(3):
+        h0, h1, _ = hamiltonian_pair(gen_instance(4, 20.0, seed, form=form))
+        assert np.linalg.norm(h0.mat, 2) <= NORM_BOUND
+        assert np.linalg.norm(h1.mat, 2) <= NORM_BOUND
 
 
 @pytest.mark.parametrize("form", ["positive-definite", "general"])

@@ -197,6 +197,34 @@ def test_dilate_indefinite_null_spaces_and_start():
     assert nz.min() >= gap_lower_bound(inst, 1.0) - 1e-10
 
 
+@pytest.mark.parametrize("form,complex_b", [
+    ("hermitian-indefinite", False), ("general", False),
+    ("hermitian-indefinite", True)])
+def test_dilate_indefinite_matches_complex_built_q(form, complex_b):
+    inst = gen_instance(3, 10.0, 4, form=form)
+    if form == "general":
+        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    b = inst.b
+    if complex_b:
+        amps = b.amps + 1j * np.random.default_rng(3).normal(size=b.dim)
+        b = b.with_amps(amps / np.linalg.norm(amps))
+    # oracle: Q = I - |+,b⟩⟨+,b| built in complex arithmetic
+    dim = inst.dim
+    plus_b = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), b.amps)
+    q = np.eye(2 * dim) - np.outer(plus_b, plus_b.conj())
+    sz_i = np.kron(np.diag([1.0, -1.0]), np.eye(dim))
+    sx_a = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), inst.A.mat)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    want0 = np.kron(sp, sz_i @ q) + np.kron(sp.T, q @ sz_i)
+    want1 = np.kron(sp, sx_a @ q) + np.kron(sp.T, q @ sx_a)
+    h0, h1, _ = dilate_indefinite(inst.A, b)
+    tol = 64 * np.finfo(float).eps
+    assert np.max(np.abs(h0.mat - want0)) <= tol
+    assert np.max(np.abs(h1.mat - want1)) <= tol
+    dtype = np.complex128 if complex_b else np.float64
+    assert h0.mat.dtype == h1.mat.dtype == dtype
+
+
 def test_extend_general_keeps_singular_values():
     inst = gen_instance(3, 10.0, 7, form="general")
     ext = extend_general(inst.A, inst.b, inst.kappa, inst.d)

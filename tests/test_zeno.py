@@ -160,25 +160,42 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
     assert charged > matvec_counter["matvecs"]
 
 
-def test_walk_encodings_equal_make_hf(monkeypatch):
-    inst = gen_instance(4, 10.0, 0)
+def _walk_contractions(monkeypatch, inst):
+    """(f, alpha, dense H(f)/alpha) for every filter step of one walk."""
     seen = []
-    real_filter = zeno.apply_filter
+    make_form = zeno.convex_combination
 
-    def recording_filter(enc, *args, **kwargs):
-        seen.append(enc)
-        return real_filter(enc, *args, **kwargs)
+    def recording(m0, m1):
+        form = make_form(m0, m1)
 
-    monkeypatch.setattr(zeno, "apply_filter", recording_filter)
+        def recorded(f, alpha):
+            matvec = form(f, alpha)
+            seen.append((f, alpha, matvec(np.eye(m0.shape[0]))))
+            return matvec
+        return recorded
+
+    monkeypatch.setattr(zeno, "convex_combination", recording)
     solve_zeno(inst, 1e-6)
     grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
-    assert len(seen) == grid.size
-    for enc, f in zip(seen, grid):
-        ref = make_hf(inst, float(f))
-        assert np.array_equal(enc.payload.mat, ref.payload.mat)
-        assert enc.payload.hermitian == ref.payload.hermitian
-        assert (enc.alpha, enc.ancilla, enc.err_bound) == \
-            (ref.alpha, ref.ancilla, ref.err_bound)
+    assert [f for f, _, _ in seen] == list(grid)
+    return seen
+
+
+def test_walk_contractions_equal_make_hf(monkeypatch):
+    inst = gen_instance(4, 10.0, 0)
+    for f, alpha, contraction in _walk_contractions(monkeypatch, inst):
+        ref = make_hf(inst, f)
+        assert alpha == ref.alpha
+        assert np.max(np.abs(contraction - ref.payload.mat / alpha)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,seed", [(4, 0), (3, 5)])
+def test_walk_contractions_need_no_guard(monkeypatch, n, seed):
+    # the walk filters each H(f)/alpha(f) without a norm guard: the triangle
+    # inequality over the H0/H1 encodings bounds it, and the exact norm agrees
+    inst = gen_instance(n, 10.0, seed)
+    for _, _, contraction in _walk_contractions(monkeypatch, inst):
+        assert np.linalg.norm(contraction, 2) <= 1.0 + 1e-10
 
 
 def test_rejects_non_positive_definite():
