@@ -32,13 +32,13 @@ from .numerics import (
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
-    path_vector,
     dilate_indefinite,
     extend_general,
     gap_lower_bound,
     make_h0,
     make_h1,
     make_h1_encoding,
+    path_vectors,
     solution_state,
 )
 from .report import SolverReport
@@ -160,13 +160,15 @@ def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
     """
     require_trace_form(inst)
     k = cfg.num_steps
+    steps = [j for j in range(k + 1) if j % stride == 0 or j == k]
+    fs = [schedule_p(j / k, inst.kappa, cfg.p) for j in steps]
+    path = dict(zip(steps, path_vectors(inst, fs)))
     points: list[tuple[float, float]] = []
 
     def record(step: int, psi: np.ndarray) -> None:
-        if step % stride == 0 or step == k:
-            s = step / k
-            x = path_vector(inst, schedule_p(s, inst.kappa, cfg.p))
-            points.append((s, float(abs(np.vdot(x, psi[:inst.dim])))))
+        if step in path:
+            overlap = abs(np.vdot(path[step], psi[:inst.dim]))
+            points.append((step / k, float(overlap)))
 
     evolve(inst, cfg, observer=record)
     return points

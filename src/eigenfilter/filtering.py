@@ -13,6 +13,7 @@ identically on the encoded block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,6 +112,20 @@ def filter_matvec(matvec, gap_t: float, ell: int, psi: StateRegister,
         raise ValueError("state filtered to zero: no overlap with eigenspace")
     return MeasurementOutcome(min(p, 1.0), out.normalized(),
                               ancilla_budget=ancilla_budget)
+
+
+def filter_offdiag(b_matvec, bh_matvec, gap_t: float, ell: int,
+                   u: StateRegister) -> MeasurementOutcome:
+    """filter_matvec on H̃ = σ₊⊗B̃ + σ₋⊗B̃†, for a state u in H̃'s |0⟩ block,
+    held as that block alone; b_matvec and bh_matvec apply B̃ and B̃†.
+
+    The filter series is even, so the Clenshaw vector b_k lies in the |0⟩
+    block for even k and in the |1⟩ block for odd k: the recurrence's 2ℓ
+    matvecs alternate B̃†, B̃, ..., one N×N block each, and the result
+    stays in the |0⟩ block.
+    """
+    blocks = itertools.cycle((bh_matvec, b_matvec))
+    return filter_matvec(lambda x: next(blocks)(x), gap_t, ell, u)
 
 
 def projector_error(enc: BlockEncoding, lam: float, ell: int,

@@ -7,9 +7,10 @@ eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
 kernel. Both solvers step along H(f) = (1-f)·H0 + f·H1: `convex_combination`
-forms each step's H(f)/alpha in one buffer per solve and hands `clenshaw`
-its matvec, for the Zeno walk's filters and the Jacobi–Anger series of the
-adiabatic evolution, with no per-step guard.
+forms each step's operator in one buffer per solve and hands `clenshaw` its
+matvec, with no per-step guard: H(f)/alpha for the Jacobi–Anger series of
+the adiabatic evolution, and for the Zeno walk's filters the off-diagonal
+block B(f)/alpha and its adjoint, whose matvecs alternate.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from

@@ -181,24 +181,29 @@ class EigenpathPoint:
 def path_vectors(inst: QlspInstance, fs) -> list[np.ndarray]:
     """Normalized null vectors x(f) ∝ ((1-f)I + fA)⁻¹ b, one per f.
 
-    Each point is guarded by σ_min((1-f)I + fA) > 1e-12. For Hermitian A
-    that is min_i |1-f+f·λ_i|, from one eigvalsh(A) for all points; any
-    other A takes one SVD per point.
+    Each point is guarded by σ_min((1-f)I + fA) > 1e-12. For Hermitian
+    A = V·diag(λ)·V†, one eigh serves every point: the guard is
+    min_i |1-f+f·λ_i| and y = V·(V†b / (1-f+f·λ)). Any other A takes one
+    SVD and one solve per point.
     """
-    a = inst.A.mat
-    eye = np.eye(inst.dim)
-    lam = np.linalg.eigvalsh(a) if inst.A.hermitian else None
+    a, b = inst.A.mat, inst.b.amps
+    if inst.A.hermitian:
+        lam, vec = np.linalg.eigh(a)
+        coef = vec.conj().T @ b
     out = []
-    for f in fs:
-        f = float(f)
-        shifted = (1.0 - f) * eye + f * a
-        if lam is not None:
-            smin = float(np.abs(1.0 - f + f * lam).min())
+    for f in map(float, fs):
+        if inst.A.hermitian:
+            shift = 1.0 - f + f * lam
+            smin = float(np.abs(shift).min())
         else:
+            shifted = (1.0 - f) * np.eye(inst.dim) + f * a
             smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
         if smin <= 1e-12:
             raise ValueError(f"(1-f)I + fA is numerically singular at f={f}")
-        y = np.linalg.solve(shifted, inst.b.amps)
+        if inst.A.hermitian:
+            y = vec @ (coef / shift)
+        else:
+            y = np.linalg.solve(shifted, b)
         out.append(y / np.linalg.norm(y))
     return out
 
@@ -217,11 +222,14 @@ def eigenpath_state(inst: QlspInstance, f: float) -> EigenpathPoint:
     if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")
     x = path_vector(inst, f)
+    return EigenpathPoint(f, inst.b.with_amps(x), _derivative_norm(inst, f, x))
+
+
+def _derivative_norm(inst: QlspInstance, f: float, x: np.ndarray) -> float:
     a = inst.A.mat
     shifted = (1.0 - f) * np.eye(inst.dim) + f * a
     v = np.linalg.solve(shifted, x - a @ x)
-    deriv = float(np.linalg.norm(v - x * np.vdot(x, v)))
-    return EigenpathPoint(f, inst.b.with_amps(x), deriv)
+    return float(np.linalg.norm(v - x * np.vdot(x, v)))
 
 
 def lstar(kappa: float, a: float, b: float) -> float:
@@ -234,9 +242,13 @@ def lstar(kappa: float, a: float, b: float) -> float:
 
 def eigenpath_length(inst: QlspInstance, samples: int = 256,
                      a: float = 0.0, b: float = 1.0) -> float:
-    """Trapezoidal quadrature of ‖∂_f x(f)‖ over [a, b]."""
+    """Trapezoidal quadrature of ‖∂_f x(f)‖ over [a, b] (see
+    eigenpath_state), on path vectors computed together."""
     if samples < 64:
         raise ValueError("need at least 64 quadrature samples")
+    if not (0.0 <= min(a, b) and max(a, b) <= 1.0):
+        raise ValueError("f must lie in [0, 1]")
     fs = np.linspace(a, b, samples)
-    derivs = [eigenpath_state(inst, float(f)).derivative_norm for f in fs]
+    derivs = [_derivative_norm(inst, float(f), x)
+              for f, x in zip(fs, path_vectors(inst, fs))]
     return float(np.trapezoid(derivs, fs))

@@ -7,14 +7,18 @@ with probability bounded away from zero for the whole walk. Projections are
 polynomial filters at accuracy eps_P, except the last one, which switches to
 eps/4 to set the output precision.
 
-The walk stays in the |0⟩-block of the two-block picture (the filter
-polynomial is even, hence block-diagonal in the first qubit), so the final
-first-qubit measurement succeeds with probability 1 up to roundoff; it is
-still performed, and its probability is recorded in the last step entry.
+H(f) is off-diagonal in its first qubit, H(f) = σ₊⊗B(f) + σ₋⊗B(f)†, and
+the filter polynomial is even, hence block-diagonal there: the walk stays
+in the |0⟩ block of the two-block picture and is simulated on that N-vector
+alone (`filtering.filter_offdiag`, the singular-value picture of QSVT,
+arXiv 1806.01838). The final first-qubit measurement therefore succeeds with
+probability 1; it is still performed, and its probability is recorded in
+the last step entry.
 
 The H0/H1 encoding pair is built, and its norms guarded, once per solve;
-each step forms H(f)/alpha(f) with `numerics.convex_combination`, as the
-adiabatic evolution does, and filters it without a further guard.
+each step forms B(f)/alpha(f) and its adjoint from the pair's off-diagonal
+blocks with `numerics.convex_combination`, and filters without a further
+guard.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
-from .filtering import filter_matvec, measure_ancilla, sample_restarts
+from .filtering import filter_offdiag, measure_ancilla, sample_restarts
 from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
@@ -100,17 +104,15 @@ class ZenoTrace:
             raise AssertionError("total success != product of step successes")
 
 
-def _exact_projector_step(inst: QlspInstance, x: np.ndarray,
-                          psi: StateRegister) -> tuple[StateRegister, float]:
-    # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}, x = x(f)
-    dim = inst.dim
-    c0 = np.vdot(x, psi.amps[:dim])
-    c1 = np.vdot(inst.b.amps, psi.amps[dim:])
-    proj = np.concatenate([c0 * x, c1 * inst.b.amps])
-    p = float(np.linalg.norm(proj) ** 2 / psi.norm() ** 2)
+def _exact_projector_step(x: np.ndarray,
+                          u: StateRegister) -> tuple[StateRegister, float]:
+    # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}, x = x(f);
+    # the walk's |1> block is zero, so only <x|u>·x remains
+    proj = np.vdot(x, u.amps) * x
+    p = float(np.linalg.norm(proj) ** 2 / u.norm() ** 2)
     if p <= 1e-300:
         raise ValueError("exact projection annihilated the state")
-    return psi.with_amps(proj / np.linalg.norm(proj)), p
+    return u.with_amps(proj / np.linalg.norm(proj)), p
 
 
 def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
@@ -133,14 +135,16 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         raise ValueError("traversal solver requires a positive-definite instance")
     params = zeno_params(inst.kappa, eps)
     # the encodings' guards bound ‖H0‖ <= alpha0 and ‖H1‖ <= alpha1, so by
-    # the triangle inequality every H(f)/alpha(f) is a contraction
+    # the triangle inequality every H(f)/alpha(f) is a contraction, and
+    # ‖B(f)/alpha(f)‖ = ‖H(f)/alpha(f)‖
     h0, h1 = make_h0_encoding(inst), make_h1_encoding(inst)
-    form = convex_combination(h0.payload.mat, h1.payload.mat)
+    dim = inst.dim
+    m0, m1 = h0.payload.mat, h1.payload.mat
+    b_form = convex_combination(m0[:dim, dim:], m1[:dim, dim:])
+    bh_form = convex_combination(m0[dim:, :dim], m1[dim:, :dim])
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
-    dim = inst.dim
-    psi = StateRegister(np.concatenate([inst.b.amps, np.zeros(dim)]),
-                        ancilla=1, system=inst.n)
+    u = StateRegister(inst.b.amps, system=inst.n)  # the |0⟩ block
     trace = ZenoTrace()
     probs: list[float] = []  # coin stages: each filter step, then the ancilla
     ells: list[int] = []
@@ -152,22 +156,23 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         ell = degree_for_accuracy(gap, target)
         ells.append(ell)
         nxt = path[j - 1]
-        trace.per_step_overlap.append(
-            float(abs(np.vdot(psi.amps[:dim], nxt))))
+        trace.per_step_overlap.append(float(abs(np.vdot(u.amps, nxt))))
         if ideal_projection:
-            psi, p = _exact_projector_step(inst, nxt, psi)
+            u, p = _exact_projector_step(nxt, u)
         else:
-            out = filter_matvec(form(f, alpha), min(gap, BOUND_GAP_CAP), ell, psi)
-            psi, p = out.post_state, out.success_probability
+            out = filter_offdiag(b_form(f, alpha), bh_form(f, alpha),
+                                 min(gap, BOUND_GAP_CAP), ell, u)
+            u, p = out.post_state, out.success_probability
             probs.append(p)
         if j == params.M:
-            final = measure_ancilla(psi)
-            psi = final.post_state
+            final = measure_ancilla(StateRegister(
+                np.concatenate([u.amps, np.zeros(dim)]),
+                ancilla=1, system=inst.n))
+            u = u.with_amps(final.post_state.amps[:dim])
             p *= final.success_probability
             probs.append(final.success_probability)
         trace.per_step_success.append(p)
-        trace.states.append(np.array(psi.amps[:dim]) /
-                            np.linalg.norm(psi.amps[:dim]))
+        trace.states.append(u.amps / np.linalg.norm(u.amps))
 
     reached = [1] * len(probs)
     if mode == "sample":
@@ -178,7 +183,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         2 * deg * r for deg, r in zip(ells, reached))
 
     trace.total_success = float(np.prod(trace.per_step_success))
-    trace.final_fidelity = fidelity(psi.amps[:dim], oracle.amps)
+    trace.final_fidelity = fidelity(u.amps, oracle.amps)
     report = SolverReport(
         method="zeno",
         params={

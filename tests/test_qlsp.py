@@ -260,8 +260,10 @@ def test_path_vectors_match_pointwise_solves_without_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     got = path_vectors(inst, fs)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.array_equal(path_vector(inst, fs[3]), want[3])
+    # one eigh replaces the solves, so the arithmetic differs in roundoff
+    tol = 64 * np.finfo(float).eps
+    assert all(np.max(np.abs(g - w)) <= tol for g, w in zip(got, want))
+    assert np.array_equal(path_vector(inst, fs[3]), got[3])
 
 
 def _eigenvalue_minus_one(hermitian: bool) -> QlspInstance:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from eigenfilter import filtering, zeno
-from eigenfilter.harness import gen_instance
-from eigenfilter.qlsp import make_hf
+from eigenfilter.chebpoly import (
+    BOUND_GAP_CAP,
+    FilterSpec,
+    degree_for_accuracy,
+    filter_cheb_coeffs,
+)
+from eigenfilter.harness import gen_instance, planted_tridiag_instance
+from eigenfilter.numerics import DenseOperator, StateRegister, clenshaw_apply
+from eigenfilter.qlsp import QlspInstance, gap_lower_bound, make_hf
 from eigenfilter.zeno import (
     ZenoParams,
     ZenoTrace,
@@ -151,6 +158,7 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
     # one coin per filter step, then one for the final ancilla measurement
     assert len(probs) == report.params["M"] + 1
     assert probs[:-2] == base.success_probabilities[:-1]
+    assert probs[-1] == 1.0  # the walk never leaves the |0> block
     # the walk itself ran once, as in postselect mode ...
     assert matvec_counter["matvecs"] == base.query_ledger["U_Hf_filter"]
     # ... while the ledger charges each step every time an attempt reached it
@@ -161,7 +169,8 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
 
 
 def _walk_contractions(monkeypatch, inst):
-    """(f, alpha, dense H(f)/alpha) for every filter step of one walk."""
+    """(f, alpha, dense B(f)/alpha, dense B(f)†/alpha) for every filter step
+    of one walk."""
     seen = []
     make_form = zeno.convex_combination
 
@@ -176,26 +185,93 @@ def _walk_contractions(monkeypatch, inst):
 
     monkeypatch.setattr(zeno, "convex_combination", recording)
     solve_zeno(inst, 1e-6)
+    # each step forms B(f)/alpha, then its adjoint
+    forms, adjoints = seen[::2], seen[1::2]
     grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
-    assert [f for f, _, _ in seen] == list(grid)
-    return seen
+    assert [f for f, _, _ in forms] == [f for f, _, _ in adjoints] == list(grid)
+    assert [a for _, a, _ in forms] == [a for _, a, _ in adjoints]
+    return [(f, alpha, b, bh)
+            for (f, alpha, b), (_, _, bh) in zip(forms, adjoints)]
 
 
 def test_walk_contractions_equal_make_hf(monkeypatch):
     inst = gen_instance(4, 10.0, 0)
-    for f, alpha, contraction in _walk_contractions(monkeypatch, inst):
+    dim = inst.dim
+    for f, alpha, b, bh in _walk_contractions(monkeypatch, inst):
         ref = make_hf(inst, f)
         assert alpha == ref.alpha
-        assert np.max(np.abs(contraction - ref.payload.mat / alpha)) <= 1e-15
+        hf = ref.payload.mat / alpha
+        assert np.max(np.abs(b - hf[:dim, dim:])) <= 1e-15
+        assert np.max(np.abs(bh - hf[dim:, :dim])) <= 1e-15
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (3, 5)])
 def test_walk_contractions_need_no_guard(monkeypatch, n, seed):
-    # the walk filters each H(f)/alpha(f) without a norm guard: the triangle
-    # inequality over the H0/H1 encodings bounds it, and the exact norm agrees
+    # the walk filters on each B(f)/alpha(f) without a norm guard: the
+    # triangle inequality over the H0/H1 encodings bounds H(f)/alpha(f),
+    # whose norm B's equals, and the exact norm agrees
     inst = gen_instance(n, 10.0, seed)
-    for _, _, contraction in _walk_contractions(monkeypatch, inst):
-        assert np.linalg.norm(contraction, 2) <= 1.0 + 1e-10
+    for _, _, b, bh in _walk_contractions(monkeypatch, inst):
+        assert np.linalg.norm(b, 2) <= 1.0 + 1e-10
+        assert np.linalg.norm(bh, 2) <= 1.0 + 1e-10
+
+
+def _dense_walk(inst, eps):
+    """The walk on the dense 2N×2N H(f)/alpha (the oracle for the walk on
+    B(f)): per-step success, normalized |0>-block states and ells."""
+    params = zeno_params(inst.kappa, eps)
+    dim = inst.dim
+    psi = np.concatenate([inst.b.amps, np.zeros(dim)])
+    success, states, ells = [], [], []
+    for j, f in enumerate(params.f_grid[1:], start=1):
+        enc = make_hf(inst, f)
+        gap = gap_lower_bound(inst, f) / enc.alpha
+        ell = degree_for_accuracy(
+            gap, params.eps_p if j < params.M else params.final_eps)
+        series = filter_cheb_coeffs(FilterSpec(ell, min(gap, BOUND_GAP_CAP)))
+        out = clenshaw_apply(series, enc.payload.mat / enc.alpha, psi)
+        p = float(np.linalg.norm(out) ** 2)
+        psi = out / np.linalg.norm(out)
+        if j == params.M:  # the ancilla measurement keeps the |0> block
+            p *= float(np.linalg.norm(psi[:dim]) ** 2)
+        success.append(p)
+        states.append(psi[:dim] / np.linalg.norm(psi[:dim]))
+        ells.append(ell)
+    return success, states, ells
+
+
+def _phased(inst, seed):
+    """D·A·D† with a random phase diagonal D, and a random complex b: a
+    complex Hermitian instance with A's spectrum, where B(f)† != B(f)ᵀ."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(2j * np.pi * rng.random(inst.dim))
+    a = d[:, None] * inst.A.mat * d.conj()[None, :]
+    b = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
+    op = DenseOperator(a, hermitian=True)
+    assert op.mat.dtype.kind == "c"
+    return QlspInstance(op, StateRegister(b / np.linalg.norm(b), system=inst.n),
+                        inst.kappa, inst.d)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: planted_tridiag_instance(5, 32.0, 0),
+    lambda: planted_tridiag_instance(5, 32.0, 7),
+    lambda: planted_tridiag_instance(7, 32.0, 0),
+    lambda: planted_tridiag_instance(7, 32.0, 7),
+    lambda: gen_instance(4, 10.0, 0),
+    lambda: gen_instance(3, 10.0, 5),
+    lambda: _phased(gen_instance(4, 10.0, 0), 3),
+], ids=["planted5-s0", "planted5-s7", "planted7-s0", "planted7-s7",
+        "gen4-s0", "gen3-s5", "phased-gen4-s0"])
+def test_block_walk_matches_dense_walk(make):
+    inst = make()
+    report, trace = solve_zeno(inst, 1e-6)
+    success, states, ells = _dense_walk(inst, 1e-6)
+    assert report.params["ells"] == ells
+    assert report.query_ledger == {"U_Hf_filter": 2 * sum(ells), "O_B": 1}
+    assert np.max(np.abs(np.subtract(trace.per_step_success, success))) <= 1e-12
+    for got, want in zip(trace.states, states, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_rejects_non_positive_definite():
