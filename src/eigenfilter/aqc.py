@@ -32,12 +32,11 @@ from .numerics import (
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
-    dilate_indefinite,
     extend_general,
     gap_lower_bound,
-    make_h0,
-    make_h1,
+    hamiltonian_blocks,
     make_h1_encoding,
+    offdiag,
     path_vectors,
     solution_state,
 )
@@ -85,22 +84,13 @@ def schedule_p(s: float, kappa: float, p: float) -> float:
 
 
 def hamiltonian_pair(inst: QlspInstance):
-    """(H0, H1, initial state) in the picture the adiabatic run uses.
-
-    Positive-definite input stays in the 2N two-block picture; Hermitian
-    indefinite input uses the 4N dilation; general input is first extended
-    to a Hermitian indefinite system (8N overall).
-    """
-    if inst.form == "positive-definite":
-        init = StateRegister(
-            np.concatenate([inst.b.amps, np.zeros(inst.dim)]),
-            ancilla=1, system=inst.n,
-        )
-        return make_h0(inst.b), make_h1(inst.A, inst.b), init
-    if inst.form == "hermitian-indefinite":
-        return dilate_indefinite(inst.A, inst.b)
-    ext = extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    return dilate_indefinite(ext.A, ext.b)
+    """(H0, H1, initial state |0⟩|u0⟩) from qlsp.hamiltonian_blocks: 2N for
+    positive-definite input, 4N for the Hermitian indefinite dilation, 8N
+    for general input."""
+    b0, b1, u0 = hamiltonian_blocks(inst)
+    init = StateRegister(np.concatenate([u0.amps, np.zeros(u0.dim)]),
+                         ancilla=u0.ancilla + 1, system=u0.system)
+    return offdiag(b0), offdiag(b1), init
 
 
 def evolve(inst: QlspInstance, cfg: AqcConfig,
@@ -209,7 +199,7 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
     cfg = cfg or AqcConfig(T=0.2 * inst.kappa)
 
     # the filtering picture: positive definite stays on (A, b); general
-    # input filters on the extended Hermitian system
+    # input is extended once, then evolved and filtered there
     filt_inst = inst
     if inst.form == "general":
         filt_inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
@@ -219,7 +209,7 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
     h1_gap = gap_lower_bound(filt_inst, 1.0)
 
     dilated = inst.form != "positive-definite"
-    seeded, accept_p = evolve(inst, cfg), 1.0
+    seeded, accept_p = evolve(filt_inst, cfg), 1.0
     if dilated:
         seeded, accept_p = _dilated_to_twoblock(seeded, filt_inst.n)
     gamma0 = float(abs(np.vdot(target, seeded.amps)))
@@ -232,10 +222,8 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
     # coin stages: the dilated run's |+> acceptance, the filter, the ancilla
     probs = ([accept_p] if dilated else [])
     probs += [out.success_probability, final.success_probability]
-    reached = [1] * len(probs)
-    if mode == "sample":
-        reached = sample_restarts(probs, np.random.default_rng(seed),
-                                  max_attempts)
+    reached = sample_restarts(probs, np.random.default_rng(seed),
+                              max_attempts, mode)
     attempts = reached[0]
 
     fid = fidelity(final.post_state.amps[:filt_inst.dim], oracle.amps)

@@ -207,10 +207,8 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     contraction = work.A.mat / alpha
     out = clenshaw_apply(spec.series, contraction, work.b.amps)
     p = float(np.linalg.norm(out) ** 2)
-    attempts = 1
-    if mode == "sample":
-        [attempts] = sample_restarts([p], np.random.default_rng(seed),
-                                     max_attempts)
+    [attempts] = sample_restarts([p], np.random.default_rng(seed),
+                                 max_attempts, mode)
     state = StateRegister(out / np.linalg.norm(out),
                           ancilla=work.b.ancilla, system=work.b.system)
     fid = fidelity(state, oracle)

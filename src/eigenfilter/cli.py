@@ -22,7 +22,7 @@ from .aqc import AqcConfig, overlap_trace, require_trace_form, solve_aqc_filtere
 from .baseline import solve_qsp_direct
 from .blockenc import attach_unitary, encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
-from .filtering import apply_filter, transformed_gap
+from .filtering import apply_filter, measured_gap, transformed_gap
 from .harness import (
     experiment_ell_vs_kappa,
     experiment_fidelity_vs_ell,
@@ -128,10 +128,11 @@ def _cmd_filter(args) -> int:
     if abs(lam - args.lam) > 1e-8:
         raise ValidationFailure(
             f"{args.lam!r} is not an eigenvalue (nearest: {lam!r})")
+    gap = measured_gap(dec.eigenvalues, lam)  # enc's payload is inst.A
     ell = args.ell
     if ell is None:
-        ell = degree_for_accuracy(transformed_gap(enc, lam), args.eps)
-    out = apply_filter(enc, lam, ell, inst.b)
+        ell = degree_for_accuracy(transformed_gap(enc, lam, gap), args.eps)
+    out = apply_filter(enc, lam, ell, inst.b, gap=gap)
     post, sampled = out.post_state, None
     if args.mode == "sample":
         # one seeded coin; the failure branch keeps b as its post state

@@ -62,9 +62,9 @@ def _shifted_contraction(enc: BlockEncoding, lam: float) -> np.ndarray:
     return (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam))
 
 
-def _measured_gap(enc: BlockEncoding, lam: float) -> float:
-    dec = eig_hermitian(enc.payload)
-    dist = np.abs(dec.eigenvalues - lam)
+def measured_gap(eigenvalues: np.ndarray, lam: float) -> float:
+    """Distance from λ to the rest of a spectrum whose eigenvalues include λ."""
+    dist = np.abs(eigenvalues - lam)
     if dist.min() > EIGENSPACE_TOL:
         raise ValueError(f"{lam} is not an eigenvalue of the payload")
     rest = dist[dist > EIGENSPACE_TOL]
@@ -79,7 +79,8 @@ def transformed_gap(enc: BlockEncoding, lam: float, gap: float | None = None) ->
     Capped at 1/sqrt(12), the largest gap for which the exponential filter
     bound is valid.
     """
-    g = _measured_gap(enc, lam) if gap is None else float(gap)
+    g = (measured_gap(eig_hermitian(enc.payload).eigenvalues, lam)
+         if gap is None else float(gap))
     if g <= 0.0:
         raise ValueError("gap must be positive")
     return min(g / (enc.alpha + abs(lam)), BOUND_GAP_CAP)
@@ -192,15 +193,17 @@ def measure_ancilla(state: StateRegister) -> MeasurementOutcome:
 
 
 def sample_restarts(probs: list[float], rng: np.random.Generator,
-                    max_attempts: int) -> list[int]:
+                    max_attempts: int, mode: str = "sample") -> list[int]:
     """Sample a chain of measurements, restarting it from the top on failure.
 
     Each attempt draws one coin rng.random() < probs[i] per stage, in order,
     and stops at the first failure; the first attempt that passes every
     stage ends the run. Returns how many times each stage was reached, so
     entry 0 is the number of attempts; a ledger charges each stage's cost
-    that many times.
+    that many times. In "postselect" mode each stage is reached once.
     """
+    if mode == "postselect":
+        return [1] * len(probs)
     reached = [0] * len(probs)
     for _ in range(max_attempts):
         for i, p in enumerate(probs):

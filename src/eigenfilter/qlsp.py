@@ -2,12 +2,13 @@
 
 A QLSP instance is a coefficient matrix with singular values in [1/kappa, 1]
 and a unit right-hand state. The solvers never invert anything: they follow
-the null space of H(f) = (1-f)·H0 + f·H1 from |0⟩|b⟩ at f=0 to |0⟩|x⟩ at
-f=1. This module builds those Hamiltonians (including the dilated forms for
-indefinite and non-Hermitian input), bounds their spectral gap, and exposes
-the exact eigenpath with its length and derivative diagnostics.
-H1's encoding is the matrix H1 with the bookkeeping of its circuit, and
-the eigenpath derivative is exact.
+the null space of H(f) = (1-f)·H0 + f·H1 from |0⟩|u0⟩ at f=0 to the solution
+at f=1. In each picture (positive-definite, and the dilations for indefinite
+and non-Hermitian input) H0 and H1 are off-diagonal, σ₊⊗B + σ₋⊗B†:
+`hamiltonian_blocks` lays out the blocks and `offdiag` builds H0 and H1.
+The module also bounds the gap of H(f) and exposes the exact eigenpath with
+its length and (exact) derivative diagnostics. H1's encoding is the matrix
+H1 with the bookkeeping of its circuit.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma_+ = |0><1|
 _SM = _SP.T
-# Every instance has ‖A‖ <= NORM_BOUND, so every H0 and H1 built here, in
-# each picture, has spectral norm at most NORM_BOUND too (see aqc.evolve).
+# Every instance has ‖A‖ <= NORM_BOUND, so every block B0, B1 laid out by
+# hamiltonian_blocks, and with it H0 = offdiag(B0) and H1 = offdiag(B1), has
+# spectral norm at most NORM_BOUND too (see aqc.evolve and zeno.solve_zeno).
 NORM_BOUND = 1.0 + 1e-10
 
 
@@ -77,18 +79,20 @@ def solution_state(inst: QlspInstance) -> StateRegister:
     return linsolve(inst.A, inst.b).normalized()
 
 
+def offdiag(B: np.ndarray) -> DenseOperator:
+    """The Hermitian σ₊⊗B + σ₋⊗B†: B in the top-right block, B† below left."""
+    return DenseOperator(np.kron(_SP, B) + np.kron(_SM, B.conj().T),
+                         hermitian=True)
+
+
 def make_h0(b: StateRegister) -> DenseOperator:
-    """H0 = sigma_x ⊗ Q_b; null space spans |0⟩|b⟩ and |1⟩|b⟩."""
-    return DenseOperator(np.kron(_SX, qb_matrix(b)), hermitian=True)
+    """H0 = offdiag(Q_b) = σx⊗Q_b; null space spans |0⟩|b⟩ and |1⟩|b⟩."""
+    return offdiag(qb_matrix(b))
 
 
 def make_h1(A: DenseOperator, b: StateRegister) -> DenseOperator:
-    """H1 = |0⟩⟨1| ⊗ AQ_b + |1⟩⟨0| ⊗ Q_bA; null space |0⟩|x⟩, |1⟩|b⟩."""
-    qb = qb_matrix(b)
-    a = A.mat
-    top = a @ qb
-    return DenseOperator(np.kron(_SP, top) + np.kron(_SM, qb @ a),
-                         hermitian=True)
+    """H1 = offdiag(AQ_b); null space spans |0⟩|x⟩ and |1⟩|b⟩."""
+    return offdiag(A.mat @ qb_matrix(b))
 
 
 def make_h1_encoding(inst: QlspInstance) -> BlockEncoding:
@@ -131,42 +135,41 @@ def gap_lower_bound(inst: QlspInstance, f: float) -> float:
     return base / math.sqrt(2.0)
 
 
-def dilate_indefinite(A: DenseOperator, b: StateRegister):
-    """4N-dimensional (H0, H1) pair for Hermitian indefinite A.
-
-    H0 = sigma_+ ⊗ [(sigma_z⊗I)·Q] + h.c. and
-    H1 = sigma_+ ⊗ [(sigma_x⊗A)·Q] + h.c. with Q = I - |+,b⟩⟨+,b|.
-    The adiabatic run starts from |0⟩|-⟩|b⟩ and targets |0⟩|+⟩|x⟩.
-    """
-    dim = A.dim
-    plus_b = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), b.amps)
-    q = qb_matrix(StateRegister(plus_b, ancilla=1, system=b.system))
-    sz_i = np.kron(_SZ, np.eye(dim))
-    sx_a = np.kron(_SX, A.mat)
-    h0 = np.kron(_SP, sz_i @ q) + np.kron(_SM, q @ sz_i)
-    h1 = np.kron(_SP, sx_a @ q) + np.kron(_SM, q @ sx_a)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    init = np.kron(np.array([1.0, 0.0]), np.kron(minus, b.amps))
-    state = StateRegister(init, ancilla=2, system=b.system)
-    return (DenseOperator(h0, hermitian=True),
-            DenseOperator(h1, hermitian=True), state)
-
-
 def extend_general(A: DenseOperator, b: StateRegister,
                    kappa: float, d: int | None = None) -> QlspInstance:
     """Extended Hermitian system for arbitrary A: solution sits in |1⟩|x⟩.
 
-    The coefficient matrix sigma_+⊗A + sigma_-⊗A† has eigenvalues ± the
+    The coefficient matrix offdiag(A) has eigenvalues ± the
     singular values of A, so the condition number is unchanged.
     """
-    ext = np.kron(_SP, A.mat) + np.kron(_SM, A.mat.conj().T)
     rhs = np.kron(np.array([1.0, 0.0]), b.amps)
     d_ext = d if d is not None else A.dim
     return QlspInstance(
-        DenseOperator(ext, hermitian=True),
+        offdiag(A.mat),
         StateRegister(rhs, ancilla=b.ancilla, system=b.system + 1),
         kappa, d_ext, form="hermitian-indefinite",
     )
+
+
+def hamiltonian_blocks(inst: QlspInstance):
+    """(B0, B1, u0): H0 = offdiag(B0), H1 = offdiag(B1), path from |0⟩|u0⟩.
+
+    Positive-definite input: (Q_b, A·Q_b, b), 2N overall. Hermitian
+    indefinite input is dilated to 4N: ((σz⊗I)·Q, (σx⊗A)·Q, |−⟩|b⟩) with
+    Q = I - |+,b⟩⟨+,b|, target |0⟩|+⟩|x⟩. General input is first extended
+    to a Hermitian indefinite system (8N overall).
+    """
+    if inst.form == "general":
+        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    a, b = inst.A.mat, inst.b
+    if inst.form == "positive-definite":
+        qb = qb_matrix(b)
+        return qb, a @ qb, b
+    plus_b = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), b.amps)
+    q = qb_matrix(StateRegister(plus_b, ancilla=1, system=b.system))
+    minus_b = np.kron(np.array([1.0, -1.0]) / math.sqrt(2.0), b.amps)
+    return (np.kron(_SZ, np.eye(inst.dim)) @ q, np.kron(_SX, a) @ q,
+            StateRegister(minus_b, ancilla=1, system=b.system))
 
 
 @dataclass(frozen=True)

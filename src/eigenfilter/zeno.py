@@ -15,10 +15,10 @@ arXiv 1806.01838). The final first-qubit measurement therefore succeeds with
 probability 1; it is still performed, and its probability is recorded in
 the last step entry.
 
-The H0/H1 encoding pair is built, and its norms guarded, once per solve;
-each step forms B(f)/alpha(f) and its adjoint from the pair's off-diagonal
-blocks with `numerics.convex_combination`, and filters without a further
-guard.
+The blocks B0 = Q_b and B1 = A·Q_b come from `qlsp.hamiltonian_blocks`,
+with B(f) = (1-f)·B0 + f·B1; each step forms B(f)/alpha(f) and its adjoint
+with `numerics.convex_combination` and filters without a norm guard or a
+block encoding: ‖A‖ is bounded once, where the instance is built.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
     gap_lower_bound,
-    make_h0_encoding,
-    make_h1_encoding,
+    hamiltonian_blocks,
     path_vectors,
     solution_state,
 )
@@ -134,23 +133,22 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
         raise ValueError("traversal solver requires a positive-definite instance")
     params = zeno_params(inst.kappa, eps)
-    # the encodings' guards bound ‖H0‖ <= alpha0 and ‖H1‖ <= alpha1, so by
-    # the triangle inequality every H(f)/alpha(f) is a contraction, and
-    # ‖B(f)/alpha(f)‖ = ‖H(f)/alpha(f)‖
-    h0, h1 = make_h0_encoding(inst), make_h1_encoding(inst)
+    # QlspInstance checks ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
+    # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), alpha(f) = (1-f) + f·d: each
+    # B(f)/alpha(f) is a contraction to the encodings' own tolerance
+    b0, b1, u = hamiltonian_blocks(inst)  # u = b, the |0⟩ block of |0⟩|b⟩
+    b_form = convex_combination(b0, b1)
+    bh_form = convex_combination(np.ascontiguousarray(b0.conj().T),
+                                 np.ascontiguousarray(b1.conj().T))
     dim = inst.dim
-    m0, m1 = h0.payload.mat, h1.payload.mat
-    b_form = convex_combination(m0[:dim, dim:], m1[:dim, dim:])
-    bh_form = convex_combination(m0[dim:, :dim], m1[dim:, :dim])
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
-    u = StateRegister(inst.b.amps, system=inst.n)  # the |0⟩ block
     trace = ZenoTrace()
     probs: list[float] = []  # coin stages: each filter step, then the ancilla
     ells: list[int] = []
     for j in range(1, params.M + 1):
         f = float(params.f_grid[j])
-        alpha = (1 - f) * h0.alpha + f * h1.alpha
+        alpha = (1 - f) + f * inst.d
         gap = gap_lower_bound(inst, f) / alpha
         target = params.eps_p if j < params.M else params.final_eps
         ell = degree_for_accuracy(gap, target)
@@ -174,10 +172,8 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         trace.per_step_success.append(p)
         trace.states.append(u.amps / np.linalg.norm(u.amps))
 
-    reached = [1] * len(probs)
-    if mode == "sample":
-        reached = sample_restarts(probs, np.random.default_rng(seed),
-                                  max_attempts)
+    reached = sample_restarts(probs, np.random.default_rng(seed),
+                              max_attempts, mode)
     attempts = reached[0]
     queries = 0 if ideal_projection else sum(
         2 * deg * r for deg, r in zip(ells, reached))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigenfilter import cli
+from eigenfilter import cli, filtering, numerics
 from eigenfilter.chebpoly import FilterSpec
 from eigenfilter.cli import main
 from eigenfilter.storage import load_experiment, load_instance, load_report
@@ -90,6 +90,23 @@ def test_filter_at_exact_eigenvalue(tmp_path, capsys):
 
     # a point off the spectrum is refused, not silently snapped
     assert run("filter", "--in", str(inst_path), "--lam", "0.123456") == 2
+
+
+def test_filter_command_computes_one_eigendecomposition(monkeypatch, capsys):
+    # the command's own decomposition supplies the filter's gap
+    calls = []
+    decompose = numerics.eig_hermitian
+
+    def counted(h):
+        calls.append(h)
+        return decompose(h)
+
+    for module in (cli, filtering, numerics):
+        monkeypatch.setattr(module, "eig_hermitian", counted)
+    assert run("filter", "--n", "3", "--kappa", "4", "--seed", "2",
+               "--form", "planted", "--lam", "1.0", "--eps", "1e-3") == 0
+    assert "filter lam=" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_solve_writes_report_and_trace(tmp_path, capsys):

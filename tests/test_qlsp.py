@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from eigenfilter.blockenc import attach_unitary, encode, make_qb, multiply, verify
+from eigenfilter.aqc import hamiltonian_pair
+from eigenfilter.blockenc import (
+    attach_unitary,
+    encode,
+    make_qb,
+    multiply,
+    qb_matrix,
+    verify,
+)
 from eigenfilter.harness import gen_instance, planted_tridiag_instance
 from eigenfilter.numerics import (
     DenseOperator,
@@ -19,17 +27,18 @@ from eigenfilter.numerics import (
 )
 from eigenfilter.qlsp import (
     QlspInstance,
-    dilate_indefinite,
     eigenpath_length,
     eigenpath_state,
     extend_general,
     gap_lower_bound,
+    hamiltonian_blocks,
     lstar,
     make_h0,
     make_h0_encoding,
     make_h1,
     make_h1_encoding,
     make_hf,
+    offdiag,
     path_vector,
     path_vectors,
     solution_state,
@@ -182,9 +191,9 @@ def test_gap_bound_forms():
         gap_lower_bound(pd, 1.5)
 
 
-def test_dilate_indefinite_null_spaces_and_start():
+def test_hamiltonian_pair_dilated_null_spaces_and_start():
     inst = gen_instance(3, 10.0, 6, form="hermitian-indefinite")
-    h0, h1, init = dilate_indefinite(inst.A, inst.b)
+    h0, h1, init = hamiltonian_pair(inst)
     assert init.norm() == pytest.approx(1.0)
     assert np.linalg.norm(h0.mat @ init.amps) <= 1e-12
     x = linsolve(inst.A, inst.b).amps
@@ -200,7 +209,7 @@ def test_dilate_indefinite_null_spaces_and_start():
 @pytest.mark.parametrize("form,complex_b", [
     ("hermitian-indefinite", False), ("general", False),
     ("hermitian-indefinite", True)])
-def test_dilate_indefinite_matches_complex_built_q(form, complex_b):
+def test_hamiltonian_pair_dilation_matches_complex_built_q(form, complex_b):
     inst = gen_instance(3, 10.0, 4, form=form)
     if form == "general":
         inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
@@ -217,12 +226,76 @@ def test_dilate_indefinite_matches_complex_built_q(form, complex_b):
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
     want0 = np.kron(sp, sz_i @ q) + np.kron(sp.T, q @ sz_i)
     want1 = np.kron(sp, sx_a @ q) + np.kron(sp.T, q @ sx_a)
-    h0, h1, _ = dilate_indefinite(inst.A, b)
+    h0, h1, _ = hamiltonian_pair(dataclasses.replace(inst, b=b))
     tol = 64 * np.finfo(float).eps
     assert np.max(np.abs(h0.mat - want0)) <= tol
     assert np.max(np.abs(h1.mat - want1)) <= tol
     dtype = np.complex128 if complex_b else np.float64
     assert h0.mat.dtype == h1.mat.dtype == dtype
+
+
+def _explicit_pair(inst):
+    """H0, H1 and the start state as explicit Kronecker products: σx⊗Q_b and
+    σ₊⊗AQ_b + σ₋⊗Q_bA on positive-definite input, the 4N dilation of
+    Hermitian indefinite input, and that dilation of the extended system
+    for general input."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    if inst.form == "general":
+        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    a, b = inst.A.mat, inst.b
+    if inst.form == "positive-definite":
+        qb = qb_matrix(b)
+        return (np.kron(sx, qb), np.kron(sp, a @ qb) + np.kron(sp.T, qb @ a),
+                np.kron([1.0, 0.0], b.amps))
+    plus_b = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), b.amps)
+    q = qb_matrix(StateRegister(plus_b, ancilla=1, system=b.system))
+    sz_i = np.kron(np.diag([1.0, -1.0]), np.eye(inst.dim))
+    sx_a = np.kron(sx, a)
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    return (np.kron(sp, sz_i @ q) + np.kron(sp.T, q @ sz_i),
+            np.kron(sp, sx_a @ q) + np.kron(sp.T, q @ sx_a),
+            np.kron([1.0, 0.0], np.kron(minus, b.amps)))
+
+
+def _phased_instance(inst, seed):
+    """D·A·D† with a random phase diagonal D, and a random complex b: the
+    same singular values, in complex arithmetic."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(2j * np.pi * rng.random(inst.dim))
+    a = d[:, None] * inst.A.mat * d.conj()[None, :]
+    b = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
+    return QlspInstance(
+        DenseOperator(a, hermitian=inst.form != "general"),
+        inst.b.with_amps(b / np.linalg.norm(b)), inst.kappa, inst.d,
+        form=inst.form)
+
+
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+def test_hamiltonian_blocks_match_explicit_kronecker_products(form):
+    for n in (2, 3, 4):
+        for seed in (0, 1):
+            inst = gen_instance(n, 8.0, seed, form)
+            cases = [inst] + ([planted_tridiag_instance(n, 8.0, seed)]
+                              if form == "positive-definite" else [])
+            for real in cases:
+                b0, b1, u0 = hamiltonian_blocks(real)
+                want0, want1, start = _explicit_pair(real)
+                # bitwise on real instances
+                assert np.array_equal(offdiag(b0).mat, want0)
+                assert np.array_equal(offdiag(b1).mat, want1)
+                assert np.array_equal(hamiltonian_pair(real)[2].amps, start)
+                assert offdiag(b0).mat.dtype == np.float64
+            # complex b and complex Hermitian A: B† and the product Q_bA
+            # round differently, within a few ulps
+            phased = _phased_instance(inst, seed + 11)
+            b0, b1, _ = hamiltonian_blocks(phased)
+            want0, want1, _ = _explicit_pair(phased)
+            tol = 64 * np.finfo(float).eps
+            assert np.max(np.abs(offdiag(b0).mat - want0)) <= tol
+            assert np.max(np.abs(offdiag(b1).mat - want1)) <= tol
+            assert offdiag(b1).mat.dtype == np.complex128
 
 
 def test_extend_general_keeps_singular_values():

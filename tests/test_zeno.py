@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenfilter import filtering, zeno
+from eigenfilter import blockenc, filtering, zeno
 from eigenfilter.chebpoly import (
     BOUND_GAP_CAP,
     FilterSpec,
@@ -14,7 +14,12 @@ from eigenfilter.chebpoly import (
 )
 from eigenfilter.harness import gen_instance, planted_tridiag_instance
 from eigenfilter.numerics import DenseOperator, StateRegister, clenshaw_apply
-from eigenfilter.qlsp import QlspInstance, gap_lower_bound, make_hf
+from eigenfilter.qlsp import (
+    QlspInstance,
+    gap_lower_bound,
+    make_h0_encoding,
+    make_hf,
+)
 from eigenfilter.zeno import (
     ZenoParams,
     ZenoTrace,
@@ -144,9 +149,9 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
     base, _ = solve_zeno(inst, 1e-6)
     seen = []
 
-    def recording(probs, rng, max_attempts):
-        seen.append((list(probs), filtering.sample_restarts(probs, rng,
-                                                             max_attempts)))
+    def recording(probs, rng, max_attempts, mode):
+        seen.append((list(probs), filtering.sample_restarts(
+            probs, rng, max_attempts, mode)))
         return seen[-1][1]
 
     monkeypatch.setattr(zeno, "sample_restarts", recording)
@@ -166,6 +171,25 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
     charged = sum(2 * ell * r for ell, r in zip(ells, reached))
     assert report.query_ledger == {"U_Hf_filter": charged, "O_B": 2}
     assert charged > matvec_counter["matvecs"]
+
+
+def test_walk_builds_no_block_encoding(monkeypatch):
+    # the walk takes its blocks from qlsp.hamiltonian_blocks: no 2N×2N
+    # encoding is built, and no encoding's norm guard runs
+    built = []
+    guard = blockenc.BlockEncoding.__post_init__
+
+    def counted(self):
+        built.append(self)
+        guard(self)
+
+    monkeypatch.setattr(blockenc.BlockEncoding, "__post_init__", counted)
+    inst = gen_instance(3, 10.0, 5)
+    make_h0_encoding(inst)
+    assert len(built) == 1  # the counter sees an encoding being built
+    for mode, seed in (("postselect", None), ("sample", 159)):
+        solve_zeno(inst, 1e-6, mode=mode, seed=seed)
+    assert len(built) == 1
 
 
 def _walk_contractions(monkeypatch, inst):
@@ -208,8 +232,8 @@ def test_walk_contractions_equal_make_hf(monkeypatch):
 @pytest.mark.parametrize("n,seed", [(4, 0), (3, 5)])
 def test_walk_contractions_need_no_guard(monkeypatch, n, seed):
     # the walk filters on each B(f)/alpha(f) without a norm guard: the
-    # triangle inequality over the H0/H1 encodings bounds H(f)/alpha(f),
-    # whose norm B's equals, and the exact norm agrees
+    # instance bounds ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
+    # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), and the exact norm agrees
     inst = gen_instance(n, 10.0, seed)
     for _, _, b, bh in _walk_contractions(monkeypatch, inst):
         assert np.linalg.norm(b, 2) <= 1.0 + 1e-10
