@@ -148,11 +148,6 @@ def qb_matrix(b: StateRegister) -> np.ndarray:
     return real_if_real(np.eye(v.size) - np.outer(v, v.conj()))
 
 
-def make_qb(b: StateRegister) -> BlockEncoding:
-    """Encoding of the projector Q_b = I - |b⟩⟨b| (one ancilla)."""
-    return BlockEncoding(DenseOperator(qb_matrix(b), hermitian=True), 1.0, 1)
-
-
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     dec = eig_hermitian(hermitian_part(m))
     lam = np.clip(dec.eigenvalues, 0.0, None)

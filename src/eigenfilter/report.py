@@ -70,11 +70,3 @@ class ExperimentResult:
     def column(self, name: str) -> list:
         i = self.columns.index(name)
         return [r[i] for r in self.rows]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "diagnostics": dict(self.diagnostics),
-        }

@@ -14,7 +14,10 @@ floats, no timestamps), so identical inputs produce byte-identical files.
 
 Floats are written with repr (JSON) or 17 significant digits (MatrixMarket),
 both exact for doubles, so roundtrips reproduce values bit for bit. The
-MatrixMarket block is written and read by scipy.io, imported on first use.
+MatrixMarket codec is numpy's and writes scipy 1.17's mmwrite bytes: below
+dimension 100 a symmetric, skew-symmetric or Hermitian matrix keeps only its
+lower triangle, as mmwrite looks for symmetry only there (the look costs an
+O(N²) pass), so files match those that earlier, scipy-based versions wrote.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,11 @@ from .numerics import DenseOperator, StateRegister
 from .qlsp import FORMS, QlspInstance
 from .report import ExperimentResult, SolverReport
 
-MM_PRECISION = 17  # significant digits, exact for doubles
+_FIELDS = {"real": [float], "integer": [int], "complex": [float, float]}
+_MIRROR = {"symmetric": lambda v: v, "skew-symmetric": np.negative,
+           "hermitian": np.conj}  # the upper triangle from the stored lower one
+_BANNER = [{"%%matrixmarket"}, {"matrix"}, {"coordinate"}, _FIELDS.keys(),
+           {"general", *_MIRROR}]
 
 
 class StorageError(ValueError):
@@ -38,12 +46,9 @@ class StorageError(ValueError):
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", column {column}" if column else "")
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+        loc = f" at line {line}" + (f", column {column}" if column else "")
+        super().__init__(message + (loc if line is not None else ""))
+        self.line, self.column = line, column
 
 
 def _plain(value):
@@ -52,12 +57,8 @@ def _plain(value):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     return value
 
 
@@ -95,62 +96,74 @@ def _fields(record: dict, schema: dict, line: int | None = None) -> dict:
 
 
 def _matrix_block(mat: np.ndarray) -> str:
-    from scipy.io import mmwrite
-    from scipy.sparse import coo_matrix
-
-    coo = coo_matrix(mat)
-    if coo.nnz == 0:
+    """mat's coordinate block, byte for byte as scipy 1.17's
+    mmwrite(coo_matrix(mat), precision=17) writes it."""
+    symmetry = next((s for s, mirror in _MIRROR.items() if max(mat.shape) < 100
+                     and np.array_equal(mat, mirror(mat.T))), "general")
+    lower = np.tri(*mat.shape, dtype=bool) | (symmetry == "general")  # row >= col
+    rows, cols = np.nonzero((mat != 0) & lower)
+    if rows.size == 0:
         raise StorageError("refusing to write an empty matrix")
-    buf = io.BytesIO()
-    mmwrite(buf, coo, precision=MM_PRECISION)
-    return buf.getvalue().decode("ascii")
+    field = "complex" if np.iscomplexobj(mat) else "real"
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "%",
+             f"{mat.shape[0]} {mat.shape[1]} {rows.size}"]
+    parts = len(_FIELDS[field])  # 17 significant digits each, exact for doubles
+    lines += [f"{i} {j} " + " ".join(f"{p:.16e}" for p in (v.real, v.imag)[:parts])
+              for i, j, v in zip(rows + 1, cols + 1, mat[rows, cols].tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _field(kind, ok):
+    """A field's parser: kind(token), and a ValueError unless ok accepts it."""
+    def parse(token: str):
+        if not ok(value := kind(token)):
+            raise ValueError(token)
+        return value
+    return parse
 
 
 def _parse_matrix_block(text: str, offset: int) -> np.ndarray:
-    """offset = number of file lines before the block (for error reporting)."""
-    from scipy.io import mmread
+    """One pass over a coordinate block: the banner, any % lines, the size
+    line, then exactly its nnz entries, duplicates summed. The first fault
+    raises StorageError at its line (offset = file lines before the block)."""
+    lines = text.splitlines() + [""]  # the empty last line marks the end
 
-    try:
-        mat = mmread(io.BytesIO(text.encode("ascii")))
-    except Exception:
-        line, col = _locate_matrix_error(text)
-        raise StorageError("malformed matrix block", offset + line, col) from None
-    dense = np.asarray(mat.todense() if hasattr(mat, "todense") else mat)
-    if dense.size == 0 or not np.any(dense):
+    def fail(why: str, i: int, column: int = 1):
+        raise StorageError(f"malformed matrix block: {why}", offset + i + 1, column)
+
+    def read(i: int, fields: list) -> list:
+        """Line i's fields, parsed; the last match, $'s empty one, is its end."""
+        values, end = [], _field(str, "".__eq__)
+        for tok, parse in zip(re.finditer(r"\S+|$", lines[i]), fields + [end]):
+            try:
+                values.append(parse(tok.group()))
+            except ValueError:
+                fail(f"unexpected {tok.group()!r}" if tok.group() else "missing field",
+                     i, tok.start() + 1)
+        return values[:-1]
+
+    *_, field, symmetry = read(0, [_field(str.lower, w.__contains__) for w in _BANNER])
+    body = [i for i, line in enumerate(lines) if i and line.strip()] + [len(lines) - 1]
+    while lines[body[0]].startswith("%"):
+        body.pop(0)
+    m, n, nnz = read(body[0], [_field(int, lambda v: v >= 0)] * 3)
+    mirror, entries = _MIRROR.get(symmetry), body[1:-1]
+    if mirror and m != n:
+        fail(f"{symmetry} block of shape {m} x {n}", body[0])
+    fields = [_field(int, lambda v: 1 <= v <= m), _field(int, lambda v: 1 <= v <= n),
+              *_FIELDS[field]]
+    kind = complex if field == "complex" else float
+    mat = np.zeros((m, n), kind)
+    for i in entries[:nnz]:
+        row, col, *parts = read(i, fields)
+        mat[row - 1, col - 1] += kind(*parts)
+        if mirror and row != col:
+            mat[col - 1, row - 1] += mirror(kind(*parts))
+    if len(entries) != nnz:
+        fail(f"{len(entries)} entries, {nnz} declared", (entries[nnz:] + body[-2:])[0])
+    if not np.any(mat):
         raise StorageError("matrix block is empty", offset + 1, 1)
-    return dense
-
-
-def _locate_matrix_error(text: str) -> tuple[int, int]:
-    """First line that fails the coordinate-format grammar."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        return 1, 1
-    i = 1
-    while i < len(lines) and lines[i].startswith("%"):
-        i += 1
-    expect = 3  # rows cols nnz
-    for j in range(i, len(lines)):
-        parts = lines[j].split()
-        if not parts:
-            continue
-        try:
-            int(parts[0]), int(parts[1])
-            if expect == 3:
-                int(parts[2])
-                expect = 0
-            else:
-                float(parts[2])
-        except (ValueError, IndexError):
-            bad = 1
-            for k, p in enumerate(parts):
-                try:
-                    (int if k < 2 or expect == 3 else float)(p)
-                except ValueError:
-                    bad = lines[j].index(p) + 1
-                    break
-            return j + 1, bad
-    return len(lines), 1
+    return mat
 
 
 def save_instance(path, inst: QlspInstance) -> None:

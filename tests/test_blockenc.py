@@ -9,7 +9,6 @@ from eigenfilter.blockenc import (
     dilate_to_unitary,
     encode,
     linear_combine,
-    make_qb,
     multiply,
     qb_matrix,
     shift_add_identity,
@@ -134,7 +133,7 @@ def test_make_qb_is_projector_encoding():
     rng = np.random.default_rng(14)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     b = StateRegister(v / np.linalg.norm(v), 0, 3)
-    enc = make_qb(b)
+    enc = BlockEncoding(DenseOperator(qb_matrix(b), hermitian=True), 1.0, 1)
     q = enc.payload.mat
     assert np.allclose(q @ q, q, atol=1e-12)
     assert np.linalg.norm(q @ b.amps) <= 1e-12

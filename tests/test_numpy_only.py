@@ -1,4 +1,5 @@
-"""The solvers, the sweep and validate run on numpy alone, loading no scipy."""
+"""The solvers, the sweep, validate and the instance files run on numpy
+alone, loading no scipy."""
 
 import subprocess
 import sys
@@ -17,9 +18,14 @@ SCRIPT = textwrap.dedent("""
 
     import contextlib
     import io
+    import os
+    import tempfile
+
+    import numpy as np
 
     import eigenfilter as ef
     from eigenfilter import cli
+    from eigenfilter.numerics import DenseOperator, hermitian_part
 
     eps = 1e-3
     inst = ef.gen_instance(2, 4.0, 0)
@@ -35,6 +41,27 @@ SCRIPT = textwrap.dedent("""
     ef.eigenpath_length(inst)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["validate", "--suite", "all"]) == 0
+
+    # instance files: a real symmetric, a general and a complex Hermitian
+    # block, then gen --out and solve --in through the command line
+    herm = ef.gen_instance(2, 4.0, 2, "hermitian-indefinite")
+    phases = np.exp(1j * np.arange(herm.dim))
+    a = hermitian_part(phases[:, None] * herm.A.mat * phases.conj()[None, :])
+    herm = ef.QlspInstance(DenseOperator(a, hermitian=True), herm.b, herm.kappa,
+                           herm.d, form=herm.form)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, inst in [("real symmetric", inst), ("complex hermitian", herm),
+                           ("real general", ef.gen_instance(2, 4.0, 1, "general"))]:
+            path = os.path.join(tmp, "a.qlsp")
+            back = ef.io_roundtrip(path, inst)
+            assert "coordinate " + name in open(path).read(), name
+            assert back.A.mat.tobytes() == inst.A.mat.tobytes(), name
+            assert back.b.amps.tobytes() == inst.b.amps.tobytes(), name
+        path = os.path.join(tmp, "p.qlsp")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen", "--n", "3", "--kappa", "4", "--seed", "2",
+                             "--form", "planted", "--out", path]) == 0
+            assert cli.main(["solve", "--in", path, "--method", "aqc"]) == 0
     print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
 

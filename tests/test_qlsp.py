@@ -10,7 +10,6 @@ from eigenfilter.aqc import hamiltonian_pair
 from eigenfilter.blockenc import (
     attach_unitary,
     encode,
-    make_qb,
     multiply,
     qb_matrix,
     verify,
@@ -114,7 +113,7 @@ def test_hf_interpolates_and_gap_bound_holds():
 def _h1_encoding_product(inst):
     # the circuit W·(sigma_x⊗A)·W with W = diag(I, Q_b), formed as a product
     # of three block encodings: the reference for make_h1_encoding
-    qb = make_qb(inst.b).payload.mat
+    qb = qb_matrix(inst.b)
     zero = np.zeros((inst.dim, inst.dim))
     wall = encode(DenseOperator(np.block([[np.eye(inst.dim), zero], [zero, qb]]),
                                 hermitian=True), 1.0, ancilla=1)

@@ -5,14 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eigenfilter.cli import main
-from eigenfilter.harness import gen_instance
-from eigenfilter.numerics import DenseOperator, StateRegister
+from eigenfilter.harness import gen_instance, planted_tridiag_instance
+from eigenfilter.numerics import DenseOperator, StateRegister, hermitian_part
 from eigenfilter.qlsp import QlspInstance
 from eigenfilter.report import ExperimentResult, SolverReport
 from eigenfilter.storage import (
     StorageError,
+    _matrix_block,
+    _parse_matrix_block,
     io_roundtrip,
     load,
     load_instance,
@@ -162,6 +167,136 @@ def test_malformed_matrix_line_reports_location(tmp_path):
         load_instance(path)
     assert err.value.line == bad_index + 1
     assert err.value.column is not None and err.value.column >= 1
+
+
+def _replace(i, old, new):
+    # the file's lines with the first `old` of line i (0-based) made `new`
+    return lambda lines: lines[:i] + [lines[i].replace(old, new, 1)] + lines[i + 1:]
+
+
+# a gen --n 2 file: header (line 1), banner (2), % (3), "4 4 7" (4), and
+# the seven entries of the lower triangle (5-11), the first "1 1 ..."; a
+# short block stops at its last line
+@pytest.mark.parametrize("edit, line, column", [
+    (_replace(4, "1", "9"), 5, 1),
+    (_replace(4, "1", "0"), 5, 1),
+    (_replace(4, "1 1", "1 5"), 5, 3),
+    (_replace(1, "real", "reel"), 2, 34),
+    (lambda lines: lines + ["4 1 1.0"], 12, 1),
+    (lambda lines: lines[:-1], 10, 1),
+    (_replace(3, " 7", ""), 4, 4),
+], ids=["row-index-9", "row-index-0", "column-index-5", "field-reel",
+        "one-entry-more", "one-entry-fewer", "size-line-short"])
+def test_matrix_block_fault_reports_its_line_and_column(tmp_path, edit, line,
+                                                        column):
+    path = tmp_path / "inst.qlsp"
+    save_instance(path, gen_instance(2, 3.0, 0))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(StorageError, match="malformed matrix block") as err:
+        load_instance(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def mm_read(block: str) -> np.ndarray:
+    from scipy.io import mmread
+
+    return np.asarray(mmread(io.BytesIO(block.encode("ascii"))).todense())
+
+
+def assert_codec_matches_scipy(mat) -> str:
+    """The block of mat is mm_block's bytes and reads back as mmread's matrix."""
+    block = _matrix_block(mat)
+    assert block == mm_block(mat)
+    want, got = mm_read(block), _parse_matrix_block(block, offset=0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(got, mat)
+    return block
+
+
+def _phased(mat, seed):
+    # D·A·D† for a diagonal of random phases D, made exactly Hermitian
+    rng = np.random.default_rng(seed)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(mat)))
+    return hermitian_part(phases[:, None] * mat * phases.conj()[None, :])
+
+
+def _random(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(1 << n, 1 << n))
+    z = m + 1j * rng.normal(size=m.shape)
+    return {"complex-general": z, "real-skew": m - m.T,
+            "complex-symmetric": z + z.T}[kind]
+
+
+MM_FAMILIES = (
+    [(f"{form}-n{n}", lambda n=n, form=form: gen_instance(n, 5.0, n, form).A.mat)
+     for form in ("positive-definite", "hermitian-indefinite", "general")
+     for n in range(2, 9)]
+    + [(f"planted-n{n}", lambda n=n: planted_tridiag_instance(n, 8.0, n).A.mat)
+       for n in range(2, 9)]
+    + [(f"complex-hermitian-n{n}",
+        lambda n=n: _phased(gen_instance(n, 5.0, n, "hermitian-indefinite").A.mat, n))
+       for n in (3, 6, 7)]
+    + [(f"{kind}-n{n}", lambda n=n, kind=kind: _random(n, n, kind))
+       for kind in ("complex-general", "real-skew", "complex-symmetric")
+       for n in (3, 6, 7)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in MM_FAMILIES],
+                         ids=[name for name, _ in MM_FAMILIES])
+def test_matrix_block_is_scipy_bytes_and_reads_as_mmread(make):
+    assert_codec_matches_scipy(make())
+
+
+@pytest.mark.parametrize("dim, symmetry", [(64, "symmetric"), (99, "symmetric"),
+                                           (100, "general"), (128, "general")])
+def test_symmetry_is_looked_for_only_below_dimension_100(dim, symmetry):
+    # scipy's mmwrite looks for symmetry only when max(shape) < 100: so a
+    # 64 x 64 instance (n = 6) is written symmetric and n = 7 general
+    m = np.random.default_rng(dim).normal(size=(dim, dim))
+    block = assert_codec_matches_scipy(m + m.T)
+    assert block.splitlines()[0] == f"%%MatrixMarket matrix coordinate real {symmetry}"
+
+
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0)
+
+
+@st.composite
+def mm_matrices(draw):
+    """Small real or complex matrices of each symmetry, zeros and -0.0 included."""
+    symmetry = draw(st.sampled_from(["general", "symmetric", "skew-symmetric",
+                                     "hermitian"]))
+    rows = draw(st.integers(1, 6))
+    shape = (rows, draw(st.integers(1, 6)) if symmetry == "general" else rows)
+    m = draw(arrays(np.float64, shape, elements=_ENTRIES))
+    if symmetry == "hermitian" or draw(st.booleans()):
+        m = m + 1j * draw(arrays(np.float64, shape, elements=_ENTRIES))
+    if symmetry == "general":
+        return m
+    low, diag = np.tril(m, -1), np.diag(np.diag(m))
+    if symmetry == "skew-symmetric":
+        return low - low.T
+    if symmetry == "hermitian":
+        return low + diag.real + low.conj().T
+    return low + diag + low.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(mm_matrices())
+def test_codec_matches_scipy_on_random_matrices(mat):
+    off = np.where(np.eye(*mat.shape, dtype=bool), 0, mat)
+    # scipy's symmetry search skips the first nonzero diagonal entry, so it
+    # writes "hermitian" for a complex matrix whose off-diagonal part is
+    # Hermitian even if that entry is not real, which the format does not
+    # allow; the codec writes such a matrix general
+    assume(not (np.iscomplexobj(mat) and np.array_equal(off, off.conj().T)
+                and np.diag(mat).imag.any()))
+    if not np.any(mat):
+        with pytest.raises(StorageError, match="empty"):
+            _matrix_block(mat)
+        return
+    assert_codec_matches_scipy(mat)
 
 
 def test_malformed_and_mislabeled_headers(tmp_path):
