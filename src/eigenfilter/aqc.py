@@ -7,7 +7,8 @@ unitary to the series' certified truncation tolerance and nothing is
 diagonalized. The power-law schedule spends its time budget where the gap
 is small, so a short run at T proportional to kappa already lands a
 constant-overlap trial state; one filtering step then converts constant
-overlap into eps-accuracy.
+overlap into eps-accuracy. That step (`seed_filter`) runs on H1/d by matvecs:
+like the evolution, it builds no block encoding and runs no norm guard.
 
 Hamiltonian-simulation query costs are not measured (the evolution is
 emulated); they are reported through the known closed-form count and flagged
@@ -21,21 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import degree_for_accuracy, jacobi_anger_coeffs
-from .filtering import apply_filter, measure_ancilla, sample_restarts
-from .numerics import (
-    StateRegister,
-    clenshaw,
-    convex_combination,
-    fidelity,
-)
+from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
+from .filtering import filter_matvec, measure_ancilla, prepend_ancilla, sample_restarts
+from .numerics import StateRegister, clenshaw, convex_combination, fidelity, matvec_of
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
     extend_general,
     gap_lower_bound,
     hamiltonian_blocks,
-    make_h1_encoding,
+    make_h1,
     offdiag,
     path_vectors,
     solution_state,
@@ -43,6 +39,8 @@ from .qlsp import (
 from .report import SolverReport
 
 STEPS_PER_UNIT_TIME = 20
+TIME_FACTOR = 0.2  # default evolution time T = TIME_FACTOR·kappa
+SCHEDULE_POWER = 1.5  # default schedule power p
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class AqcConfig:
     """Total time T, schedule exponent p, and time discretization."""
 
     T: float
-    p: float = 1.5
+    p: float = SCHEDULE_POWER
     steps: int | None = None
 
     def __post_init__(self):
@@ -88,9 +86,7 @@ def hamiltonian_pair(inst: QlspInstance):
     positive-definite input, 4N for the Hermitian indefinite dilation, 8N
     for general input."""
     b0, b1, u0 = hamiltonian_blocks(inst)
-    init = StateRegister(np.concatenate([u0.amps, np.zeros(u0.dim)]),
-                         ancilla=u0.ancilla + 1, system=u0.system)
-    return offdiag(b0), offdiag(b1), init
+    return offdiag(b0), offdiag(b1), prepend_ancilla(u0.amps)
 
 
 def evolve(inst: QlspInstance, cfg: AqcConfig,
@@ -174,9 +170,18 @@ def _dilated_to_twoblock(psi: StateRegister, n: int) -> tuple[StateRegister, flo
     p = float(np.linalg.norm(accepted) ** 2 / psi.norm() ** 2)
     if p <= 1e-300:
         raise ValueError("dilated-run acceptance probability is zero")
-    two_block = np.concatenate([accepted / np.linalg.norm(accepted),
-                                np.zeros(dim)])
-    return StateRegister(two_block, ancilla=1, system=n), p
+    return prepend_ancilla(accepted / np.linalg.norm(accepted)), p
+
+
+def seed_filter(inst: QlspInstance):
+    """(filt, gap, target) for a positive-definite or Hermitian indefinite
+    inst: filt(ell, psi) filters psi toward H1's null space by matvecs with
+    H1/d, whose gap around 0 is at least gap, and target is |0⟩|x⟩. H1/d is
+    built once, unguarded: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
+    h1 = matvec_of(make_h1(inst.A, inst.b).mat / inst.d)
+    gap = min(gap_lower_bound(inst, 1.0) / inst.d, BOUND_GAP_CAP)
+    return (lambda ell, psi: filter_matvec(h1, gap, ell, psi), gap,
+            prepend_ancilla(solution_state(inst).amps))
 
 
 def solve_aqc_filtered(inst: QlspInstance, eps: float,
@@ -196,28 +201,25 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     if mode not in ("postselect", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    cfg = cfg or AqcConfig(T=0.2 * inst.kappa)
+    cfg = cfg or AqcConfig(T=TIME_FACTOR * inst.kappa)
 
     # the filtering picture: positive definite stays on (A, b); general
     # input is extended once, then evolved and filtered there
     filt_inst = inst
     if inst.form == "general":
         filt_inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    enc = make_h1_encoding(filt_inst)
-    oracle = solution_state(filt_inst)
-    target = np.concatenate([oracle.amps, np.zeros(filt_inst.dim)])
-    h1_gap = gap_lower_bound(filt_inst, 1.0)
+    filt, gap, target = seed_filter(filt_inst)
 
     dilated = inst.form != "positive-definite"
     seeded, accept_p = evolve(filt_inst, cfg), 1.0
     if dilated:
         seeded, accept_p = _dilated_to_twoblock(seeded, filt_inst.n)
-    gamma0 = float(abs(np.vdot(target, seeded.amps)))
+    gamma0 = float(abs(np.vdot(target.amps, seeded.amps)))
     if gamma0 <= 1e-12:
         raise ValueError("adiabatic seed has no overlap with the solution")
-    ell = degree_for_accuracy(h1_gap / enc.alpha, eps * gamma0)
+    ell = degree_for_accuracy(gap, eps * gamma0)
 
-    out = apply_filter(enc, 0.0, ell, seeded, gap=h1_gap)
+    out = filt(ell, seeded)
     final = measure_ancilla(out.post_state)
     # coin stages: the dilated run's |+> acceptance, the filter, the ancilla
     probs = ([accept_p] if dilated else [])
@@ -226,7 +228,7 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
                               max_attempts, mode)
     attempts = reached[0]
 
-    fid = fidelity(final.post_state.amps[:filt_inst.dim], oracle.amps)
+    fid = fidelity(final.post_state.amps[:filt_inst.dim], target.amps[:filt_inst.dim])
     return SolverReport(
         method="aqc",
         params={

@@ -9,10 +9,10 @@ bookkeeping can be verified against a real top-left block on tiny dimensions.
 The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
 sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
 when that bound is inconclusive; they accept exactly what the exact check
-accepts. The solvers build no encoding per step: they form H(f) or its
-off-diagonal block B(f) from qlsp.hamiltonian_blocks, which the instance's
-bound on ‖A‖ already bounds; AQC builds H1's encoding once per solve for
-its final filter.
+accepts. Encodings, and with them the guards, are built for the `filter`
+command, acceptance criteria 3–4, `validate` and direct library calls. No
+solver or sweep builds one: they work on H(f), its off-diagonal block B(f),
+H1/d or A/d, all bounded by the instance's bound on ‖A‖.
 """
 
 from __future__ import annotations

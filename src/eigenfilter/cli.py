@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aqc import AqcConfig, overlap_trace, require_trace_form, solve_aqc_filtered
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_trace,
+                  require_trace_form, solve_aqc_filtered)
 from .baseline import solve_qsp_direct
 from .blockenc import attach_unitary, encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
@@ -341,8 +342,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--mode", choices=("postselect", "sample"),
                    default="postselect")
-    p.add_argument("--T-factor", dest="T_factor", type=float, default=0.2)
-    p.add_argument("--p", type=float, default=1.5)
+    p.add_argument("--T-factor", dest="T_factor", type=float, default=TIME_FACTOR)
+    p.add_argument("--p", type=float, default=SCHEDULE_POWER)
     p.add_argument("--out", default=None)
     p.add_argument("--trace-out", dest="trace_out", default=None)
     p.set_defaults(func=_cmd_solve)

@@ -8,7 +8,9 @@ P_λ + e^{iθ}(I - P_λ) without any measurement.
 
 Phase factors of the signal-processing circuit are never computed: the
 polynomial is applied directly with a Clenshaw recurrence, which acts
-identically on the encoded block.
+identically on the encoded block. The transforms that take an encoding
+guard ‖H̃‖ <= 1 per call (for the `filter` command, criteria 3–4 and direct
+calls); solvers and sweeps use the unguarded `filter_matvec`/`filter_offdiag`.
 """
 
 from __future__ import annotations
@@ -171,6 +173,11 @@ def theta_reflection_apply(enc: BlockEncoding, lam: float, ell: int, theta: floa
     out = psi.with_amps(amps)
     p = min(float(out.norm() ** 2), 1.0)
     return MeasurementOutcome(p, out.normalized(), ancilla_budget=enc.ancilla + 3)
+
+
+def prepend_ancilla(u: np.ndarray) -> StateRegister:
+    """|0⟩⊗u, u the system under one ancilla: the layout measure_ancilla reads."""
+    return StateRegister(np.concatenate([u, np.zeros(u.size)]), 1, u.size.bit_length() - 1)
 
 
 def measure_ancilla(state: StateRegister) -> MeasurementOutcome:

@@ -24,16 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqc import AqcConfig, evolve, solve_aqc_filtered
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve, seed_filter,
+                  solve_aqc_filtered)
 from .baseline import solve_qsp_direct
-from .filtering import apply_filter
 from .numerics import DenseOperator, StateRegister, fidelity
-from .qlsp import QlspInstance, gap_lower_bound, make_h1_encoding, solution_state
+from .qlsp import QlspInstance
 from .report import ExperimentResult, SolverReport
 from .zeno import solve_zeno, zeno_params
 
-AQC_TIME_FACTOR = 0.2
-AQC_SCHEDULE_POWER = 1.5
 CORNER_SHIFT = 1e-4
 FIT_FLOOR = 1e-10
 DEFAULT_ELL_FRACTIONS = (0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 12.0, 15.0, 18.0, 21.0)
@@ -211,14 +209,7 @@ def planted_tridiag_instance(n: int, kappa: float, seed: int) -> QlspInstance:
 
 
 def _seed_state(inst: QlspInstance) -> StateRegister:
-    cfg = AqcConfig(T=AQC_TIME_FACTOR * inst.kappa, p=AQC_SCHEDULE_POWER)
-    return evolve(inst, cfg)
-
-
-def _twoblock_target(inst: QlspInstance) -> StateRegister:
-    x = solution_state(inst)
-    amps = np.concatenate([x.amps, np.zeros_like(x.amps)])
-    return StateRegister(amps, ancilla=1, system=inst.n)
+    return evolve(inst, AqcConfig(T=TIME_FACTOR * inst.kappa))
 
 
 def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
@@ -227,10 +218,11 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
     """Fidelity of the filtered adiabatic seed versus filter degree.
 
     For each kappa, the seed state evolves for time 0.2*kappa under the
-    power-1.5 schedule, then is filtered at each degree in the grid (degrees
-    scale with kappa via ell_fractions; 0 means no filter). Diagnostics hold
-    per-kappa linear fits of log(1 - eta) versus ell above the 1e-10 floor
-    and the initial fidelity in both conventions.
+    power-1.5 schedule (aqc's defaults), then aqc.seed_filter filters it at
+    each degree in the grid (degrees scale with kappa via ell_fractions; 0
+    means no filter). Diagnostics hold per-kappa linear fits of log(1 - eta)
+    versus ell above the 1e-10 floor and the initial fidelity in both
+    conventions.
     """
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
@@ -244,17 +236,10 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
         for seed in range(seeds):
             inst = gen_instance(n, kappa, seed)
             psi = _seed_state(inst)
-            target = _twoblock_target(inst)
-            enc = make_h1_encoding(inst)
-            raw_gap = gap_lower_bound(inst, 1.0)
-            eta0 = fidelity(target, psi)
-            init_k.append(eta0)
+            filt, _, target = seed_filter(inst)
+            init_k.append(fidelity(target, psi))
             for j, ell in enumerate(ells):
-                if ell == 0:
-                    eta = eta0
-                else:
-                    out = apply_filter(enc, 0.0, ell, psi, gap=raw_gap)
-                    eta = fidelity(target, out.post_state)
+                eta = fidelity(target, filt(ell, psi).post_state if ell else psi)
                 etas[seed, j] = eta
                 rows.append((kappa, ell, seed, eta))
         mean_eta = etas.mean(axis=0)
@@ -272,7 +257,7 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
         "per_kappa": per_kappa,
         "initial_fidelity_mean": float(init.mean()),
         "initial_fidelity_squared_mean": float((init ** 2).mean()),
-        "T_factor": AQC_TIME_FACTOR, "schedule_power": AQC_SCHEDULE_POWER,
+        "T_factor": TIME_FACTOR, "schedule_power": SCHEDULE_POWER,
         "n": n, "seeds": seeds,
     }
     return ExperimentResult("fidelity-vs-ell", ["kappa", "ell", "seed", "eta"],
@@ -297,20 +282,15 @@ def experiment_ell_vs_kappa(etas=(0.9, 0.99), kappas=(10.0, 20.0, 40.0, 80.0),
         prepared = []
         for seed in range(seeds):
             inst = gen_instance(n, kappa, seed)
-            prepared.append((make_h1_encoding(inst), _seed_state(inst),
-                             _twoblock_target(inst), gap_lower_bound(inst, 1.0)))
+            filt, _, target = seed_filter(inst)
+            prepared.append((filt, _seed_state(inst), target))
         cache: dict[int, float] = {}
 
         def mean_eta(ell: int) -> float:
             if ell not in cache:
-                vals = []
-                for enc, psi, target, raw_gap in prepared:
-                    if ell == 0:
-                        vals.append(fidelity(target, psi))
-                    else:
-                        out = apply_filter(enc, 0.0, ell, psi, gap=raw_gap)
-                        vals.append(fidelity(target, out.post_state))
-                cache[ell] = float(np.mean(vals))
+                cache[ell] = float(np.mean([
+                    fidelity(target, filt(ell, psi).post_state if ell else psi)
+                    for filt, psi, target in prepared]))
             return cache[ell]
 
         for t in targets:
@@ -333,8 +313,8 @@ def experiment_ell_vs_kappa(etas=(0.9, 0.99), kappas=(10.0, 20.0, 40.0, 80.0),
             stars[t].append(star)
             rows.append((kappa, t, star))
     diagnostics: dict = {"per_target": {}, "n": n, "seeds": seeds,
-                         "T_factor": AQC_TIME_FACTOR,
-                         "schedule_power": AQC_SCHEDULE_POWER}
+                         "T_factor": TIME_FACTOR,
+                         "schedule_power": SCHEDULE_POWER}
     for t in targets:
         ys = stars[t]
         fit = linear_fit(kappas, ys)
@@ -377,9 +357,9 @@ def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3,
     cases = []
     for seed in range(cal_seeds):
         inst = planted_tridiag_instance(n, kappa, seed)
-        cases.append((inst, _twoblock_target(inst)))
+        cases.append((inst, seed_filter(inst)[2]))
     for factor in CALIBRATION_FACTORS:
-        cfg = AqcConfig(T=factor * kappa, p=AQC_SCHEDULE_POWER)
+        cfg = AqcConfig(T=factor * kappa)
         gams = [fidelity(goal, evolve(inst, cfg)) for inst, goal in cases]
         if float(np.mean(gams)) >= target:
             return factor
@@ -407,7 +387,7 @@ def experiment_kappa_scaling(kappas=(4.0, 8.0, 16.0, 32.0, 64.0),
     for kappa in kappas:
         factor = calibrate_time_factor(kappa)
         factors.append(factor)
-        cfg = AqcConfig(T=factor * kappa, p=AQC_SCHEDULE_POWER)
+        cfg = AqcConfig(T=factor * kappa)
         per_method: dict[str, list[float]] = {m: [] for m in means}
         for seed in range(seeds):
             inst = planted_tridiag_instance(n, kappa, seed)

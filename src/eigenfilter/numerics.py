@@ -19,11 +19,11 @@ through `matvec_of`, which dispatches on that dtype: a real operator meets a
 real vector in a GEMV and a complex one in a GEMM on its (N, 2) float view;
 a complex operator keeps the complex product. States stay complex128.
 
-Spectral-norm guards (block-encoding subnormalizations,
+Spectral-norm guards (block-encoding subnormalizations, `clenshaw_apply`'s
 `contraction_matvec`) go through `spectral_norm_bound`: the certified bound
 sqrt(‖X‖₁·‖X‖∞) is checked first, and an SVD runs only when that bound does
 not already settle the guard, so a guard accepts exactly when the exact
-check would.
+check would. No solver or sweep runs a guard: the instance bounds ‖A‖.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
     """Σ_k c_k T_k(H) vec, with H given only by its matvec; no validation.
 
     The caller guarantees that H is a contraction (contraction_matvec checks
-    it per call; the solvers bound H(f) once per run). b_D = c_D·v needs
-    no matvec, so a degree-D series costs D matvecs.
+    it per call; the instance's bound on ‖A‖ bounds the solvers'). b_D =
+    c_D·v needs no matvec, so a degree-D series costs D matvecs.
     """
     if c.size == 1:
         return c[0] * vec

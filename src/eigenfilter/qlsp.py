@@ -7,8 +7,8 @@ at f=1. In each picture (positive-definite, and the dilations for indefinite
 and non-Hermitian input) H0 and H1 are off-diagonal, σ₊⊗B + σ₋⊗B†:
 `hamiltonian_blocks` lays out the blocks and `offdiag` builds H0 and H1.
 The module also bounds the gap of H(f) and exposes the exact eigenpath with
-its length and (exact) derivative diagnostics. H1's encoding is the matrix
-H1 with the bookkeeping of its circuit.
+its length and (exact) derivative diagnostics. The encodings (each matrix
+with its circuit's bookkeeping) serve verification; solvers use the matrices.
 """
 
 from __future__ import annotations

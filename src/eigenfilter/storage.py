@@ -51,6 +51,17 @@ class StorageError(ValueError):
         self.line, self.column = line, column
 
 
+def _read_text(path) -> str:
+    """A file's ASCII text; a non-ASCII byte fails to parse at its place."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+    pos = re.search(rb"[\x80-\xff]", data).start()
+    raise StorageError(f"non-ASCII byte 0x{data[pos]:02x}", data.count(b"\n", 0, pos) + 1,
+                       pos - data.rfind(b"\n", 0, pos))
+
+
 def _plain(value):
     """JSON-safe copy: numpy scalars and arrays to native types."""
     if isinstance(value, dict):
@@ -179,7 +190,7 @@ def save_instance(path, inst: QlspInstance) -> None:
 
 
 def load_instance(path) -> QlspInstance:
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_text(path)
     head, sep, rest = text.partition("\n")
     if not sep:
         raise StorageError("missing matrix block", 2, 1)
@@ -216,7 +227,7 @@ def save_report(path, report: SolverReport) -> None:
 
 
 def load_report(path) -> SolverReport:
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_text(path)
     try:
         record = json.loads(text)
     except json.JSONDecodeError as e:
@@ -267,7 +278,7 @@ def save_experiment(path, result: ExperimentResult) -> None:
 
 
 def load_experiment(path) -> ExperimentResult:
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines:
         raise StorageError("empty table", 1, 1)
@@ -286,7 +297,7 @@ def load_experiment(path) -> ExperimentResult:
     side = _sidecar(path)
     if side.exists():
         try:
-            meta = json.loads(side.read_text(encoding="ascii"))
+            meta = json.loads(_read_text(side))
         except json.JSONDecodeError as e:
             raise StorageError("malformed experiment sidecar", e.lineno, e.colno) from None
         name = meta.get("name", name)
@@ -307,7 +318,7 @@ def save(path, value) -> None:
 
 def load(path):
     """Dispatch on file shape: instance header, JSON record, or CSV table."""
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_text(path)
     first = text.partition("\n")[0].strip()
     if first.startswith("{"):
         if '"qlsp-instance"' in first:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
-from .filtering import filter_offdiag, measure_ancilla, sample_restarts
+from .filtering import filter_offdiag, measure_ancilla, prepend_ancilla, sample_restarts
 from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
@@ -140,7 +140,6 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     b_form = convex_combination(b0, b1)
     bh_form = convex_combination(np.ascontiguousarray(b0.conj().T),
                                  np.ascontiguousarray(b1.conj().T))
-    dim = inst.dim
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
     trace = ZenoTrace()
@@ -163,10 +162,8 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
             u, p = out.post_state, out.success_probability
             probs.append(p)
         if j == params.M:
-            final = measure_ancilla(StateRegister(
-                np.concatenate([u.amps, np.zeros(dim)]),
-                ancilla=1, system=inst.n))
-            u = u.with_amps(final.post_state.amps[:dim])
+            final = measure_ancilla(prepend_ancilla(u.amps))
+            u = u.with_amps(final.post_state.amps[:u.dim])
             p *= final.success_probability
             probs.append(final.success_probability)
         trace.per_step_success.append(p)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenfilter import aqc
+from eigenfilter import aqc, baseline, blockenc, numerics
 from eigenfilter.aqc import (
     AqcConfig,
     evolve,
@@ -11,17 +11,35 @@ from eigenfilter.aqc import (
     hsim_query_formula,
     overlap_trace,
     schedule_p,
+    seed_filter,
     solve_aqc_filtered,
 )
+from eigenfilter.baseline import solve_qsp_direct
 from eigenfilter.chebpoly import jacobi_anger_coeffs
-from eigenfilter.harness import gen_instance
+from eigenfilter.filtering import apply_filter, transformed_gap
+from eigenfilter.harness import (
+    experiment_ell_vs_kappa,
+    experiment_fidelity_vs_ell,
+    experiment_kappa_scaling,
+    gen_instance,
+    planted_tridiag_instance,
+)
 from eigenfilter.numerics import (
     DenseOperator,
     StateRegister,
     eig_hermitian,
     fidelity,
 )
-from eigenfilter.qlsp import NORM_BOUND, QlspInstance, path_vector, solution_state
+from eigenfilter.qlsp import (
+    FORMS,
+    NORM_BOUND,
+    QlspInstance,
+    extend_general,
+    gap_lower_bound,
+    make_h1_encoding,
+    path_vector,
+    solution_state,
+)
 
 
 def eigh_midpoint(inst, cfg, initial=None):
@@ -307,3 +325,92 @@ def test_hsim_formula_positive_and_growing():
     q10 = hsim_query_formula(3, 10.0)
     q100 = hsim_query_formula(3, 100.0)
     assert 0.0 < q10 < q100
+
+
+def _filter_picture(inst):
+    """The instance the seeded solver filters in: general input extended."""
+    if inst.form == "general":
+        return extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    return inst
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_seed_filter_is_apply_filter_on_h1_encoding(form):
+    # the stage filters on H1/d, which is bitwise the shifted contraction
+    # (H1 - 0·I)/(d + 0) that apply_filter forms from H1's encoding
+    inst = _filter_picture(gen_instance(3, 6.0, 1, form))
+    filt, gap, target = seed_filter(inst)
+    enc, raw_gap = make_h1_encoding(inst), gap_lower_bound(inst, 1.0)
+    assert gap == transformed_gap(enc, 0.0, raw_gap)
+    assert np.array_equal(target.amps[:inst.dim], solution_state(inst).amps)
+    assert not target.amps[inst.dim:].any()
+    seeded = evolve(inst, AqcConfig(T=0.2 * inst.kappa))
+    if form != "positive-definite":
+        seeded, _ = aqc._dilated_to_twoblock(seeded, inst.n)
+    rng = np.random.default_rng(2)
+    real = rng.normal(size=2 * inst.dim)
+    states = [seeded, StateRegister(real / np.linalg.norm(real), 1, inst.n)]
+    for psi in states:
+        for ell in (1, 4, 17, 60):
+            got = filt(ell, psi)
+            want = apply_filter(enc, 0.0, ell, psi, gap=raw_gap)
+            assert got.success_probability == want.success_probability
+            assert np.array_equal(got.post_state.amps, want.post_state.amps)
+
+
+def test_solvers_and_sweeps_build_no_encoding_and_run_no_guard(monkeypatch):
+    # the seeded filter, the inversion baseline and the sweeps work on
+    # contractions the instance bounds at entry: no 2N×2N encoding is built,
+    # and no spectral-norm guard runs
+    built, guarded = [], []
+    post_init = blockenc.BlockEncoding.__post_init__
+    norm_bound = numerics.spectral_norm_bound
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_bound(*args):
+        guarded.append(args)
+        return norm_bound(*args)
+
+    monkeypatch.setattr(blockenc.BlockEncoding, "__post_init__", counted_init)
+    monkeypatch.setattr(numerics, "spectral_norm_bound", counted_bound)
+    inst = gen_instance(3, 6.0, 1)
+    make_h1_encoding(inst)
+    numerics.contraction_matvec(inst.A.mat)
+    assert (len(built), len(guarded)) == (1, 1)  # the counters see both
+    for form in FORMS:
+        inst = gen_instance(3, 6.0, 1, form)
+        for mode, seed in (("postselect", None), ("sample", 3)):
+            solve_aqc_filtered(inst, 1e-6, mode=mode, seed=seed)
+        solve_qsp_direct(inst, 1e-6)
+    experiment_fidelity_vs_ell(kappas=(10.0,), seeds=1, n=3)
+    experiment_ell_vs_kappa(kappas=(10.0, 20.0), seeds=1, n=3)
+    experiment_kappa_scaling(kappas=(4.0, 8.0), seeds=1, n=3)
+    assert (len(built), len(guarded)) == (1, 1)
+
+
+@pytest.mark.parametrize("form, n", [(form, 3) for form in FORMS]
+                         + [("planted", n) for n in range(2, 8)])
+def test_solver_contractions_need_no_guard(monkeypatch, form, n):
+    # the seed's filter runs on H1/d and the baseline on A/d without a norm
+    # guard: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1, and the exact
+    # norm agrees
+    inst = (planted_tridiag_instance(n, 16.0, 0) if form == "planted"
+            else gen_instance(n, 6.0, 1, form))
+    seen = []
+    for module in (aqc, baseline):
+        make = module.matvec_of
+
+        def recorded(m, make=make):
+            seen.append(np.array(m))
+            return make(m)
+
+        monkeypatch.setattr(module, "matvec_of", recorded)
+    solve_aqc_filtered(inst, 1e-6)
+    solve_qsp_direct(inst, 1e-6)
+    dim = _filter_picture(inst).dim
+    assert [m.shape[0] for m in seen] == [2 * dim, dim]
+    for m in seen:
+        assert np.linalg.norm(m, 2) <= 1.0 + 1e-10

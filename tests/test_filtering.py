@@ -8,6 +8,7 @@ from eigenfilter.chebpoly import BOUND_GAP_CAP, FilterSpec
 from eigenfilter.filtering import (
     apply_filter,
     measure_ancilla,
+    prepend_ancilla,
     projector_error,
     reflection_apply,
     sample_restarts,
@@ -122,6 +123,16 @@ def test_theta_reflection_matches_spectral_oracle():
     spec = FilterSpec(30, transformed_gap(enc, 0.1))
     # global phase of the construction is physical here: compare directly
     assert np.linalg.norm(got - want) <= 8.0 * spec.error_bound
+
+
+def test_prepend_ancilla_is_the_layout_measure_ancilla_reads():
+    u = np.array([0.6, 0.0, 0.0, 0.8j])
+    state = prepend_ancilla(u)
+    assert (state.ancilla, state.system) == (1, 2)
+    assert np.array_equal(state.amps, np.concatenate([u, np.zeros(4)]))
+    out = measure_ancilla(state)
+    assert out.success_probability == 1.0
+    assert np.array_equal(out.post_state.amps, state.amps)
 
 
 def test_measure_ancilla_postselect_and_sample():

@@ -20,6 +20,7 @@ from eigenfilter.storage import (
     _parse_matrix_block,
     io_roundtrip,
     load,
+    load_experiment,
     load_instance,
     load_report,
     save,
@@ -385,3 +386,33 @@ def test_short_csv_row_reports_line(tmp_path):
 def test_save_rejects_unknown_values(tmp_path):
     with pytest.raises(StorageError):
         save(tmp_path / "x", {"not": "supported"})
+
+
+@pytest.mark.parametrize("loader, files, byte, line, column", [
+    (load_instance, {"x.qlsp": b'{"kind": "qlsp-instance"}\n\xff\n'},
+     0xff, 2, 1),
+    (load_report, {"x.json": b'{\n  "kind": "solver-r\xe9port"\n}\n'},
+     0xe9, 2, 20),
+    (load_experiment, {"x.csv": b"kappa,ell\n10.0,0\n10.0,\x80\n"},
+     0x80, 3, 6),
+    (load_experiment, {"x.csv": b"kappa,ell\n10.0,0\n",
+                       "x.csv.meta.json": b'{"name": "\xc3\xa9"}\n'},
+     0xc3, 1, 11),
+    (load, {"x.qlsp": b'{"kind": "qlsp-instance"}\n\xff\n'}, 0xff, 2, 1),
+    (load, {"x.csv": b"\x80kappa,ell\n"}, 0x80, 1, 1),
+], ids=["instance", "report", "table", "sidecar", "load-instance",
+        "load-table"])
+def test_non_ascii_byte_fails_to_parse_at_its_place(tmp_path, loader, files,
+                                                    byte, line, column):
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    with pytest.raises(StorageError, match=f"non-ASCII byte 0x{byte:02x}") as err:
+        loader(tmp_path / next(iter(files)))
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_non_ascii_instance_file_is_an_input_parse_failure(tmp_path, capsys):
+    path = tmp_path / "bad.qlsp"
+    path.write_bytes(b'{"kind": "qlsp-instance"}\n\xff\n')
+    assert main(["solve", "--in", str(path), "--method", "zeno"]) == 2
+    assert "non-ASCII byte 0xff at line 2, column 1" in capsys.readouterr().err
