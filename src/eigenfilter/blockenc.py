@@ -1,10 +1,10 @@
 """Block-encoding algebra: (alpha, m, eps) bookkeeping plus explicit dilations.
 
-Two modes. Abstract mode carries the encoded matrix together with its
-subnormalization, ancilla count, and error bound; this is the production path
-and scales to the full desk-scale dimensions. Explicit mode completes
-payload/alpha to an actual unitary with one extra ancilla and exists so the
-bookkeeping can be verified against a real top-left block on tiny dimensions.
+An encoding carries the encoded matrix together with its subnormalization,
+ancilla count, and error bound, and scales to the full desk-scale
+dimensions. `verify` completes payload/alpha to an actual unitary with one
+extra ancilla, so the bookkeeping can be checked against a real top-left
+block on tiny dimensions; no encoding stores that unitary.
 
 The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
 sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
@@ -42,7 +42,6 @@ class BlockEncoding:
     alpha: float
     ancilla: int
     err_bound: float = 0.0
-    unitary: DenseOperator | None = None
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -58,18 +57,6 @@ class BlockEncoding:
                 f"payload norm {nrm:.6g} exceeds alpha {self.alpha:.6g}: "
                 "no unitary dilation exists"
             )
-        if self.unitary is not None:
-            u = self.unitary.mat
-            d = self.payload.dim
-            if u.shape[0] != d * 2 ** self.ancilla:
-                raise ValueError("explicit unitary dimension != 2^ancilla * dim")
-            if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) > UNITARY_TOL:
-                raise ValueError("explicit unitary is not unitary within tolerance")
-            err = np.linalg.norm(self.payload.mat - self.alpha * u[:d, :d], 2)
-            if err > self.err_bound + UNITARY_TOL:
-                raise ValueError(
-                    f"top-left block error {err:.3e} exceeds declared bound"
-                )
 
     @property
     def dim(self) -> int:
@@ -85,7 +72,7 @@ def _num_qubits(dim: int) -> int:
 
 def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
            err_bound: float = 0.0) -> BlockEncoding:
-    """Abstract encoding of A with subnormalization alpha.
+    """Encoding of A with subnormalization alpha.
 
     When the ancilla count is not supplied, the sparse-access convention
     m = n + 2 is recorded (n system qubits). The norm guard is the one
@@ -160,9 +147,7 @@ def dilate_to_unitary(enc: BlockEncoding) -> DenseOperator:
     U = [[X, sqrt(I-XX†)], [sqrt(I-X†X), -X†]] with X = payload/alpha.
     """
     if enc.dim * 2 ** (enc.ancilla + 1) > DILATION_DIM_CAP:
-        raise ValueError(
-            "dilation size guard exceeded; use abstract mode for bookkeeping"
-        )
+        raise ValueError("dilation size guard exceeded; too large to verify")
     x = enc.payload.mat / enc.alpha
     d = enc.dim
     top = _psd_sqrt(np.eye(d) - x @ x.conj().T)
@@ -171,21 +156,11 @@ def dilate_to_unitary(enc: BlockEncoding) -> DenseOperator:
     return DenseOperator(u)
 
 
-def attach_unitary(enc: BlockEncoding) -> BlockEncoding:
-    """Explicit-mode copy of an abstract encoding (verification path).
-
-    The returned encoding declares the single dilation ancilla so the
-    explicit-unitary invariants are checkable; the circuit-count ancilla
-    bookkeeping stays on the abstract object.
-    """
-    u = dilate_to_unitary(enc)
-    return BlockEncoding(enc.payload, enc.alpha, 1, enc.err_bound, unitary=u)
-
-
 def verify(enc: BlockEncoding) -> float:
-    """Measured encoding error ‖A - alpha·(top-left block)‖ (explicit mode)."""
-    if enc.unitary is None:
-        raise ValueError("verify needs an explicit unitary")
+    """Measured error ‖A - alpha·(top-left block)‖ of dilate_to_unitary(enc),
+    built here; ValueError unless that dilation is unitary within UNITARY_TOL."""
+    u = dilate_to_unitary(enc).mat
+    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) > UNITARY_TOL:
+        raise ValueError("dilation is not unitary within tolerance")
     d = enc.dim
-    block = enc.unitary.mat[:d, :d]
-    return float(np.linalg.norm(enc.payload.mat - enc.alpha * block, 2))
+    return float(np.linalg.norm(enc.payload.mat - enc.alpha * u[:d, :d], 2))

@@ -38,19 +38,17 @@ def _log_cosh(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Half-degree ell (total degree 2·ell) and gap of a filter polynomial."""
+    """Half-degree ell (total degree 2·ell) and gap: the pair fixes both R_ell
+    and its reflection S_ell, and the caller's evaluator picks one."""
 
     ell: int
     gap: float
-    kind: str = "filter"
 
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("ell must be a positive integer")
         if not 0.0 < self.gap < 1.0:
             raise ValueError("gap must lie in (0, 1)")
-        if self.kind not in ("filter", "reflection"):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def bound_gap(self) -> float:
@@ -64,8 +62,6 @@ class FilterSpec:
 
 def filter_eval(spec: FilterSpec, x):
     """R_ell(x; gap), exactly 1 at x = 0; x a float or an array of floats."""
-    if spec.kind != "filter":
-        raise ValueError("filter_eval needs kind='filter'")
     ell, gap = spec.ell, spec.gap
     g2 = gap * gap
     x = np.asarray(x, dtype=float)
@@ -93,11 +89,8 @@ def reflection_eval(spec: FilterSpec, x):
     ±1/|T_ell(y0)| = ±|R_ell(1)| (since y(1) = 1), and its negative end
     gives the maximum.
     """
-    if spec.kind != "reflection":
-        raise ValueError("reflection_eval needs kind='reflection'")
-    base = FilterSpec(spec.ell, spec.gap, "filter")
-    norm = 1.0 + 2.0 * abs(filter_eval(base, 1.0))
-    return (2.0 * filter_eval(base, x) - 1.0) / norm
+    norm = 1.0 + 2.0 * abs(filter_eval(spec, 1.0))
+    return (2.0 * filter_eval(spec, x) - 1.0) / norm
 
 
 def degree_for_accuracy(gap: float, eps: float) -> int:
@@ -161,16 +154,14 @@ def cheb_interp_coeffs(fn, degree: int) -> np.ndarray:
 
 def filter_cheb_coeffs(spec: FilterSpec) -> ChebSeries:
     """Exact expansion of R_ell into the first 2·ell+1 Chebyshev polynomials."""
-    base = FilterSpec(spec.ell, spec.gap, "filter")
-    c = cheb_interp_coeffs(lambda x: filter_eval(base, x), 2 * spec.ell)
+    c = cheb_interp_coeffs(lambda x: filter_eval(spec, x), 2 * spec.ell)
     c[1::2] = 0.0  # R_ell is even; interpolation residue is pure roundoff
     return ChebSeries(c, parity="even")
 
 
 def reflection_cheb_coeffs(spec: FilterSpec) -> ChebSeries:
     """Expansion of the normalized reflection polynomial S_ell."""
-    rspec = FilterSpec(spec.ell, spec.gap, "reflection")
-    c = cheb_interp_coeffs(lambda x: reflection_eval(rspec, x), 2 * spec.ell)
+    c = cheb_interp_coeffs(lambda x: reflection_eval(spec, x), 2 * spec.ell)
     c[1::2] = 0.0
     return ChebSeries(c, parity="even")
 
@@ -269,17 +260,17 @@ def _lp_minimax(ell: int, gap: float, grid_size: int) -> float:
     return float(res.fun)
 
 
-def minimax_oracle(ell: int, gap: float, grid_size: int | None = None) -> float:
+def minimax_oracle(ell: int, gap: float) -> float:
     """Discretized-LP minimax value over even degree-2ell polynomials p(0)=1.
 
-    The grid doubles until the optimum moves by less than 1e-8, so the value
-    is an independent reference for the closed-form filter's optimality.
+    The grid starts at max(64·ell, 256) points and doubles until the optimum
+    moves by less than 1e-8: an independent reference for the closed form.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
     if not 0.0 < gap < 1.0:
         raise ValueError("gap must lie in (0, 1)")
-    n = max(grid_size or 0, 64 * ell, 256)
+    n = max(64 * ell, 256)
     t_prev = _lp_minimax(ell, gap, n)
     for _ in range(8):
         n *= 2

@@ -21,7 +21,7 @@ import numpy as np
 from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_trace,
                   require_trace_form, solve_aqc_filtered)
 from .baseline import solve_qsp_direct
-from .blockenc import attach_unitary, encode, verify
+from .blockenc import encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
 from .filtering import apply_filter, measured_gap, transformed_gap
 from .harness import (
@@ -105,7 +105,7 @@ def _cmd_poly(args) -> int:
         raise ValidationFailure("--ell is required for poly")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    spec = FilterSpec(args.ell, args.gap, kind=args.kind)
+    spec = FilterSpec(args.ell, args.gap)
     xs = np.linspace(-1.0, 1.0, args.points)
     fn = filter_eval if args.kind == "filter" else reflection_eval
     rows = list(zip(xs.tolist(), fn(spec, xs).tolist()))
@@ -265,13 +265,13 @@ def _validate_zeno(args, failures):
 def _validate_blockenc(args, failures):
     inst = gen_instance(2, 10.0, args.seed)
     enc = make_h1_encoding(inst)
-    err = verify(attach_unitary(enc))
+    err = verify(enc)
     ok = err <= 1e-10 and enc.ancilla == inst.n + 4 and enc.alpha == inst.d
     _check(failures, ok, "encoding H1",
            f"alpha={enc.alpha!r} m={enc.ancilla} err={err!r}")
     hf = make_hf(inst, 0.5)
     want_alpha = 1.0 - 0.5 + 0.5 * inst.d
-    err = verify(attach_unitary(hf))
+    err = verify(hf)
     ok = err <= 1e-10 and hf.ancilla == inst.n + 6 and hf.alpha == want_alpha
     _check(failures, ok, "encoding H(f)",
            f"alpha={hf.alpha!r} m={hf.ancilla} err={err!r}")

@@ -150,7 +150,7 @@ def reflection_apply(enc: BlockEncoding, lam: float, ell: int,
     """Apply the normalized reflection polynomial about the λ-eigenspace."""
     htilde = _shifted_contraction(enc, lam)
     gap_t = transformed_gap(enc, lam, gap)
-    series = reflection_cheb_coeffs(FilterSpec(ell, gap_t, "reflection"))
+    series = reflection_cheb_coeffs(FilterSpec(ell, gap_t))
     out = clenshaw_apply(series, htilde, psi)
     p = min(float(out.norm() ** 2), 1.0)
     return MeasurementOutcome(p, out.normalized(), ancilla_budget=enc.ancilla + 2)

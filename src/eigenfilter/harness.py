@@ -27,8 +27,9 @@ import numpy as np
 from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve, seed_filter,
                   solve_aqc_filtered)
 from .baseline import solve_qsp_direct
+from .filtering import prepend_ancilla
 from .numerics import DenseOperator, StateRegister, fidelity
-from .qlsp import QlspInstance
+from .qlsp import QlspInstance, solution_state
 from .report import ExperimentResult, SolverReport
 from .zeno import solve_zeno, zeno_params
 
@@ -342,9 +343,8 @@ def zeno_log_factor(kappa: float, eps: float) -> float:
     return math.log(2.0 / params.eps_p) * params.M / math.log(kappa)
 
 
-def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3,
-                          target: float = SEED_OVERLAP_TARGET) -> float:
-    """Smallest evolution-time factor whose mean seed overlap reaches target.
+def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3) -> float:
+    """Smallest time factor whose mean seed overlap reaches SEED_OVERLAP_TARGET.
 
     Constant-precision preparation: the adiabatic seed should land at a
     kappa-independent overlap with the solution, so the repetition count
@@ -352,16 +352,16 @@ def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3,
     search walks a fixed geometric factor grid (ascending, early exit), so
     the result is deterministic. The overlap is insensitive to dimension,
     so calibration defaults to a small n for speed. The instances and their
-    targets are built once and shared by every factor tried.
+    targets |0⟩|x⟩ are built once and shared by every factor tried.
     """
     cases = []
     for seed in range(cal_seeds):
         inst = planted_tridiag_instance(n, kappa, seed)
-        cases.append((inst, seed_filter(inst)[2]))
+        cases.append((inst, prepend_ancilla(solution_state(inst).amps)))
     for factor in CALIBRATION_FACTORS:
         cfg = AqcConfig(T=factor * kappa)
         gams = [fidelity(goal, evolve(inst, cfg)) for inst, goal in cases]
-        if float(np.mean(gams)) >= target:
+        if float(np.mean(gams)) >= SEED_OVERLAP_TARGET:
             return factor
     return CALIBRATION_FACTORS[-1]
 

@@ -31,6 +31,7 @@ _SM = _SP.T
 # hamiltonian_blocks, and with it H0 = offdiag(B0) and H1 = offdiag(B1), has
 # spectral norm at most NORM_BOUND too (see aqc.evolve and zeno.solve_zeno).
 NORM_BOUND = 1.0 + 1e-10
+EIGENPATH_SAMPLES = 256  # quadrature points of eigenpath_length
 
 
 @dataclass(frozen=True)
@@ -243,15 +244,11 @@ def lstar(kappa: float, a: float, b: float) -> float:
     return (2.0 / r) * math.log((1.0 - r * a) / (1.0 - r * b))
 
 
-def eigenpath_length(inst: QlspInstance, samples: int = 256,
-                     a: float = 0.0, b: float = 1.0) -> float:
-    """Trapezoidal quadrature of ‖∂_f x(f)‖ over [a, b] (see
-    eigenpath_state), on path vectors computed together."""
-    if samples < 64:
-        raise ValueError("need at least 64 quadrature samples")
-    if not (0.0 <= min(a, b) and max(a, b) <= 1.0):
-        raise ValueError("f must lie in [0, 1]")
-    fs = np.linspace(a, b, samples)
+def eigenpath_length(inst: QlspInstance) -> float:
+    """Trapezoidal quadrature of ‖∂_f x(f)‖ over f in [0, 1] (see
+    eigenpath_state) at EIGENPATH_SAMPLES points, on path vectors computed
+    together."""
+    fs = np.linspace(0.0, 1.0, EIGENPATH_SAMPLES)
     derivs = [_derivative_norm(inst, float(f), x)
               for f, x in zip(fs, path_vectors(inst, fs))]
     return float(np.trapezoid(derivs, fs))

@@ -87,6 +87,7 @@ _REPORT_FIELDS = {"method": (str, None), "params": (dict, None),
                   "success_probabilities": (list, _NUM),
                   "query_ledger": (dict, int),
                   "formula_derived_costs": (dict, _NUM), "attempts": (int, None)}
+_SIDECAR_FIELDS = {"name": (str, None), "diagnostics": (dict, None)}
 
 
 def _is(value, kinds) -> bool:
@@ -300,8 +301,10 @@ def load_experiment(path) -> ExperimentResult:
             meta = json.loads(_read_text(side))
         except json.JSONDecodeError as e:
             raise StorageError("malformed experiment sidecar", e.lineno, e.colno) from None
-        name = meta.get("name", name)
-        diagnostics = meta.get("diagnostics", {})
+        if not isinstance(meta, dict):
+            raise StorageError("experiment sidecar is not a JSON object", 1, 1)
+        name, diagnostics = _fields({"name": name, "diagnostics": {}, **meta},
+                                    _SIDECAR_FIELDS, 1).values()
     return ExperimentResult(name, columns, rows, diagnostics)
 
 

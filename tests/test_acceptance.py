@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from eigenfilter.blockenc import (
-    attach_unitary,
     encode,
     linear_combine,
     multiply,
@@ -110,7 +109,7 @@ def test_criterion_03_filter_projector_distance_on_64x64():
                 dec = eig_hermitian(op.mat)
                 shifted = (dec.eigenvalues - lam) / (alpha + abs(lam))
                 inside = np.abs(dec.eigenvalues - lam) <= 1e-9
-                rspec = FilterSpec(ell, gap_t, "reflection")
+                rspec = FilterSpec(ell, gap_t)
                 svals = np.array([reflection_eval(rspec, float(x))
                                   for x in shifted])
                 r_dist = np.max(np.abs(svals - np.where(inside, 1.0, -1.0)))
@@ -145,12 +144,12 @@ def test_criterion_04_block_encoding_verification():
     worst = 0.0
     for n, seed in ((2, 0), (3, 1), (4, 2)):
         enc = encode(gen_instance(n, 5.0, seed).A, alpha=1.5)
-        worst = max(worst, verify(attach_unitary(enc)))
-        worst = max(worst, verify(attach_unitary(shift_add_identity(enc, 0.35))))
+        worst = max(worst, verify(enc))
+        worst = max(worst, verify(shift_add_identity(enc, 0.35)))
     a = encode(gen_instance(2, 5.0, 3).A, alpha=1.25)
     b = encode(gen_instance(2, 7.0, 4).A, alpha=2.0)
-    worst = max(worst, verify(attach_unitary(multiply(a, b))))
-    worst = max(worst, verify(attach_unitary(linear_combine([a, b], (0.4, 1.1)))))
+    worst = max(worst, verify(multiply(a, b)))
+    worst = max(worst, verify(linear_combine([a, b], (0.4, 1.1))))
 
     inst = gen_instance(3, 10.0, 0)
     h1 = make_h1_encoding(inst)

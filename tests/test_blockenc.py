@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from eigenfilter import blockenc
 from eigenfilter.blockenc import (
     BlockEncoding,
-    attach_unitary,
     dilate_to_unitary,
     encode,
     linear_combine,
@@ -71,16 +71,10 @@ def test_dilation_unitary_and_block_exact():
         assert np.linalg.norm(op.mat - 1.5 * u[:8, :8], 2) <= 1e-10
 
 
-def test_attach_and_verify_round_trip():
+def test_verify_round_trip():
     op = small_hermitian(16, 5)
-    err = verify(attach_unitary(encode(op, alpha=2.0)))
+    err = verify(encode(op, alpha=2.0))
     assert err <= 1e-10
-
-
-def test_verify_requires_explicit_mode():
-    enc = encode(small_hermitian(2, 6), alpha=1.0)
-    with pytest.raises(ValueError):
-        verify(enc)
 
 
 def test_shift_adds_alpha_and_one_ancilla():
@@ -91,7 +85,7 @@ def test_shift_adds_alpha_and_one_ancilla():
     assert shifted.ancilla == enc.ancilla + 1
     assert np.allclose(shifted.payload.mat, op.mat - 0.25 * np.eye(4))
     assert shifted.payload.hermitian
-    assert verify(attach_unitary(shifted)) <= 1e-10
+    assert verify(shifted) <= 1e-10
 
 
 def test_shift_complex_records_phase():
@@ -108,7 +102,7 @@ def test_multiply_combines_alpha_ancilla_error():
     assert prod.ancilla == a.ancilla + b.ancilla
     assert prod.err_bound == pytest.approx(2.0 * 1e-4 + 3.0 * 1e-3)
     assert np.allclose(prod.payload.mat, a.payload.mat @ b.payload.mat)
-    assert verify(attach_unitary(prod)) <= 1e-10
+    assert verify(prod) <= 1e-10
 
 
 def test_linear_combine_bookkeeping():
@@ -120,7 +114,7 @@ def test_linear_combine_bookkeeping():
     assert np.allclose(comb.payload.mat,
                        0.5 * a.payload.mat + 0.25 * b.payload.mat)
     assert comb.payload.hermitian
-    assert verify(attach_unitary(comb)) <= 1e-10
+    assert verify(comb) <= 1e-10
 
 
 def test_linear_combine_rejects_negative_weights():
@@ -161,16 +155,12 @@ def test_block_encoding_rejects_overfull_payload():
         BlockEncoding(DenseOperator(2.0 * np.eye(2)), 1.0, 0)
 
 
-def test_block_encoding_checks_declared_unitary():
-    op = DenseOperator(0.5 * np.eye(2))
-    bad = DenseOperator(np.eye(4) * 0.9)
-    with pytest.raises(ValueError):
-        BlockEncoding(op, 1.0, 1, unitary=bad)
-    lying = DenseOperator(np.eye(4))
-    with pytest.raises(ValueError):
-        # unitary fine, but its top-left block is I, not payload/alpha
-        BlockEncoding(DenseOperator(0.1 * np.ones((2, 2))), 1.0, 1,
-                      unitary=lying)
+def test_verify_rejects_a_non_unitary_dilation(monkeypatch):
+    enc = encode(DenseOperator(0.5 * np.eye(2)), alpha=1.0, ancilla=1)
+    monkeypatch.setattr(blockenc, "dilate_to_unitary",
+                        lambda e: DenseOperator(np.eye(4) * 0.9))
+    with pytest.raises(ValueError, match="not unitary"):
+        verify(enc)
 
 
 def test_dilation_size_guard():

@@ -39,7 +39,7 @@ def test_filter_eval_takes_arrays_and_floats():
         assert type(got) is float
         assert got == pytest.approx(v, rel=0.0, abs=1e-15)
     assert vals[xs == 0.0].tolist() == [1.0, 1.0]
-    rspec = FilterSpec(40, 0.1, "reflection")
+    rspec = FilterSpec(40, 0.1)
     assert reflection_eval(rspec, xs)[200] == reflection_eval(rspec, 0.0)
 
 
@@ -124,7 +124,7 @@ def test_filter_coeffs_reproduce_filter():
 
 
 def test_reflection_normalization_and_value_at_zero():
-    spec = FilterSpec(10, 0.2, kind="reflection")
+    spec = FilterSpec(10, 0.2)
     xs = np.linspace(-1.0, 1.0, 20_001)
     vals = np.array([reflection_eval(spec, float(x)) for x in xs])
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
@@ -166,7 +166,7 @@ def _searched_reflection_norm(ell, gap):
 def test_reflection_norm_matches_search(gap):
     # S_ell(0) = 1 / (sup-norm of 2·R_ell - 1), the closed form
     for ell in (1, 2, 3, 4, 5, 8, 16, 30, 48, 64, 100):
-        norm = 1.0 / reflection_eval(FilterSpec(ell, gap, "reflection"), 0.0)
+        norm = 1.0 / reflection_eval(FilterSpec(ell, gap), 0.0)
         want = _searched_reflection_norm(ell, gap)
         assert abs(norm - want) <= 4 * math.ulp(want), (ell, norm, want)
 
@@ -225,8 +225,6 @@ def test_spec_validation():
         FilterSpec(0, 0.1)
     with pytest.raises(ValueError):
         FilterSpec(3, 1.5)
-    with pytest.raises(ValueError):
-        FilterSpec(3, 0.1, kind="projector")
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-8, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenfilter import harness
+from eigenfilter import aqc, harness
 from eigenfilter.aqc import AqcConfig, evolve
 from eigenfilter.harness import (
     CALIBRATION_FACTORS,
@@ -171,6 +171,14 @@ def test_calibrate_time_factor_walks_the_grid():
     assert factor in CALIBRATION_FACTORS
     assert factor == 0.1
     assert calibrate_time_factor(4.0) == factor
+
+
+def test_calibrate_time_factor_builds_no_filter_stage(monkeypatch):
+    def no_h1(*args):
+        raise AssertionError("calibration built H1")
+
+    monkeypatch.setattr(aqc, "make_h1", no_h1)
+    assert calibrate_time_factor(4.0) == 0.1
 
 
 def test_calibrate_time_factor_builds_each_instance_once(monkeypatch):

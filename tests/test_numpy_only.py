@@ -37,7 +37,7 @@ SCRIPT = textwrap.dedent("""
     ef.solve_aqc_filtered(ef.gen_instance(2, 4.0, 1, "hermitian-indefinite"), eps)
     ef.solve_qsp_direct(ef.gen_instance(2, 4.0, 1, "general"), eps)
     ef.experiment_kappa_scaling(kappas=(2.0, 3.0), seeds=1, n=2)
-    ef.reflection_eval(ef.FilterSpec(16, 0.1, "reflection"), 0.5)
+    ef.reflection_eval(ef.FilterSpec(16, 0.1), 0.5)
     ef.eigenpath_length(inst)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["validate", "--suite", "all"]) == 0

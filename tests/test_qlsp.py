@@ -8,7 +8,6 @@ import pytest
 
 from eigenfilter.aqc import hamiltonian_pair
 from eigenfilter.blockenc import (
-    attach_unitary,
     encode,
     multiply,
     qb_matrix,
@@ -159,11 +158,11 @@ def test_encoding_bookkeeping_matches_construction():
     assert h1.alpha == float(inst.d)
     assert h1.ancilla == inst.n + 4
     assert h1.err_bound == 0.0
-    assert verify(attach_unitary(h1)) <= 1e-10
+    assert verify(h1) <= 1e-10
     hf = make_hf(inst, 0.25)
     assert hf.alpha == pytest.approx(0.75 + 0.25 * inst.d)
     assert hf.ancilla == inst.n + 6
-    assert verify(attach_unitary(hf)) <= 1e-10
+    assert verify(hf) <= 1e-10
 
 
 def test_h0_encoding_accepted_through_exact_norm_fallback():

@@ -134,6 +134,25 @@ def test_experiment_roundtrip_header_and_sidecar(tmp_path):
     assert back.diagnostics == result.diagnostics
 
 
+@pytest.mark.parametrize("sidecar", ["[]", '"s"', '{"name": 3, "diagnostics": []}'],
+                         ids=["list", "string", "ill-typed-fields"])
+def test_malformed_experiment_sidecar_fails_at_line_1(tmp_path, sidecar):
+    path = tmp_path / "table.csv"
+    save(path, small_table())
+    (tmp_path / "table.csv.meta.json").write_text(sidecar)
+    with pytest.raises(StorageError) as err:
+        load(path)
+    assert err.value.line == 1
+
+
+def test_experiment_sidecar_defaults_missing_keys(tmp_path):
+    path = tmp_path / "table.csv"
+    save(path, small_table())
+    (tmp_path / "table.csv.meta.json").write_text("{}")
+    back = load_experiment(path)
+    assert (back.name, back.diagnostics) == ("table", {})
+
+
 def test_load_dispatches_on_shape(tmp_path):
     inst = gen_instance(2, 3.0, 1)
     save(tmp_path / "inst.qlsp", inst)
