@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
-from .filtering import filter_matvec, measure_ancilla, prepend_ancilla, sample_restarts
-from .numerics import StateRegister, clenshaw, convex_combination, fidelity, matvec_of
+from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sample_restarts
+from .numerics import StateRegister, clenshaw, convex_combination, fidelity
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
@@ -101,9 +101,9 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     combination H(f) is bounded too and each H/alpha is a contraction, with
     no norm computed here. Each step forms H(f)/alpha with
     numerics.convex_combination, in one buffer allocated before the loop,
-    so a series of degree D costs D matvecs. The buffer is float64 when H0
-    and H1 both are (as for every real instance), while the state is complex
-    from the first step. The midpoint rule is second-order accurate in
+    and hands that buffer to numerics.clenshaw, so a series of degree D
+    costs D matvecs. The buffer is float64 when H0 and H1 both are (as for
+    every real instance), while the state is complex from the first step. The midpoint rule is second-order accurate in
     1/K; each step is unitary to the series' truncation tolerance (1e-16).
     observer(j, amps), if given, sees the state after j steps, for j = 0
     (the initial state) through K.
@@ -130,21 +130,16 @@ def hsim_query_formula(d: int, kappa: float) -> float:
     return dk * math.log(dk) / math.log(max(math.log(dk), math.e))
 
 
-def require_trace_form(inst: QlspInstance) -> None:
-    """Raise unless overlap_trace can follow inst (positive-definite only)."""
-    if inst.form != "positive-definite":
-        raise ValueError("overlap trace requires a positive-definite instance")
-
-
-def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
-                  stride: int = 1) -> list[tuple[float, float]]:
-    """(s, |<0, x(f(s))|psi(s)>|) along the evolution, every stride steps.
+def overlap_recorder(inst: QlspInstance, cfg: AqcConfig, stride: int = 1):
+    """(observer, points): handed to evolve under cfg, observer appends
+    (s, |<0, x(f(s))|psi(s)>|) to points every stride steps, from s = 0 to
+    s = 1.
 
     Positive-definite instances only (the instantaneous target is the
-    two-block null vector |0>|x(f)>). The first point is s = 0 and the last
-    s = 1.
+    two-block null vector |0>|x(f)>); others raise here, before any run.
     """
-    require_trace_form(inst)
+    if inst.form != "positive-definite":
+        raise ValueError("overlap trace requires a positive-definite instance")
     k = cfg.num_steps
     steps = [j for j in range(k + 1) if j % stride == 0 or j == k]
     fs = [schedule_p(j / k, inst.kappa, cfg.p) for j in steps]
@@ -156,8 +151,7 @@ def overlap_trace(inst: QlspInstance, cfg: AqcConfig,
             overlap = abs(np.vdot(path[step], psi[:inst.dim]))
             points.append((step / k, float(overlap)))
 
-    evolve(inst, cfg, observer=record)
-    return points
+    return record, points
 
 
 def _dilated_to_twoblock(psi: StateRegister, n: int) -> tuple[StateRegister, float]:
@@ -178,9 +172,9 @@ def seed_filter(inst: QlspInstance):
     inst: filt(ell, psi) filters psi toward H1's null space by matvecs with
     H1/d, whose gap around 0 is at least gap, and target is |0⟩|x⟩. H1/d is
     built once, unguarded: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
-    h1 = matvec_of(make_h1(inst.A, inst.b).mat / inst.d)
+    h1 = make_h1(inst.A, inst.b).mat / inst.d
     gap = min(gap_lower_bound(inst, 1.0) / inst.d, BOUND_GAP_CAP)
-    return (lambda ell, psi: filter_matvec(h1, gap, ell, psi), gap,
+    return (lambda ell, psi: filter_ops(h1, gap, ell, psi), gap,
             prepend_ancilla(solution_state(inst).amps))
 
 
@@ -188,14 +182,16 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
                        cfg: AqcConfig | None = None,
                        mode: str = "postselect",
                        seed: int | None = None,
-                       max_attempts: int = 10_000) -> SolverReport:
+                       max_attempts: int = 10_000,
+                       observer=None) -> SolverReport:
     """Adiabatic seed at constant precision, then one filtering step.
 
     The filter degree targets eps scaled by the measured seed overlap
     (a weaker seed needs a sharper filter); the final first-qubit
     measurement removes the |1⟩|b⟩ null component. In sample mode the run
     is simulated once and seeded coins decide the restarts; the ledger
-    charges the filter once per attempt that reached it.
+    charges the filter once per attempt that reached it. observer, if
+    given, is handed to the one evolve call (see overlap_recorder).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -211,7 +207,7 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
     filt, gap, target = seed_filter(filt_inst)
 
     dilated = inst.form != "positive-definite"
-    seeded, accept_p = evolve(filt_inst, cfg), 1.0
+    seeded, accept_p = evolve(filt_inst, cfg, observer=observer), 1.0
     if dilated:
         seeded, accept_p = _dilated_to_twoblock(seeded, filt_inst.n)
     gamma0 = float(abs(np.vdot(target.amps, seeded.amps)))

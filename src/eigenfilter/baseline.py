@@ -30,7 +30,7 @@ import numpy.polynomial.chebyshev as _cheb
 
 from .chebpoly import ChebSeries
 from .filtering import sample_restarts
-from .numerics import StateRegister, clenshaw, fidelity, matvec_of, real_if_real
+from .numerics import StateRegister, clenshaw, fidelity, real_if_real
 from .qlsp import QlspInstance, extend_general, solution_state
 from .report import SolverReport
 
@@ -206,7 +206,7 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     oracle = solution_state(work)
 
     # unguarded: ‖A‖ <= NORM_BOUND at entry, alpha = d >= 1, --d only loosens d
-    out = clenshaw(spec.series.coefficients, matvec_of(work.A.mat / alpha),
+    out = clenshaw(spec.series.coefficients, work.A.mat / alpha,
                    real_if_real(work.b.amps)).astype(complex)
     p = float(np.linalg.norm(out) ** 2)
     [attempts] = sample_restarts([p], np.random.default_rng(seed),

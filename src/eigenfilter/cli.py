@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_trace,
-                  require_trace_form, solve_aqc_filtered)
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_recorder,
+                  solve_aqc_filtered)
 from .baseline import solve_qsp_direct
 from .blockenc import encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
@@ -111,7 +111,9 @@ def _cmd_poly(args) -> int:
     rows = list(zip(xs.tolist(), fn(spec, xs).tolist()))
     if args.out:
         write_table(args.out, ["x", "value"], rows)
-    dmax = max(abs(v) for x, v in rows if abs(x) >= args.gap)
+    # distance to the gap-region value: 0 for R_ell, -1 for S_ell
+    target = 0.0 if args.kind == "filter" else -1.0
+    dmax = max(abs(v - target) for x, v in rows if abs(x) >= args.gap)
     print(f"poly kind={args.kind} ell={spec.ell} gap={spec.gap!r} "
           f"points={args.points} max_on_gap_region={dmax!r} "
           f"error_bound={spec.error_bound!r}")
@@ -167,15 +169,13 @@ def _cmd_solve(args) -> int:
     if args.method == "qsp-direct":
         report = solve_qsp_direct(inst, args.eps, mode=args.mode, seed=args.seed)
     elif args.method == "aqc":
-        if args.trace_out:
-            require_trace_form(inst)  # before the solve, not after it
         cfg = AqcConfig(T=args.T_factor * inst.kappa, p=args.p)
-        report = solve_aqc_filtered(inst, args.eps, cfg=cfg, mode=args.mode,
-                                    seed=args.seed)
-        if args.trace_out:
-            stride = max(1, cfg.num_steps // 200)
-            pts = overlap_trace(inst, cfg, stride=stride)
+        record = None
+        if args.trace_out:  # checks the form before the solve
+            record, pts = overlap_recorder(inst, cfg, max(1, cfg.num_steps // 200))
             trace_rows = ("s,overlap", pts)
+        report = solve_aqc_filtered(inst, args.eps, cfg=cfg, mode=args.mode,
+                                    seed=args.seed, observer=record)
     else:
         report, trace = solve_zeno(inst, args.eps, mode=args.mode,
                                    seed=args.seed)

@@ -10,12 +10,11 @@ Phase factors of the signal-processing circuit are never computed: the
 polynomial is applied directly with a Clenshaw recurrence, which acts
 identically on the encoded block. The transforms that take an encoding
 guard ‖H̃‖ <= 1 per call (for the `filter` command, criteria 3–4 and direct
-calls); solvers and sweeps use the unguarded `filter_matvec`/`filter_offdiag`.
+calls); solvers and sweeps use the unguarded `filter_ops` on their matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,38 +96,30 @@ def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
     the gap is measured from the eigendecomposition.
     """
     htilde = _shifted_contraction(enc, lam)
-    return filter_matvec(numerics.contraction_matvec(htilde),
-                         transformed_gap(enc, lam, gap), ell, psi,
-                         ancilla_budget=enc.ancilla + 2)
+    return filter_ops(numerics.check_contraction(htilde),
+                      transformed_gap(enc, lam, gap), ell, psi,
+                      ancilla_budget=enc.ancilla + 2)
 
 
-def filter_matvec(matvec, gap_t: float, ell: int, psi: StateRegister,
-                  ancilla_budget: int | None = None) -> MeasurementOutcome:
-    """apply_filter's unguarded core, on the contraction H̃ behind matvec
-    with gap gap_t around 0; numerics.clenshaw is looked up per call, so a
-    counting wrapper there sees it."""
+def filter_ops(ops, gap_t: float, ell: int, psi: StateRegister,
+               ancilla_budget: int | None = None) -> MeasurementOutcome:
+    """apply_filter's unguarded core, on the contraction H̃ given as
+    numerics.clenshaw's ops, with gap gap_t around 0; numerics.clenshaw is
+    looked up per call, so a counting wrapper there sees it.
+
+    For H̃ = σ₊⊗B̃ + σ₋⊗B̃† and a state in H̃'s |0⟩ block, held as that block
+    alone, ops is (B̃†, B̃): the filter series is even, so the Clenshaw
+    vector b_k lies in the |0⟩ block for even k and in the |1⟩ block for
+    odd k, its 2ℓ products alternate B̃†, B̃, ..., and the result stays in
+    the |0⟩ block."""
     series = filter_cheb_coeffs(FilterSpec(ell, gap_t))
     out = psi.with_amps(numerics.clenshaw(
-        series.coefficients, matvec, numerics.real_if_real(psi.amps)))
+        series.coefficients, ops, numerics.real_if_real(psi.amps)))
     p = float(out.norm() ** 2)
     if p <= 1e-300:
         raise ValueError("state filtered to zero: no overlap with eigenspace")
     return MeasurementOutcome(min(p, 1.0), out.normalized(),
                               ancilla_budget=ancilla_budget)
-
-
-def filter_offdiag(b_matvec, bh_matvec, gap_t: float, ell: int,
-                   u: StateRegister) -> MeasurementOutcome:
-    """filter_matvec on H̃ = σ₊⊗B̃ + σ₋⊗B̃†, for a state u in H̃'s |0⟩ block,
-    held as that block alone; b_matvec and bh_matvec apply B̃ and B̃†.
-
-    The filter series is even, so the Clenshaw vector b_k lies in the |0⟩
-    block for even k and in the |1⟩ block for odd k: the recurrence's 2ℓ
-    matvecs alternate B̃†, B̃, ..., one N×N block each, and the result
-    stays in the |0⟩ block.
-    """
-    blocks = itertools.cycle((bh_matvec, b_matvec))
-    return filter_matvec(lambda x: next(blocks)(x), gap_t, ell, u)
 
 
 def projector_error(enc: BlockEncoding, lam: float, ell: int,

@@ -6,21 +6,22 @@ value types: a dense operator and a complex state register with an
 eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
-kernel. Both solvers step along H(f) = (1-f)·H0 + f·H1: `convex_combination`
-forms each step's operator in one buffer per solve and hands `clenshaw` its
-matvec, with no per-step guard: H(f)/alpha for the Jacobi–Anger series of
-the adiabatic evolution, and for the Zeno walk's filters the off-diagonal
-block B(f)/alpha and its adjoint, whose matvecs alternate.
+kernel, and it takes its operator as matrices: one matrix, or a tuple of
+matrices applied in turn. Both solvers step along H(f) = (1-f)·H0 + f·H1:
+`convex_combination` forms each step's operator in one buffer per solve and
+hands it to `clenshaw`, with no per-step guard: H(f)/alpha for the
+Jacobi–Anger series of the adiabatic evolution, and for the Zeno walk's
+filters the pair (B(f)†/alpha, B(f)/alpha), whose products alternate.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
-a real instance), complex128 otherwise. Every matvec of the kernel goes
-through `matvec_of`, which dispatches on that dtype: a real operator meets a
-real vector in a GEMV and a complex one in a GEMM on its (N, 2) float view;
-a complex operator keeps the complex product. States stay complex128.
+a real instance), complex128 otherwise. `clenshaw` works in the result dtype
+of its coefficients, vector and matrices. A real matrix meets a real vector
+in a GEMV and a complex one in a GEMM on the vector's (N, 2) float view; a
+complex matrix keeps the complex product. States stay complex128.
 
 Spectral-norm guards (block-encoding subnormalizations, `clenshaw_apply`'s
-`contraction_matvec`) go through `spectral_norm_bound`: the certified bound
+`check_contraction`) go through `spectral_norm_bound`: the certified bound
 sqrt(‖X‖₁·‖X‖∞) is checked first, and an SVD runs only when that bound does
 not already settle the guard, so a guard accepts exactly when the exact
 check would. No solver or sweep runs a guard: the instance bounds ‖A‖.
@@ -205,7 +206,7 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
     """Apply Σ_k c_k T_k(Hn) to v by the backward Clenshaw recurrence.
 
     The coefficients may be real or complex; Hn must be a contraction (see
-    contraction_matvec). A series of degree D costs D matvecs. When Hn, the
+    check_contraction). A series of degree D costs D matvecs. When Hn, the
     coefficients and v are all real the recurrence runs in float64; the
     result is complex either way.
     """
@@ -214,7 +215,7 @@ def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-    out = clenshaw(c, contraction_matvec(m), real_if_real(vec)).astype(complex)
+    out = clenshaw(c, check_contraction(m), real_if_real(vec)).astype(complex)
     if isinstance(v, StateRegister):
         return v.with_amps(out)
     return out
@@ -230,66 +231,70 @@ def real_if_real(a) -> np.ndarray:
     return np.ascontiguousarray(a.real, dtype=float)
 
 
-def matvec_of(m: np.ndarray):
-    """x ↦ m @ x, multiplied in float64 whenever m has a real dtype.
-
-    The dtype of a DenseOperator's mat already says whether it is real. A
-    real m meets a real x in a GEMV and a complex x in a GEMM on x's float
-    view, its real and imaginary parts as two columns; numpy's own
-    real @ complex would convert m to complex on every call. A complex m
-    keeps the complex product.
-    """
-    if m.dtype.kind == "c":
-        return m.__matmul__
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        if x.dtype.kind != "c":
-            return m @ x
-        cols = np.ascontiguousarray(x, dtype=complex).view(float)
-        return (m @ cols.reshape(x.shape[0], -1)).view(complex).reshape(x.shape)
-
-    return matvec
-
-
-def contraction_matvec(m: np.ndarray):
-    """matvec_of(m) once ‖m‖ <= 1 + 1e-8 is checked (the Chebyshev
-    recurrence is unstable outside [-1, 1])."""
+def check_contraction(m: np.ndarray) -> np.ndarray:
+    """m, once ‖m‖ <= 1 + 1e-8 is checked (the Chebyshev recurrence is
+    unstable outside [-1, 1])."""
     nrm = spectral_norm_bound(m, 1.0 + 1e-8)
     if nrm > 1.0 + 1e-8:
         raise ValueError(f"a Chebyshev series needs ||Hn|| <= 1, got {nrm:.6f}")
-    return matvec_of(m)
+    return m
 
 
 def convex_combination(m0: np.ndarray, m1: np.ndarray):
     """form(f, alpha) writes ((1-f)/alpha)·m0 + (f/alpha)·m1 into one buffer,
-    allocated with its scratch term once, and returns its matvec_of, valid
+    allocated with its scratch term once, and returns that buffer, valid
     until the next call. The caller guarantees a contraction."""
     hf = np.empty(m0.shape, np.result_type(m0, m1))
     term = np.empty_like(m1)
-    hfv = matvec_of(hf)
 
-    def form(f: float, alpha: float):
+    def form(f: float, alpha: float) -> np.ndarray:
         np.multiply(m0, (1.0 - f) / alpha, out=hf)
         np.multiply(m1, f / alpha, out=term)
         np.add(hf, term, out=hf)
-        return hfv
+        return hf
 
     return form
 
 
-def clenshaw(c: np.ndarray, matvec, vec: np.ndarray) -> np.ndarray:
-    """Σ_k c_k T_k(H) vec, with H given only by its matvec; no validation.
+def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
+    """Σ_k c_k T_k(H) vec; no validation. H is the matrix ops, or for a
+    tuple ops the operator whose k-th product applies ops[k % len(ops)].
 
-    The caller guarantees that H is a contraction (contraction_matvec checks
-    it per call; the instance's bound on ‖A‖ bounds the solvers'). b_D =
-    c_D·v needs no matvec, so a degree-D series costs D matvecs.
+    The caller guarantees that each product is by a contraction
+    (check_contraction checks it per call; the instance's bound on ‖A‖
+    bounds the solvers'). b_D = c_D·v needs no product, so a degree-D
+    series costs D products, each one np.dot into a preallocated buffer:
+    the loop allocates no vector. The work dtype is that of c, vec and ops
+    together; a real matrix applies to a complex vector through its (N, 2)
+    float view. Each matrix is doubled once per call, which is exact, so
+    every term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2};
+    terms with c_k exactly 0 skip their c_k·v. The result is a new array.
     """
-    if c.size == 1:
-        return c[0] * vec
-    bk1, bk2 = c[-1] * vec, np.zeros_like(vec)
-    for k in range(c.size - 2, 0, -1):
-        bk1, bk2 = c[k] * vec + 2.0 * matvec(bk1) - bk2, bk1
-    return c[0] * vec + matvec(bk1) - bk2
+    ops = ops if isinstance(ops, tuple) else (ops,)
+    dtype = np.result_type(c, vec, *ops)
+    split = dtype.kind == "c"  # a real matrix then multiplies a float view
+    v = vec.astype(dtype, copy=False)
+
+    def slot():  # a work vector and the operand a real matrix multiplies
+        b = np.zeros(vec.shape, dtype)
+        return b, (b.view(float).reshape(vec.shape[0], -1) if split else b)
+
+    bk1, bk2, t = slot(), slot(), slot()
+    term = np.empty(vec.shape, dtype)
+    prods = [(2.0 * m, int(split and m.dtype.kind != "c")) for m in ops]
+    cs = c.tolist()
+    np.multiply(cs[-1], v, out=bk1[0])
+    for k in range(len(cs) - 2, -1, -1):
+        m, real = prods[(len(cs) - 2 - k) % len(prods)]
+        np.dot(m, bk1[real], out=t[real])
+        if k == 0:
+            np.multiply(t[0], 0.5, out=t[0])
+        if cs[k] != 0:
+            np.multiply(cs[k], v, out=term)
+            np.add(term, t[0], out=t[0])
+        np.subtract(t[0], bk2[0], out=t[0])
+        bk1, bk2, t = t, bk1, bk2
+    return bk1[0]
 
 
 def linsolve(A: DenseOperator | np.ndarray, b: StateRegister | np.ndarray):

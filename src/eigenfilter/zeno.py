@@ -10,10 +10,10 @@ eps/4 to set the output precision.
 H(f) is off-diagonal in its first qubit, H(f) = σ₊⊗B(f) + σ₋⊗B(f)†, and
 the filter polynomial is even, hence block-diagonal there: the walk stays
 in the |0⟩ block of the two-block picture and is simulated on that N-vector
-alone (`filtering.filter_offdiag`, the singular-value picture of QSVT,
-arXiv 1806.01838). The final first-qubit measurement therefore succeeds with
-probability 1; it is still performed, and its probability is recorded in
-the last step entry.
+alone: `filtering.filter_ops` alternates products with B̃† and B̃ (the
+singular-value picture of QSVT, arXiv 1806.01838). The final first-qubit
+measurement therefore succeeds with probability 1; it is still performed,
+and its probability is recorded in the last step entry.
 
 The blocks B0 = Q_b and B1 = A·Q_b come from `qlsp.hamiltonian_blocks`,
 with B(f) = (1-f)·B0 + f·B1; each step forms B(f)/alpha(f) and its adjoint
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
-from .filtering import filter_offdiag, measure_ancilla, prepend_ancilla, sample_restarts
+from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sample_restarts
 from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
@@ -157,8 +157,9 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
         if ideal_projection:
             u, p = _exact_projector_step(nxt, u)
         else:
-            out = filter_offdiag(b_form(f, alpha), bh_form(f, alpha),
-                                 min(gap, BOUND_GAP_CAP), ell, u)
+            b = b_form(f, alpha)
+            out = filter_ops((bh_form(f, alpha), b), min(gap, BOUND_GAP_CAP),
+                             ell, u)
             u, p = out.post_state, out.success_probability
             probs.append(p)
         if j == params.M:

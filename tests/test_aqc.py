@@ -9,7 +9,7 @@ from eigenfilter.aqc import (
     evolve,
     hamiltonian_pair,
     hsim_query_formula,
-    overlap_trace,
+    overlap_recorder,
     schedule_p,
     seed_filter,
     solve_aqc_filtered,
@@ -166,13 +166,13 @@ def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
     assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
 
 
-def test_evolve_costs_one_matvec_per_term(monkeypatch):
+def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
     inst = gen_instance(3, 10.0, 17)
     cfg = AqcConfig(T=2.0)
     coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
     assert coeffs.size > 1
     # count the series evaluations at the recurrence and the operator
-    # products at the matvecs each step's H(f) hands it
+    # products at the kernel's np.dot calls on each step's H(f)
     counter = {"calls": 0, "matvecs": 0}
     recurrence, make_form = aqc.clenshaw, aqc.convex_combination
 
@@ -184,12 +184,7 @@ def test_evolve_costs_one_matvec_per_term(monkeypatch):
         form = make_form(m0, m1)
 
         def counted_form(f, alpha):
-            matvec = form(f, alpha)
-
-            def mv(x):
-                counter["matvecs"] += 1
-                return matvec(x)
-            return mv
+            return counted_view(form(f, alpha), counter)
         return counted_form
 
     monkeypatch.setattr(aqc, "clenshaw", counted_clenshaw)
@@ -237,18 +232,18 @@ def test_evolve_observer_sees_every_step():
 
 def test_overlap_trace_endpoints():
     inst = gen_instance(3, 10.0, 4)
-    pts = overlap_trace(inst, AqcConfig(T=2.0), stride=10)
+    record, pts = overlap_recorder(inst, AqcConfig(T=2.0), stride=10)
+    final = evolve(inst, AqcConfig(T=2.0), observer=record).amps[:inst.dim]
     assert pts[0] == (0.0, pytest.approx(1.0, abs=1e-12))
     assert pts[-1][0] == 1.0
     assert 0.0 <= pts[-1][1] <= 1.0
     assert [s for s, _ in pts] == [j / 40 for j in range(0, 41, 10)]
-    # the trace runs the same propagator as evolve
-    final = evolve(inst, AqcConfig(T=2.0)).amps[:inst.dim]
+    # the trace follows the evolution it observes
     x1 = path_vector(inst, schedule_p(1.0, inst.kappa, 1.5))
     assert pts[-1][1] == abs(np.vdot(x1, final))
     with pytest.raises(ValueError):
-        overlap_trace(gen_instance(3, 10.0, 4, form="general"),
-                      AqcConfig(T=1.0))
+        overlap_recorder(gen_instance(3, 10.0, 4, form="general"),
+                         AqcConfig(T=1.0))
 
 
 def test_solver_postselect_reaches_eps():
@@ -378,7 +373,7 @@ def test_solvers_and_sweeps_build_no_encoding_and_run_no_guard(monkeypatch):
     monkeypatch.setattr(numerics, "spectral_norm_bound", counted_bound)
     inst = gen_instance(3, 6.0, 1)
     make_h1_encoding(inst)
-    numerics.contraction_matvec(inst.A.mat)
+    numerics.check_contraction(inst.A.mat)
     assert (len(built), len(guarded)) == (1, 1)  # the counters see both
     for form in FORMS:
         inst = gen_instance(3, 6.0, 1, form)
@@ -393,24 +388,28 @@ def test_solvers_and_sweeps_build_no_encoding_and_run_no_guard(monkeypatch):
 
 @pytest.mark.parametrize("form, n", [(form, 3) for form in FORMS]
                          + [("planted", n) for n in range(2, 8)])
-def test_solver_contractions_need_no_guard(monkeypatch, form, n):
+def test_solver_contractions_need_no_guard(monkeypatch, counted_view, form, n):
     # the seed's filter runs on H1/d and the baseline on A/d without a norm
     # guard: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1, and the exact
-    # norm agrees
+    # norm agrees. The filter reaches the kernel through numerics.clenshaw
+    # (the evolution binds it by name) and the baseline through its own name
     inst = (planted_tridiag_instance(n, 16.0, 0) if form == "planted"
             else gen_instance(n, 6.0, 1, form))
-    seen = []
-    for module in (aqc, baseline):
-        make = module.matvec_of
+    seen, counter = [], {"matvecs": 0}
+    for module in (numerics, baseline):
+        recurrence = module.clenshaw
 
-        def recorded(m, make=make):
-            seen.append(np.array(m))
-            return make(m)
+        def recorded(c, ops, vec, recurrence=recurrence):
+            seen.append(np.array(ops))
+            return recurrence(c, counted_view(ops, counter), vec)
 
-        monkeypatch.setattr(module, "matvec_of", recorded)
-    solve_aqc_filtered(inst, 1e-6)
-    solve_qsp_direct(inst, 1e-6)
+        monkeypatch.setattr(module, "clenshaw", recorded)
+    aqc_report = solve_aqc_filtered(inst, 1e-6)
+    qsp_report = solve_qsp_direct(inst, 1e-6)
     dim = _filter_picture(inst).dim
     assert [m.shape[0] for m in seen] == [2 * dim, dim]
     for m in seen:
         assert np.linalg.norm(m, 2) <= 1.0 + 1e-10
+    # the recorded matrices are the ones applied, once per ledgered query
+    assert counter["matvecs"] == (aqc_report.query_ledger["U_H1_filter"]
+                                  + qsp_report.query_ledger["U_A"])

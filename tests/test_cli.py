@@ -8,10 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from eigenfilter import cli, filtering, numerics
+from eigenfilter import aqc, cli, filtering, numerics
 from eigenfilter.chebpoly import FilterSpec
 from eigenfilter.cli import main
-from eigenfilter.storage import load_experiment, load_instance, load_report
+from eigenfilter.storage import (
+    load_experiment,
+    load_instance,
+    load_report,
+    write_table,
+)
 
 
 def run(*argv) -> int:
@@ -68,6 +73,21 @@ def test_poly_is_deterministic_and_within_bound(tmp_path, capsys):
         if abs(x) >= 0.2:
             assert abs(value) <= bound
         assert abs(value) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("ell, gap", [(16, 0.1), (64, 0.05), (8, 0.2), (2, 0.3)])
+def test_poly_reflection_prints_distance_to_minus_one(tmp_path, capsys, ell, gap):
+    # S_ell sits near -1 on the gap region, so the line gives max |S_ell + 1|
+    # there, which is within 2·error_bound (criterion 3)
+    path = tmp_path / "s.csv"
+    assert run("poly", "--ell", str(ell), "--gap", str(gap),
+               "--kind", "reflection", "--out", str(path)) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split()[1:])
+    rows = [tuple(map(float, line.split(",")))
+            for line in path.read_text().splitlines()[1:]]
+    want = max(abs(v + 1.0) for x, v in rows if abs(x) >= gap)
+    assert float(fields["max_on_gap_region"]) == want
+    assert want <= 2.0 * float(fields["error_bound"])
 
 
 def test_poly_requires_degree():
@@ -139,6 +159,39 @@ def test_solve_writes_report_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("solve method=") == 3
     assert "np.float64" not in out
+
+
+def test_aqc_trace_observes_the_one_evolution(tmp_path, monkeypatch):
+    # --trace-out records the overlaps during the solve's own evolution, one
+    # evolve call per solve: the report is the bare solve's, and the trace
+    # is what a separate observed evolution records
+    inst_path = tmp_path / "inst.qlsp"
+    assert run("gen", "--n", "4", "--kappa", "10", "--form", "planted",
+               "--out", str(inst_path)) == 0
+    calls = []
+    evolve = aqc.evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(aqc, "evolve", counted)
+    solve = ("solve", "--in", str(inst_path), "--method", "aqc", "--out")
+    assert run(*solve, str(tmp_path / "bare.json")) == 0
+    assert run(*solve, str(tmp_path / "traced.json"),
+               "--trace-out", str(tmp_path / "trace.csv")) == 0
+    assert len(calls) == 2
+    traced = (tmp_path / "traced.json").read_bytes()
+    assert traced == (tmp_path / "bare.json").read_bytes()
+
+    inst = load_instance(inst_path)
+    cfg = aqc.AqcConfig(T=aqc.TIME_FACTOR * inst.kappa)
+    record, pts = aqc.overlap_recorder(inst, cfg, max(1, cfg.num_steps // 200))
+    evolve(inst, cfg, observer=record)
+    write_table(tmp_path / "want.csv", ["s", "overlap"], pts)
+    assert len(pts) > 2
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "trace.csv").read_bytes() == want
 
 
 def test_aqc_trace_form_is_checked_before_solving(tmp_path, capsys,
@@ -225,16 +278,20 @@ def test_module_entry_point_is_reproducible(tmp_path):
     assert first.stdout.startswith("instance ")
 
 
-def under_blas_thread_counts(tmp_path, *argv):
-    # stdout and --out file bytes of one command under one and two BLAS threads
+def under_blas_thread_counts(tmp_path, *argv, out=True):
+    # stdout, and the bytes of every file --out writes when out is set, of
+    # one command under one and two BLAS threads
     outputs = []
     for threads in ("1", "2"):
         path = tmp_path / f"out-{threads}"
-        cmd = [sys.executable, "-m", "eigenfilter", *argv, "--out", str(path)]
+        cmd = [sys.executable, "-m", "eigenfilter", *argv]
+        cmd += ["--out", str(path)] if out else []
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        outputs.append((proc.stdout, path.read_bytes()))
+        files = sorted(tmp_path.glob(f"out-{threads}*"))
+        assert bool(files) == out
+        outputs.append((proc.stdout, [f.read_bytes() for f in files]))
     return outputs
 
 
@@ -266,6 +323,22 @@ def test_gen_is_identical_across_blas_thread_counts(tmp_path):
     # matrix block
     one, two = under_blas_thread_counts(
         tmp_path, "gen", "--n", "7", "--kappa", "16", "--form", "planted")
+    assert one == two
+
+
+def test_experiment_is_identical_across_blas_thread_counts(tmp_path):
+    # the seeded filter stage of the fig-A2 sweep: table and sidecar
+    one, two = under_blas_thread_counts(
+        tmp_path, "experiment", "fig-a2-left", "--trials", "1")
+    assert len(one[1]) == 2
+    assert one == two
+
+
+def test_validate_is_identical_across_blas_thread_counts(tmp_path):
+    # every suite, among them the walk's overlap bounds and the encodings
+    one, two = under_blas_thread_counts(tmp_path, "validate", "--suite", "all",
+                                        out=False)
+    assert "all checks passed" in one[0]
     assert one == two
 
 

@@ -1,12 +1,14 @@
 """Core linear-algebra kernel: value types, decompositions, Clenshaw."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
-from eigenfilter.chebpoly import jacobi_anger_coeffs
+from eigenfilter.chebpoly import FilterSpec, filter_cheb_coeffs, jacobi_anger_coeffs
 from eigenfilter.numerics import (
     DenseOperator,
     SpectralDecomposition,
@@ -17,9 +19,33 @@ from eigenfilter.numerics import (
     fidelity,
     hermitian_part,
     linsolve,
-    matvec_of,
     spectral_norm_bound,
 )
+
+
+def _reference_matvec(m):
+    # x ↦ m @ x with a real m applied to a complex x on its float view, as
+    # numerics.clenshaw does
+    if m.dtype.kind == "c":
+        return m.__matmul__
+
+    def matvec(x):
+        if x.dtype.kind != "c":
+            return m @ x
+        cols = np.ascontiguousarray(x, dtype=complex).view(float)
+        return (m @ cols.reshape(x.shape[0], -1)).view(complex).reshape(x.shape)
+
+    return matvec
+
+
+def _reference_clenshaw(c, matvec, vec):
+    # the textbook recurrence, one allocation per operation
+    if c.size == 1:
+        return c[0] * vec
+    bk1, bk2 = c[-1] * vec, np.zeros_like(vec)
+    for k in range(c.size - 2, 0, -1):
+        bk1, bk2 = c[k] * vec + 2.0 * matvec(bk1) - bk2, bk1
+    return c[0] * vec + matvec(bk1) - bk2
 
 
 def random_hermitian(dim, seed):
@@ -116,6 +142,55 @@ def test_apply_function_matches_dense_function():
     via_apply = dec.apply_function(np.exp, v)
     via_dense = dec.function_of(np.exp) @ v
     assert np.allclose(via_apply, via_dense, atol=1e-12)
+
+
+def _bits(x):
+    # x's bytes as complex128, with -0.0 read as 0.0: skipping an exactly
+    # zero term can change only the sign of a zero
+    return (np.asarray(x, dtype=complex) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("nops", [1, 2], ids=["one-op", "two-ops"])
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+@pytest.mark.parametrize("complex_c", [False, True], ids=["real-c", "complex-c"])
+@pytest.mark.parametrize("coeffs", [
+    [0.7], [0.3, -0.8], [0.2, 0.5, -0.4], [-0.1, 0.6, 0.3, -0.5],
+    [0.4, 0.0, -0.3, 0.0, 0.2, 0.0, -0.1],
+    filter_cheb_coeffs(FilterSpec(24, 0.1)).coefficients.tolist(),
+], ids=["deg0", "deg1", "deg2", "deg3", "even6", "filter48"])
+def test_kernel_is_bitwise_the_textbook_recurrence(coeffs, complex_c, complex_v,
+                                                   complex_m, nops):
+    # the reference cycles through the operators one matvec at a time
+    rng = np.random.default_rng(len(coeffs))
+    ops = []
+    for _ in range(nops):
+        m = rng.normal(size=(16, 16))
+        if complex_m:
+            m = m + 1j * rng.normal(size=(16, 16))
+        ops.append(m / (1.25 * np.linalg.norm(m, 2)))
+    v = rng.normal(size=16) + (1j * rng.normal(size=16) if complex_v else 0.0)
+    c = np.array(coeffs) * (0.6 - 0.8j if complex_c else 1.0)
+    blocks = itertools.cycle([_reference_matvec(m) for m in ops])
+    want = _reference_clenshaw(c, lambda x: next(blocks)(x), v)
+    got = clenshaw(c, tuple(ops) if nops == 2 else ops[0], v)
+    assert got.dtype == np.result_type(c, v, *ops)
+    assert _bits(got) == _bits(want)
+
+
+def test_kernel_result_survives_the_next_call():
+    rng = np.random.default_rng(4)
+    h = random_hermitian(8, 4)
+    h = h / np.linalg.norm(h, 2)
+    c = np.array([0.5, -0.2, 0.3])
+    v = rng.normal(size=8)
+    first = clenshaw(c, h, v)
+    kept = first.copy()
+    second = clenshaw(c, h, rng.normal(size=8))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, v)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(clenshaw(c[:1], h, v), c[0] * v)  # degree 0
 
 
 def test_clenshaw_matches_spectral_oracle():
@@ -219,17 +294,22 @@ def test_real_kernel_matches_complex_recurrence(dim, degree, seed, complex_v,
     got = clenshaw_apply(coeffs, op, v)
     assert got.dtype == complex
     hc = h.astype(complex)
-    want = clenshaw(coeffs.astype(complex), hc.__matmul__, v.astype(complex))
+    want = _reference_clenshaw(coeffs.astype(complex), hc.__matmul__,
+                               v.astype(complex))
     tol = 16 * np.finfo(float).eps * (degree + 1) ** 2 * np.abs(coeffs).sum()
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(v)
 
 
-def test_matvec_of_multiplies_real_operators_in_float64():
+def test_kernel_multiplies_real_operators_in_float64(counted_view):
     rng = np.random.default_rng(7)
     h = rng.normal(size=(6, 6))
     mat = DenseOperator(h.astype(complex)).mat  # zero imaginary part: float64
     assert mat.dtype == float
-    mv = matvec_of(mat)
+    counter = {"matvecs": 0}
+
+    def mv(x):  # T_1(H)·x = H·x, one product
+        return clenshaw(np.array([0.0, 1.0]), counted_view(mat, counter), x)
+
     x = rng.normal(size=6)
     assert mv(x).dtype == float and np.array_equal(mv(x), h @ x)
     z = x + 1j * rng.normal(size=6)
@@ -238,19 +318,22 @@ def test_matvec_of_multiplies_real_operators_in_float64():
     assert np.allclose(got, h @ z.real + 1j * (h @ z.imag), rtol=0, atol=1e-14)
     block = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     assert np.allclose(mv(block), h.astype(complex) @ block, rtol=0, atol=1e-13)
+    # each product was a float64 GEMV, or a GEMM on the complex vector's
+    # float view
+    assert counter["dtypes"] == [(float, float)] * 4
 
 
-def test_complex_hermitian_operator_keeps_complex_arithmetic():
+def test_complex_hermitian_operator_keeps_complex_arithmetic(matvec_counter):
     # a genuinely complex operator must not lose its imaginary part, also
     # when the vector and the coefficients are real
     h = random_hermitian(8, 11)
     h = h / np.linalg.norm(h, 2)
     op = DenseOperator(h, hermitian=True)
     assert op.mat.dtype == complex
-    assert np.iscomplexobj(matvec_of(op.mat)(np.ones(8)))
     coeffs = np.array([0.1, -0.6, 0.3, 0.2, -0.4])
     v = np.linspace(-1.0, 1.0, 8)
     got = clenshaw_apply(coeffs, op, v)
+    assert matvec_counter["dtypes"] == [(complex, complex)] * 4
     want = eig_hermitian(op).apply_function(
         lambda lam: chebyshev.chebval(lam, coeffs), v)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -11,12 +11,14 @@ from eigenfilter.chebpoly import (
     FilterSpec,
     degree_for_accuracy,
     filter_cheb_coeffs,
+    filter_eval,
 )
 from eigenfilter.harness import gen_instance, planted_tridiag_instance
 from eigenfilter.numerics import DenseOperator, StateRegister, clenshaw_apply
 from eigenfilter.qlsp import (
     QlspInstance,
     gap_lower_bound,
+    hamiltonian_blocks,
     make_h0_encoding,
     make_hf,
 )
@@ -192,9 +194,9 @@ def test_walk_builds_no_block_encoding(monkeypatch):
     assert len(built) == 1
 
 
-def _walk_contractions(monkeypatch, inst):
+def _walk_contractions(monkeypatch, counted_view, inst):
     """(f, alpha, dense B(f)/alpha, dense B(f)†/alpha) for every filter step
-    of one walk."""
+    of one walk, each matrix counted as the kernel applies it."""
     seen = []
     make_form = zeno.convex_combination
 
@@ -202,26 +204,30 @@ def _walk_contractions(monkeypatch, inst):
         form = make_form(m0, m1)
 
         def recorded(f, alpha):
-            matvec = form(f, alpha)
-            seen.append((f, alpha, matvec(np.eye(m0.shape[0]))))
-            return matvec
+            m, counter = form(f, alpha), {"matvecs": 0}
+            seen.append((f, alpha, np.array(m), counter))
+            return counted_view(m, counter)
         return recorded
 
     monkeypatch.setattr(zeno, "convex_combination", recording)
-    solve_zeno(inst, 1e-6)
+    report, _ = solve_zeno(inst, 1e-6)
     # each step forms B(f)/alpha, then its adjoint
     forms, adjoints = seen[::2], seen[1::2]
     grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
-    assert [f for f, _, _ in forms] == [f for f, _, _ in adjoints] == list(grid)
-    assert [a for _, a, _ in forms] == [a for _, a, _ in adjoints]
+    assert [f for f, *_ in forms] == [f for f, *_ in adjoints] == list(grid)
+    assert [a for _, a, *_ in forms] == [a for _, a, *_ in adjoints]
+    # and its filter of degree 2ℓ applies each of the two ℓ times
+    ells = report.params["ells"]
+    assert [c["matvecs"] for *_, c in forms] == ells
+    assert [c["matvecs"] for *_, c in adjoints] == ells
     return [(f, alpha, b, bh)
-            for (f, alpha, b), (_, _, bh) in zip(forms, adjoints)]
+            for (f, alpha, b, _), (_, _, bh, _) in zip(forms, adjoints)]
 
 
-def test_walk_contractions_equal_make_hf(monkeypatch):
+def test_walk_contractions_equal_make_hf(monkeypatch, counted_view):
     inst = gen_instance(4, 10.0, 0)
     dim = inst.dim
-    for f, alpha, b, bh in _walk_contractions(monkeypatch, inst):
+    for f, alpha, b, bh in _walk_contractions(monkeypatch, counted_view, inst):
         ref = make_hf(inst, f)
         assert alpha == ref.alpha
         hf = ref.payload.mat / alpha
@@ -230,12 +236,12 @@ def test_walk_contractions_equal_make_hf(monkeypatch):
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (3, 5)])
-def test_walk_contractions_need_no_guard(monkeypatch, n, seed):
+def test_walk_contractions_need_no_guard(monkeypatch, counted_view, n, seed):
     # the walk filters on each B(f)/alpha(f) without a norm guard: the
     # instance bounds ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
     # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), and the exact norm agrees
     inst = gen_instance(n, 10.0, seed)
-    for _, _, b, bh in _walk_contractions(monkeypatch, inst):
+    for _, _, b, bh in _walk_contractions(monkeypatch, counted_view, inst):
         assert np.linalg.norm(b, 2) <= 1.0 + 1e-10
         assert np.linalg.norm(bh, 2) <= 1.0 + 1e-10
 
@@ -296,6 +302,30 @@ def test_block_walk_matches_dense_walk(make):
     assert np.max(np.abs(np.subtract(trace.per_step_success, success))) <= 1e-12
     for got, want in zip(trace.states, states, strict=True):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: planted_tridiag_instance(7, 32.0, 0),
+    lambda: gen_instance(4, 10.0, 0),
+    lambda: _phased(gen_instance(4, 10.0, 0), 3),
+], ids=["planted7-s0", "gen4-s0", "phased-gen4-s0"])
+def test_block_walk_matches_svd_oracle(make):
+    # with B̃ = UΣV†, an even polynomial of σ₊⊗B̃ + σ₋⊗B̃† acts on the |0⟩
+    # block as U·p(Σ)·U† (the singular-value picture of QSVT): each step of
+    # the (B̃†, B̃) walk is R_ℓ at the singular values of B̃(f)
+    inst = make()
+    report, trace = solve_zeno(inst, 1e-6)
+    b0, b1, u = hamiltonian_blocks(inst)
+    psi = u.amps
+    grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
+    for j, (f, ell) in enumerate(zip(grid, report.params["ells"], strict=True)):
+        alpha = (1 - f) + f * inst.d
+        w, s, _ = np.linalg.svd(((1 - f) * b0 + f * b1) / alpha)
+        spec = FilterSpec(ell, min(gap_lower_bound(inst, f) / alpha, BOUND_GAP_CAP))
+        out = w @ (filter_eval(spec, s) * (w.conj().T @ psi))
+        psi = out / np.linalg.norm(out)
+        assert abs(trace.per_step_success[j] - np.linalg.norm(out) ** 2) <= 1e-12
+        assert np.max(np.abs(trace.states[j] - psi)) <= 1e-12
 
 
 def test_rejects_non_positive_definite():
