@@ -106,22 +106,44 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     every real instance), while the state is complex from the first step. The midpoint rule is second-order accurate in
     1/K; each step is unitary to the series' truncation tolerance (1e-16).
     observer(j, amps), if given, sees the state after j steps, for j = 0
-    (the initial state) through K.
+    (the initial state) through K. evolve_stack runs the same loop on stacks.
     """
     h0, h1, init = hamiltonian_pair(inst)
     psi = (initial if initial is not None else init).amps.astype(complex)
+    return init.with_amps(_propagate(h0.mat, h1.mat, psi, inst.kappa, cfg, observer))
+
+
+def evolve_stack(insts: list[QlspInstance]):
+    """run(cfg) -> [evolve(inst, cfg) for inst in insts], each row bitwise, by
+    one propagation of (S, D, D) stacks of H0 and H1, built here once. insts
+    share kappa, form and dimension (else ValueError); one stays unstacked."""
+    if len({(inst.kappa, inst.form, inst.dim) for inst in insts}) != 1:
+        raise ValueError("a stack needs one kappa, form and dimension")
+    stack = np.stack if len(insts) > 1 else (lambda arrays: arrays[0])
+    h0s, h1s, inits = zip(*map(hamiltonian_pair, insts))
+    h0, h1 = (stack([h.mat for h in hs]) for hs in (h0s, h1s))
+    psi = stack([init.amps for init in inits])
+
+    def run(cfg: AqcConfig) -> list[StateRegister]:
+        out = _propagate(h0, h1, psi, insts[0].kappa, cfg).reshape(len(insts), -1)
+        return [init.with_amps(row) for init, row in zip(inits, out)]
+
+    return run
+
+
+def _propagate(h0, h1, psi, kappa, cfg, observer=None):
+    # the one propagator loop, on 2-D arrays or on stacks (see evolve)
     k = cfg.num_steps
-    dt = cfg.T / k
-    coeffs = jacobi_anger_coeffs(dt * NORM_BOUND)
-    form = convex_combination(h0.mat, h1.mat)
+    coeffs = jacobi_anger_coeffs(cfg.T / k * NORM_BOUND)
+    form = convex_combination(h0, h1)
     if observer is not None:
         observer(0, psi)
     for step in range(k):
-        f = schedule_p((step + 0.5) / k, inst.kappa, cfg.p)
+        f = schedule_p((step + 0.5) / k, kappa, cfg.p)
         psi = clenshaw(coeffs, form(f, NORM_BOUND), psi)
         if observer is not None:
             observer(step + 1, psi)
-    return init.with_amps(psi)
+    return psi
 
 
 def hsim_query_formula(d: int, kappa: float) -> float:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve, seed_filter,
-                  solve_aqc_filtered)
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve, evolve_stack,
+                  seed_filter, solve_aqc_filtered)
 from .baseline import solve_qsp_direct
 from .filtering import prepend_ancilla
 from .numerics import DenseOperator, StateRegister, fidelity
@@ -351,16 +351,15 @@ def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3) -> float
     stays flat and the query slope reflects the filter degree alone. The
     search walks a fixed geometric factor grid (ascending, early exit), so
     the result is deterministic. The overlap is insensitive to dimension,
-    so calibration defaults to a small n for speed. The instances and their
-    targets |0⟩|x⟩ are built once and shared by every factor tried.
+    so calibration defaults to a small n for speed. The instances, targets
+    |0⟩|x⟩ and H0/H1 stack (aqc.evolve_stack) are built once, for all factors.
     """
-    cases = []
-    for seed in range(cal_seeds):
-        inst = planted_tridiag_instance(n, kappa, seed)
-        cases.append((inst, prepend_ancilla(solution_state(inst).amps)))
+    insts = [planted_tridiag_instance(n, kappa, seed) for seed in range(cal_seeds)]
+    goals = [prepend_ancilla(solution_state(inst).amps) for inst in insts]
+    run = evolve_stack(insts)
     for factor in CALIBRATION_FACTORS:
-        cfg = AqcConfig(T=factor * kappa)
-        gams = [fidelity(goal, evolve(inst, cfg)) for inst, goal in cases]
+        states = run(AqcConfig(T=factor * kappa))
+        gams = [fidelity(goal, state) for goal, state in zip(goals, states)]
         if float(np.mean(gams)) >= SEED_OVERLAP_TARGET:
             return factor
     return CALIBRATION_FACTORS[-1]

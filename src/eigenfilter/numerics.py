@@ -18,7 +18,9 @@ when every imaginary part is exactly zero (as for every operator built from
 a real instance), complex128 otherwise. `clenshaw` works in the result dtype
 of its coefficients, vector and matrices. A real matrix meets a real vector
 in a GEMV and a complex one in a GEMM on the vector's (N, 2) float view; a
-complex matrix keeps the complex product. States stay complex128.
+complex matrix keeps the complex product. States stay complex128. A stack
+of instances, (S, D, D) matrices and (S, D) vectors as in `aqc.evolve_stack`,
+runs through np.matmul, each row bitwise the 2-D call, whose np.dot is cheaper.
 
 Spectral-norm guards (block-encoding subnormalizations, `clenshaw_apply`'s
 `check_contraction`) go through `spectral_norm_bound`: the certified bound
@@ -269,24 +271,30 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     float view. Each matrix is doubled once per call, which is exact, so
     every term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2};
     terms with c_k exactly 0 skip their c_k·v. The result is a new array.
+    (S, D, D) matrices and an (S, D) vec make each product one np.matmul
+    over the stack, and row s bitwise the 2-D call on row s.
     """
     ops = ops if isinstance(ops, tuple) else (ops,)
     dtype = np.result_type(c, vec, *ops)
     split = dtype.kind == "c"  # a real matrix then multiplies a float view
     v = vec.astype(dtype, copy=False)
+    stacked = ops[0].ndim == 3  # np.matmul then multiplies (S, D, 1 or 2)
+    lead = vec.shape if stacked else vec.shape[:1]
 
-    def slot():  # a work vector and the operand a real matrix multiplies
+    def slot():  # a work vector and the operands of a complex and a real matrix
         b = np.zeros(vec.shape, dtype)
-        return b, (b.view(float).reshape(vec.shape[0], -1) if split else b)
+        col = b.reshape(*lead, 1) if stacked else b
+        return b, col, (b.view(float).reshape(*lead, -1) if split else col)
 
     bk1, bk2, t = slot(), slot(), slot()
     term = np.empty(vec.shape, dtype)
-    prods = [(2.0 * m, int(split and m.dtype.kind != "c")) for m in ops]
+    prods = [(2.0 * m, 1 + (split and m.dtype.kind != "c")) for m in ops]
+    product = np.matmul if stacked else np.dot
     cs = c.tolist()
     np.multiply(cs[-1], v, out=bk1[0])
     for k in range(len(cs) - 2, -1, -1):
-        m, real = prods[(len(cs) - 2 - k) % len(prods)]
-        np.dot(m, bk1[real], out=t[real])
+        m, operand = prods[(len(cs) - 2 - k) % len(prods)]
+        product(m, bk1[operand], out=t[operand])
         if k == 0:
             np.multiply(t[0], 0.5, out=t[0])
         if cs[k] != 0:

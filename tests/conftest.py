@@ -7,20 +7,43 @@ from eigenfilter import numerics
 
 
 class CountedOperator(np.ndarray):
-    """A matrix view that counts the np.dot calls it takes part in; inside
-    numerics.clenshaw each one is one application of the operator. Arrays
-    derived from it, such as the kernel's doubled copy, share its counter,
-    and each product's (matrix, vector) dtypes are kept in order."""
+    """A matrix view that counts the np.dot and np.matmul calls it takes
+    part in; inside numerics.clenshaw each one is one application of the
+    operator, or of a stack of operators. Arrays derived from it, such as
+    the kernel's doubled copy, share its counter, and each product's
+    (matrix, vector) dtypes are kept in order."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
 
+    def _count(self, operands):
+        self.counter["matvecs"] += 1
+        self.counter.setdefault("dtypes", []).append(
+            (operands[0].dtype, operands[1].dtype))
+
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
-            self.counter["matvecs"] += 1
-            self.counter.setdefault("dtypes", []).append(
-                (args[0].dtype, args[1].dtype))
+            self._count(args)
         return super().__array_function__(func, types, args, kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # np.matmul is a ufunc: count it here, then run every ufunc on
+        # plain views and hand back a result derived from this matrix as
+        # a view that shares its counter
+        if ufunc is np.matmul:
+            self._count(inputs)
+
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, CountedOperator) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if "out" in kwargs or not isinstance(result, np.ndarray):
+            return result
+        view = result.view(CountedOperator)
+        view.counter = self.counter
+        return view
 
 
 def counted(ops, counter):

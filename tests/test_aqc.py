@@ -7,6 +7,7 @@ from eigenfilter import aqc, baseline, blockenc, numerics
 from eigenfilter.aqc import (
     AqcConfig,
     evolve,
+    evolve_stack,
     hamiltonian_pair,
     hsim_query_formula,
     overlap_recorder,
@@ -192,6 +193,67 @@ def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
     evolve(inst, cfg)
     assert counter["calls"] == cfg.num_steps
     assert counter["matvecs"] == cfg.num_steps * (coeffs.size - 1)
+
+
+@pytest.mark.parametrize("form", ["positive-definite",
+                                  "hermitian-indefinite", "general"])
+def test_evolve_stack_rows_are_bitwise_evolve(form):
+    insts = [gen_instance(3, 6.0, seed, form=form) for seed in range(3)]
+    run = evolve_stack(insts)
+    for cfg in (AqcConfig(T=0.6), AqcConfig(T=1.2, steps=30)):
+        rows = run(cfg)
+        assert len(rows) == len(insts)
+        for row, inst in zip(rows, insts):
+            want = evolve(inst, cfg)
+            assert (row.ancilla, row.system) == (want.ancilla, want.system)
+            assert row.amps.tobytes() == want.amps.tobytes()
+    [alone] = evolve_stack(insts[:1])(AqcConfig(T=0.6))
+    assert alone.amps.tobytes() == evolve(insts[0], AqcConfig(T=0.6)).amps.tobytes()
+
+
+def test_evolve_stack_row_matches_eigh_oracle():
+    insts = [gen_instance(3, 10.0, seed) for seed in (12, 13)]
+    cfg = AqcConfig(T=2.0)
+    rows = evolve_stack(insts)(cfg)
+    for row, inst in zip(rows, insts):
+        assert np.max(np.abs(row.amps - eigh_midpoint(inst, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("insts", [
+    lambda: [gen_instance(3, 6.0, 0), gen_instance(3, 8.0, 1)],
+    lambda: [gen_instance(3, 6.0, 0), gen_instance(3, 6.0, 0, "general")],
+    lambda: [gen_instance(3, 6.0, 0), gen_instance(4, 6.0, 0)],
+    lambda: [],
+], ids=["kappa", "form", "dimension", "empty"])
+def test_evolve_stack_rejects_mixed_instances(insts):
+    with pytest.raises(ValueError, match="kappa, form and dimension"):
+        evolve_stack(insts())
+
+
+def test_evolve_stack_costs_one_stacked_product_per_term(monkeypatch,
+                                                         counted_view):
+    insts = [gen_instance(3, 10.0, seed) for seed in range(3)]
+    cfg = AqcConfig(T=2.0)
+    coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
+    counter = {"matvecs": 0}
+    make_form = aqc.convex_combination
+
+    def counted_convex_combination(m0, m1):
+        form = make_form(m0, m1)
+
+        def counted_form(f, alpha):
+            hf = form(f, alpha)
+            assert hf.shape == (len(insts), 2 * insts[0].dim, 2 * insts[0].dim)
+            return counted_view(hf, counter)
+        return counted_form
+
+    monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
+    evolve_stack(insts)(cfg)
+    # one np.matmul per term on the whole stack, a float64 stack meeting
+    # the complex states through their float view
+    products = cfg.num_steps * (coeffs.size - 1)
+    assert counter["matvecs"] == products
+    assert counter["dtypes"] == [(float, float)] * products
 
 
 @pytest.mark.parametrize("form", ["positive-definite",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigenfilter import aqc, harness
-from eigenfilter.aqc import AqcConfig, evolve
+from eigenfilter.aqc import AqcConfig, evolve, evolve_stack
 from eigenfilter.harness import (
     CALIBRATION_FACTORS,
     calibrate_time_factor,
@@ -171,6 +171,22 @@ def test_calibrate_time_factor_walks_the_grid():
     assert factor in CALIBRATION_FACTORS
     assert factor == 0.1
     assert calibrate_time_factor(4.0) == factor
+
+
+def test_calibrate_time_factor_picks_the_sweep_factors():
+    got = {kappa: calibrate_time_factor(float(kappa)) for kappa in (4, 8, 16)}
+    assert got == {4: 0.1, 8: 0.8, 16: 1.0}
+
+
+@pytest.mark.parametrize("kappa", [4.0, 8.0, 16.0])
+def test_calibration_stack_rows_are_bitwise_evolve(kappa):
+    # the calibration's own instances, evolved as one stack
+    insts = [planted_tridiag_instance(5, kappa, seed) for seed in range(3)]
+    run = evolve_stack(insts)
+    for factor in (0.1, 0.5, 1.0):
+        cfg = AqcConfig(T=factor * kappa)
+        for row, inst in zip(run(cfg), insts):
+            assert row.amps.tobytes() == evolve(inst, cfg).amps.tobytes()
 
 
 def test_calibrate_time_factor_builds_no_filter_stage(monkeypatch):

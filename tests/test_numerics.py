@@ -339,6 +339,51 @@ def test_complex_hermitian_operator_keeps_complex_arithmetic(matvec_counter):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("nops", [1, 2], ids=["one-stack", "two-stacks"])
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+@pytest.mark.parametrize("complex_c", [False, True], ids=["real-c", "complex-c"])
+@pytest.mark.parametrize("size", [1, 2, 3], ids=["S1", "S2", "S3"])
+@pytest.mark.parametrize("coeffs", [
+    [0.7], [0.3, -0.8], [0.2, 0.5, -0.4], [-0.1, 0.6, 0.3, -0.5],
+], ids=["deg0", "deg1", "deg2", "deg3"])
+def test_stacked_kernel_rows_are_bitwise_the_2d_call(coeffs, size, complex_c,
+                                                     complex_v, complex_m, nops):
+    # (S, D, D) stacks of matrices and an (S, D) stack of vectors: row s of
+    # the result is byte for byte the 2-D call on row s
+    rng = np.random.default_rng(10 * size + len(coeffs))
+    ops = []
+    for _ in range(nops):
+        m = rng.normal(size=(size, 12, 12))
+        if complex_m:
+            m = m + 1j * rng.normal(size=(size, 12, 12))
+        ops.append(m / (1.25 * np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None])
+    v = rng.normal(size=(size, 12))
+    if complex_v:
+        v = v + 1j * rng.normal(size=(size, 12))
+    c = np.array(coeffs) * (0.6 - 0.8j if complex_c else 1.0)
+    got = clenshaw(c, tuple(ops) if nops == 2 else ops[0], v)
+    assert got.shape == v.shape
+    assert got.dtype == np.result_type(c, v, *ops)
+    for s in range(size):
+        row = tuple(m[s] for m in ops) if nops == 2 else ops[0][s]
+        want = clenshaw(c, row, v[s])
+        assert got[s].dtype == want.dtype
+        assert got[s].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+def test_stacked_kernel_counts_one_matmul_per_degree(counted_view, complex_v):
+    # a real stack meets a complex stacked vector through its (S, D, 2)
+    # float view, a real one through (S, D, 1) columns
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(3, 6, 6)) / 10.0
+    v = rng.normal(size=(3, 6)) + (1j * rng.normal(size=(3, 6)) if complex_v else 0.0)
+    counter = {"matvecs": 0}
+    clenshaw(np.array([0.5, -0.2, 0.3, 0.1]), counted_view(m, counter), v)
+    assert counter["dtypes"] == [(float, float)] * 3
+
+
 def test_linsolve_matches_numpy():
     h = random_hermitian(5, 4) + 6.0 * np.eye(5)
     b = np.arange(1.0, 6.0)
