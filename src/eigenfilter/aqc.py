@@ -9,6 +9,8 @@ is small, so a short run at T proportional to kappa already lands a
 constant-overlap trial state; one filtering step then converts constant
 overlap into eps-accuracy. That step (`seed_filter`) runs on H1/d by matvecs:
 like the evolution, it builds no block encoding and runs no norm guard.
+Both hand numerics.clenshaw the off-diagonal pair [B, B†] of each
+σ₊⊗B + σ₋⊗B†: each product is two N×N ones, not one dense 2N×2N.
 
 Hamiltonian-simulation query costs are not measured (the evolution is
 emulated); they are reported through the known closed-form count and flagged
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockenc import qb_matrix
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sample_restarts
 from .numerics import StateRegister, clenshaw, convex_combination, fidelity
@@ -31,8 +34,7 @@ from .qlsp import (
     extend_general,
     gap_lower_bound,
     hamiltonian_blocks,
-    make_h1,
-    offdiag,
+    offdiag_pair,
     path_vectors,
     solution_state,
 )
@@ -81,12 +83,10 @@ def schedule_p(s: float, kappa: float, p: float) -> float:
     return kappa / (kappa - 1.0) * (1.0 - base ** (1.0 / (1.0 - p)))
 
 
-def hamiltonian_pair(inst: QlspInstance):
-    """(H0, H1, initial state |0⟩|u0⟩) from qlsp.hamiltonian_blocks: 2N for
-    positive-definite input, 4N for the Hermitian indefinite dilation, 8N
-    for general input."""
+def _pairs(inst: QlspInstance):
+    # the H0 and H1 pairs and |0⟩|u0⟩ of qlsp.hamiltonian_blocks' picture
     b0, b1, u0 = hamiltonian_blocks(inst)
-    return offdiag(b0), offdiag(b1), prepend_ancilla(u0.amps)
+    return offdiag_pair(b0), offdiag_pair(b1), prepend_ancilla(u0.amps)
 
 
 def evolve(inst: QlspInstance, cfg: AqcConfig,
@@ -99,29 +99,32 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
     matvecs. alpha = qlsp.NORM_BOUND, the bound every instance puts on ‖A‖:
     in each picture ‖H0‖ <= 1 and ‖H1‖ <= ‖A‖, hence every convex
     combination H(f) is bounded too and each H/alpha is a contraction, with
-    no norm computed here. Each step forms H(f)/alpha with
-    numerics.convex_combination, in one buffer allocated before the loop,
-    and hands that buffer to numerics.clenshaw, so a series of degree D
-    costs D matvecs. The buffer is float64 when H0 and H1 both are (as for
-    every real instance), while the state is complex from the first step. The midpoint rule is second-order accurate in
-    1/K; each step is unitary to the series' truncation tolerance (1e-16).
+    no norm computed here. Each step forms the pair [B(f), B(f)†]/alpha of
+    H(f) = σ₊⊗B(f) + σ₋⊗B(f)† from qlsp.hamiltonian_blocks' B0 and B1, with
+    numerics.convex_combination in one buffer allocated before the loop,
+    and hands it to numerics.clenshaw: a series of degree D costs D
+    products of two N×N blocks. The buffer is float64 when B0 and B1 both
+    are (as for every real instance), while the state is complex from the
+    first step. The midpoint rule is second-order accurate in 1/K; each
+    step is unitary to the series' truncation tolerance (1e-16).
     observer(j, amps), if given, sees the state after j steps, for j = 0
     (the initial state) through K. evolve_stack runs the same loop on stacks.
     """
-    h0, h1, init = hamiltonian_pair(inst)
+    h0, h1, init = _pairs(inst)
     psi = (initial if initial is not None else init).amps.astype(complex)
-    return init.with_amps(_propagate(h0.mat, h1.mat, psi, inst.kappa, cfg, observer))
+    return init.with_amps(_propagate(h0, h1, psi, inst.kappa, cfg, observer))
 
 
 def evolve_stack(insts: list[QlspInstance]):
     """run(cfg) -> [evolve(inst, cfg) for inst in insts], each row bitwise, by
-    one propagation of (S, D, D) stacks of H0 and H1, built here once. insts
-    share kappa, form and dimension (else ValueError); one stays unstacked."""
+    one propagation of (S, 2, N, N) stacks of the H0 and H1 pairs, built
+    here once, on (S, 2N) states. insts share kappa, form and dimension
+    (else ValueError); one stays unstacked."""
     if len({(inst.kappa, inst.form, inst.dim) for inst in insts}) != 1:
         raise ValueError("a stack needs one kappa, form and dimension")
     stack = np.stack if len(insts) > 1 else (lambda arrays: arrays[0])
-    h0s, h1s, inits = zip(*map(hamiltonian_pair, insts))
-    h0, h1 = (stack([h.mat for h in hs]) for hs in (h0s, h1s))
+    h0s, h1s, inits = zip(*map(_pairs, insts))
+    h0, h1 = stack(h0s), stack(h1s)
     psi = stack([init.amps for init in inits])
 
     def run(cfg: AqcConfig) -> list[StateRegister]:
@@ -192,9 +195,11 @@ def _dilated_to_twoblock(psi: StateRegister, n: int) -> tuple[StateRegister, flo
 def seed_filter(inst: QlspInstance):
     """(filt, gap, target) for a positive-definite or Hermitian indefinite
     inst: filt(ell, psi) filters psi toward H1's null space by matvecs with
-    H1/d, whose gap around 0 is at least gap, and target is |0⟩|x⟩. H1/d is
-    built once, unguarded: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
-    h1 = make_h1(inst.A, inst.b).mat / inst.d
+    H1/d, whose gap around 0 is at least gap, and target is |0⟩|x⟩. H1 is
+    qlsp.make_h1's σ₊⊗B + σ₋⊗B†, B = A·Q_b (inst's own picture, not
+    hamiltonian_blocks' dilation); the pair [B, B†]/d is built once,
+    unguarded: ‖B‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
+    h1 = offdiag_pair(inst.A.mat @ qb_matrix(inst.b) / inst.d)
     gap = min(gap_lower_bound(inst, 1.0) / inst.d, BOUND_GAP_CAP)
     return (lambda ell, psi: filter_ops(h1, gap, ell, psi), gap,
             prepend_ancilla(solution_state(inst).amps))

@@ -107,7 +107,8 @@ def filter_ops(ops, gap_t: float, ell: int, psi: StateRegister,
     numerics.clenshaw's ops, with gap gap_t around 0; numerics.clenshaw is
     looked up per call, so a counting wrapper there sees it.
 
-    For H̃ = σ₊⊗B̃ + σ₋⊗B̃† and a state in H̃'s |0⟩ block, held as that block
+    For H̃ = σ₊⊗B̃ + σ₋⊗B̃† on a 2N state, ops is the pair [B̃, B̃†] (see
+    numerics.clenshaw). For a state in H̃'s |0⟩ block, held as that block
     alone, ops is (B̃†, B̃): the filter series is even, so the Clenshaw
     vector b_k lies in the |0⟩ block for even k and in the |1⟩ block for
     odd k, its 2ℓ products alternate B̃†, B̃, ..., and the result stays in

@@ -6,12 +6,13 @@ value types: a dense operator and a complex state register with an
 eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
-kernel, and it takes its operator as matrices: one matrix, or a tuple of
-matrices applied in turn. Both solvers step along H(f) = (1-f)·H0 + f·H1:
-`convex_combination` forms each step's operator in one buffer per solve and
-hands it to `clenshaw`, with no per-step guard: H(f)/alpha for the
-Jacobi–Anger series of the adiabatic evolution, and for the Zeno walk's
-filters the pair (B(f)†/alpha, B(f)/alpha), whose products alternate.
+kernel, and it takes its operator as matrices: one matrix, a tuple of
+matrices applied in turn, or the pair [B, B†] of σ₊⊗B + σ₋⊗B†. Both solvers
+step along H(f) = (1-f)·H0 + f·H1 = σ₊⊗B(f) + σ₋⊗B(f)†:
+`convex_combination` forms each step's blocks in one buffer per solve and
+hands them to `clenshaw`, with no per-step guard: [B(f), B(f)†]/alpha for
+the Jacobi–Anger series of the adiabatic evolution, and for the Zeno walk's
+filters (B(f)†/alpha, B(f)/alpha), whose products alternate.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
@@ -19,8 +20,8 @@ a real instance), complex128 otherwise. `clenshaw` works in the result dtype
 of its coefficients, vector and matrices. A real matrix meets a real vector
 in a GEMV and a complex one in a GEMM on the vector's (N, 2) float view; a
 complex matrix keeps the complex product. States stay complex128. A stack
-of instances, (S, D, D) matrices and (S, D) vectors as in `aqc.evolve_stack`,
-runs through np.matmul, each row bitwise the 2-D call, whose np.dot is cheaper.
+of instances, (S, 2, N, N) pairs and (S, 2N) vectors as in
+`aqc.evolve_stack`, runs through the pair's np.matmul, each row bitwise.
 
 Spectral-norm guards (block-encoding subnormalizations, `clenshaw_apply`'s
 `check_contraction`) go through `spectral_norm_bound`: the certified bound
@@ -245,7 +246,8 @@ def check_contraction(m: np.ndarray) -> np.ndarray:
 def convex_combination(m0: np.ndarray, m1: np.ndarray):
     """form(f, alpha) writes ((1-f)/alpha)·m0 + (f/alpha)·m1 into one buffer,
     allocated with its scratch term once, and returns that buffer, valid
-    until the next call. The caller guarantees a contraction."""
+    until the next call (a matrix or a clenshaw pair). The caller
+    guarantees a contraction."""
     hf = np.empty(m0.shape, np.result_type(m0, m1))
     term = np.empty_like(m1)
 
@@ -260,41 +262,49 @@ def convex_combination(m0: np.ndarray, m1: np.ndarray):
 
 def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     """Σ_k c_k T_k(H) vec; no validation. H is the matrix ops, or for a
-    tuple ops the operator whose k-th product applies ops[k % len(ops)].
+    tuple ops the operator whose k-th product applies ops[k % len(ops)], or
+    for a (…, 2, N, N) array [B, B†] the off-diagonal σ₊⊗B + σ₋⊗B† on a
+    (…, 2N) vec.
 
     The caller guarantees that each product is by a contraction
     (check_contraction checks it per call; the instance's bound on ‖A‖
     bounds the solvers'). b_D = c_D·v needs no product, so a degree-D
-    series costs D products, each one np.dot into a preallocated buffer:
-    the loop allocates no vector. The work dtype is that of c, vec and ops
-    together; a real matrix applies to a complex vector through its (N, 2)
-    float view. Each matrix is doubled once per call, which is exact, so
-    every term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2};
-    terms with c_k exactly 0 skip their c_k·v. The result is a new array.
-    (S, D, D) matrices and an (S, D) vec make each product one np.matmul
-    over the stack, and row s bitwise the 2-D call on row s.
+    series costs D products, each one call into a preallocated buffer: the
+    loop allocates no vector. The work dtype is that of c, vec and ops
+    together; a real matrix applies to a complex vector through its float
+    view. Each matrix is doubled once per call, which is exact, so every
+    term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2}; terms
+    with c_k exactly 0 skip their c_k·v. The result is a new array. A
+    matrix multiplies by np.dot. A pair maps [a; c] to [B·c; B†·a], half
+    the flops of the dense product, by one np.matmul with the (…, 2, N, 1
+    or 2) view of b_{k+1}, its halves swapped, into that view of the output.
     """
     ops = ops if isinstance(ops, tuple) else (ops,)
     dtype = np.result_type(c, vec, *ops)
     split = dtype.kind == "c"  # a real matrix then multiplies a float view
     v = vec.astype(dtype, copy=False)
-    stacked = ops[0].ndim == 3  # np.matmul then multiplies (S, D, 1 or 2)
-    lead = vec.shape if stacked else vec.shape[:1]
+    pair = ops[0].ndim > 2
+    rows = (*vec.shape[:-1], 2, vec.shape[-1] // 2) if pair else vec.shape[:1]
 
-    def slot():  # a work vector and the operands of a complex and a real matrix
+    def slot():  # a work vector, then its operands for a complex and for a
+        # real matrix as product inputs (a pair's halves swapped) and outputs
         b = np.zeros(vec.shape, dtype)
-        col = b.reshape(*lead, 1) if stacked else b
-        return b, col, (b.view(float).reshape(*lead, -1) if split else col)
+        col = b.reshape(*rows, 1) if pair else b
+        outs = (col, b.view(float).reshape(*rows, -1) if split else col)
+        ins = tuple(x[..., ::-1, :, :] for x in outs) if pair else outs
+        return b, *ins, *outs
 
     bk1, bk2, t = slot(), slot(), slot()
     term = np.empty(vec.shape, dtype)
-    prods = [(2.0 * m, 1 + (split and m.dtype.kind != "c")) for m in ops]
-    product = np.matmul if stacked else np.dot
+    # (2H, input, output); a real matrix under complex work takes float views
+    prods = [(2.0 * m, 2, 4) if split and m.dtype.kind != "c" else (2.0 * m, 1, 3)
+             for m in ops]
+    product = np.matmul if pair else np.dot
     cs = c.tolist()
     np.multiply(cs[-1], v, out=bk1[0])
     for k in range(len(cs) - 2, -1, -1):
-        m, operand = prods[(len(cs) - 2 - k) % len(prods)]
-        product(m, bk1[operand], out=t[operand])
+        m, i, o = prods[(len(cs) - 2 - k) % len(prods)]
+        product(m, bk1[i], out=t[o])
         if k == 0:
             np.multiply(t[0], 0.5, out=t[0])
         if cs[k] != 0:

@@ -5,7 +5,9 @@ and a unit right-hand state. The solvers never invert anything: they follow
 the null space of H(f) = (1-f)·H0 + f·H1 from |0⟩|u0⟩ at f=0 to the solution
 at f=1. In each picture (positive-definite, and the dilations for indefinite
 and non-Hermitian input) H0 and H1 are off-diagonal, σ₊⊗B + σ₋⊗B†:
-`hamiltonian_blocks` lays out the blocks and `offdiag` builds H0 and H1.
+`hamiltonian_blocks` lays out the blocks, `offdiag_pair` stacks the pair
+[B, B†] the solvers multiply, and `offdiag` builds the dense H0 and H1 that
+the encodings carry.
 The module also bounds the gap of H(f) and exposes the exact eigenpath with
 its length and (exact) derivative diagnostics. The encodings (each matrix
 with its circuit's bookkeeping) serve verification; solvers use the matrices.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, linear_combine, qb_matrix
-from .numerics import DenseOperator, StateRegister, linsolve
+from .numerics import DenseOperator, StateRegister, linsolve, real_if_real
 
 FORMS = ("positive-definite", "hermitian-indefinite", "general")
 
@@ -86,6 +88,11 @@ def offdiag(B: np.ndarray) -> DenseOperator:
                          hermitian=True)
 
 
+def offdiag_pair(B: np.ndarray) -> np.ndarray:
+    """[B, B†], numerics.clenshaw's operand for offdiag(B), in its dtype."""
+    return real_if_real(np.stack([B, B.conj().T]))
+
+
 def make_h0(b: StateRegister) -> DenseOperator:
     """H0 = offdiag(Q_b) = σx⊗Q_b; null space spans |0⟩|b⟩ and |1⟩|b⟩."""
     return offdiag(qb_matrix(b))
@@ -113,8 +120,9 @@ def make_h0_encoding(inst: QlspInstance) -> BlockEncoding:
 def make_hf(inst: QlspInstance, f: float) -> BlockEncoding:
     """(1-f+f·d, n+6, 0)-encoding of H(f) = (1-f)·H0 + f·H1.
 
-    The solvers form H(f)/alpha(f) without an encoding, from one H0/H1 pair
-    (numerics.convex_combination); the Zeno walk's alpha(f) equals this one.
+    The solvers form the blocks of H(f)/alpha(f) without an encoding, from
+    B0 and B1 (numerics.convex_combination); the Zeno walk's alpha(f) equals
+    this one.
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")

@@ -3,27 +3,38 @@
 import numpy as np
 import pytest
 
-from eigenfilter import numerics
+from eigenfilter import numerics, qlsp
+from eigenfilter.filtering import prepend_ancilla
+
+
+def dense_hamiltonians(inst):
+    """(H0, H1, |0⟩|u0⟩) as dense references: offdiag(B0) and offdiag(B1)
+    of qlsp.hamiltonian_blocks, 2N×2N for positive-definite input (4N, 8N
+    for the dilations), and the start state. The solvers multiply only the
+    blocks."""
+    b0, b1, u0 = qlsp.hamiltonian_blocks(inst)
+    return qlsp.offdiag(b0), qlsp.offdiag(b1), prepend_ancilla(u0.amps)
 
 
 class CountedOperator(np.ndarray):
     """A matrix view that counts the np.dot and np.matmul calls it takes
     part in; inside numerics.clenshaw each one is one application of the
     operator, or of a stack of operators. Arrays derived from it, such as
-    the kernel's doubled copy, share its counter, and each product's
-    (matrix, vector) dtypes are kept in order."""
+    the kernel's doubled copy, share its counter, and each product's name
+    ("dot" or "matmul") and (matrix, vector) dtypes are kept in order."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
 
-    def _count(self, operands):
+    def _count(self, product, operands):
         self.counter["matvecs"] += 1
+        self.counter.setdefault("products", []).append(product)
         self.counter.setdefault("dtypes", []).append(
             (operands[0].dtype, operands[1].dtype))
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
-            self._count(args)
+            self._count("dot", args)
         return super().__array_function__(func, types, args, kwargs)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -31,7 +42,7 @@ class CountedOperator(np.ndarray):
         # plain views and hand back a result derived from this matrix as
         # a view that shares its counter
         if ufunc is np.matmul:
-            self._count(inputs)
+            self._count("matmul", inputs)
 
         def plain(x):
             return x.view(np.ndarray) if isinstance(x, CountedOperator) else x

@@ -8,7 +8,6 @@ from eigenfilter.aqc import (
     AqcConfig,
     evolve,
     evolve_stack,
-    hamiltonian_pair,
     hsim_query_formula,
     overlap_recorder,
     schedule_p,
@@ -16,7 +15,8 @@ from eigenfilter.aqc import (
     solve_aqc_filtered,
 )
 from eigenfilter.baseline import solve_qsp_direct
-from eigenfilter.chebpoly import jacobi_anger_coeffs
+from eigenfilter.blockenc import qb_matrix
+from eigenfilter.chebpoly import FilterSpec, filter_eval, jacobi_anger_coeffs
 from eigenfilter.filtering import apply_filter, transformed_gap
 from eigenfilter.harness import (
     experiment_ell_vs_kappa,
@@ -42,10 +42,12 @@ from eigenfilter.qlsp import (
     solution_state,
 )
 
+from conftest import dense_hamiltonians
+
 
 def eigh_midpoint(inst, cfg, initial=None):
     """Reference propagator: exp(-i·dt·H(f_mid)) through eig_hermitian."""
-    h0, h1, init = hamiltonian_pair(inst)
+    h0, h1, init = dense_hamiltonians(inst)
     psi = (initial if initial is not None else init).amps.astype(complex)
     k = cfg.num_steps
     dt = cfg.T / k
@@ -87,7 +89,7 @@ def test_schedule_strictly_increasing():
 
 def test_evolve_short_time_is_identity_like():
     inst = gen_instance(3, 10.0, 0)
-    _, _, init = hamiltonian_pair(inst)
+    _, _, init = dense_hamiltonians(inst)
     out = evolve(inst, AqcConfig(T=1e-8))
     assert fidelity(out, init) >= 1.0 - 1e-10
 
@@ -142,7 +144,7 @@ def test_evolve_with_complex_b_matches_eigh_oracle(form):
     b = inst.b.amps + 1j * rng.normal(size=inst.dim)
     inst = QlspInstance(inst.A, inst.b.with_amps(b / np.linalg.norm(b)),
                         inst.kappa, inst.d, form=form)
-    h0, h1, _ = hamiltonian_pair(inst)
+    h0, h1, _ = dense_hamiltonians(inst)
     assert np.abs(h0.mat.imag).max() > 0.0 and np.abs(h1.mat.imag).max() > 0.0
     cfg = AqcConfig(T=2.0)
     got = evolve(inst, cfg).amps
@@ -160,7 +162,7 @@ def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
     a = phases[:, None] * inst.A.mat * phases.conj()[None, :]
     inst = QlspInstance(DenseOperator(a, hermitian=inst.A.hermitian), inst.b,
                         inst.kappa, inst.d, form=form)
-    h0, h1, _ = hamiltonian_pair(inst)
+    h0, h1, _ = dense_hamiltonians(inst)
     assert h0.mat.dtype == np.float64 and h1.mat.dtype == np.complex128
     cfg = AqcConfig(T=2.0)
     got = evolve(inst, cfg).amps
@@ -173,7 +175,7 @@ def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
     coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
     assert coeffs.size > 1
     # count the series evaluations at the recurrence and the operator
-    # products at the kernel's np.dot calls on each step's H(f)
+    # products at the kernel's calls on each step's pair [B(f), B(f)†]
     counter = {"calls": 0, "matvecs": 0}
     recurrence, make_form = aqc.clenshaw, aqc.convex_combination
 
@@ -185,14 +187,21 @@ def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
         form = make_form(m0, m1)
 
         def counted_form(f, alpha):
-            return counted_view(form(f, alpha), counter)
+            pair = form(f, alpha)
+            assert pair.shape == (2, inst.dim, inst.dim)
+            return counted_view(pair, counter)
         return counted_form
 
     monkeypatch.setattr(aqc, "clenshaw", counted_clenshaw)
     monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
     evolve(inst, cfg)
     assert counter["calls"] == cfg.num_steps
-    assert counter["matvecs"] == cfg.num_steps * (coeffs.size - 1)
+    # one np.matmul per term on the pair, a float64 pair meeting the
+    # complex state through its float view
+    products = cfg.num_steps * (coeffs.size - 1)
+    assert counter["matvecs"] == products
+    assert counter["products"] == ["matmul"] * products
+    assert counter["dtypes"] == [(float, float)] * products
 
 
 @pytest.mark.parametrize("form", ["positive-definite",
@@ -242,17 +251,18 @@ def test_evolve_stack_costs_one_stacked_product_per_term(monkeypatch,
         form = make_form(m0, m1)
 
         def counted_form(f, alpha):
-            hf = form(f, alpha)
-            assert hf.shape == (len(insts), 2 * insts[0].dim, 2 * insts[0].dim)
-            return counted_view(hf, counter)
+            pairs = form(f, alpha)
+            assert pairs.shape == (len(insts), 2, insts[0].dim, insts[0].dim)
+            return counted_view(pairs, counter)
         return counted_form
 
     monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
     evolve_stack(insts)(cfg)
-    # one np.matmul per term on the whole stack, a float64 stack meeting
-    # the complex states through their float view
+    # one np.matmul per term on the whole stack of pairs, a float64 stack
+    # meeting the complex states through their float view
     products = cfg.num_steps * (coeffs.size - 1)
     assert counter["matvecs"] == products
+    assert counter["products"] == ["matmul"] * products
     assert counter["dtypes"] == [(float, float)] * products
 
 
@@ -262,7 +272,7 @@ def test_propagator_alpha_bounds_exact_pair_norms(form):
     # evolve takes alpha = NORM_BOUND from the instance's bound on ‖A‖
     # instead of computing a norm; the exact spectral norms must agree
     for seed in range(3):
-        h0, h1, _ = hamiltonian_pair(gen_instance(4, 20.0, seed, form=form))
+        h0, h1, _ = dense_hamiltonians(gen_instance(4, 20.0, seed, form=form))
         assert np.linalg.norm(h0.mat, 2) <= NORM_BOUND
         assert np.linalg.norm(h1.mat, 2) <= NORM_BOUND
 
@@ -270,7 +280,7 @@ def test_propagator_alpha_bounds_exact_pair_norms(form):
 @pytest.mark.parametrize("form", ["positive-definite", "general"])
 def test_evolve_from_explicit_initial_state_matches_eigh_oracle(form):
     inst = gen_instance(3, 10.0, 13, form=form)
-    _, _, init = hamiltonian_pair(inst)
+    _, _, init = dense_hamiltonians(inst)
     rng = np.random.default_rng(0)
     amps = rng.normal(size=init.dim) + 1j * rng.normal(size=init.dim)
     start = init.with_amps(amps / np.linalg.norm(amps))
@@ -288,7 +298,7 @@ def test_evolve_observer_sees_every_step():
     seen = []
     out = evolve(inst, cfg, observer=lambda j, psi: seen.append((j, psi.copy())))
     assert [j for j, _ in seen] == list(range(cfg.num_steps + 1))
-    assert np.array_equal(seen[0][1], hamiltonian_pair(inst)[2].amps)
+    assert np.array_equal(seen[0][1], dense_hamiltonians(inst)[2].amps)
     assert np.array_equal(seen[-1][1], out.amps)
 
 
@@ -393,8 +403,11 @@ def _filter_picture(inst):
 
 @pytest.mark.parametrize("form", FORMS)
 def test_seed_filter_is_apply_filter_on_h1_encoding(form):
-    # the stage filters on H1/d, which is bitwise the shifted contraction
-    # (H1 - 0·I)/(d + 0) that apply_filter forms from H1's encoding
+    # the stage filters on the pair [B, B†]/d, B = A·Q_b, whose entries are
+    # bitwise those of the shifted contraction (H1 - 0·I)/(d + 0) that
+    # apply_filter forms from H1's encoding. BLAS sums the pair's N-long
+    # rows and the dense 2N-long rows in different orders, so success and
+    # state agree to a few ulps, not bitwise
     inst = _filter_picture(gen_instance(3, 6.0, 1, form))
     filt, gap, target = seed_filter(inst)
     enc, raw_gap = make_h1_encoding(inst), gap_lower_bound(inst, 1.0)
@@ -411,8 +424,44 @@ def test_seed_filter_is_apply_filter_on_h1_encoding(form):
         for ell in (1, 4, 17, 60):
             got = filt(ell, psi)
             want = apply_filter(enc, 0.0, ell, psi, gap=raw_gap)
-            assert got.success_probability == want.success_probability
-            assert np.array_equal(got.post_state.amps, want.post_state.amps)
+            assert (abs(got.success_probability - want.success_probability)
+                    <= 4 * np.finfo(float).eps)
+            assert (np.max(np.abs(got.post_state.amps - want.post_state.amps))
+                    <= 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda form=form: _filter_picture(gen_instance(3, 6.0, 1, form))
+      for form in FORMS),
+    *(lambda n=n, seed=seed: planted_tridiag_instance(n, 16.0, seed)
+      for n in (5, 6, 7) for seed in (0, 7)),
+], ids=[*FORMS, *(f"planted{n}-s{seed}" for n in (5, 6, 7) for seed in (0, 7))])
+def test_seed_filter_matches_svd_oracle(make):
+    # with B̃ = A·Q_b/d = UΣV†, an even polynomial of σ₊⊗B̃ + σ₋⊗B̃† maps
+    # [a; c] to [U·p(Σ)·U†a; V·p(Σ)·V†c] (the singular-value picture of
+    # QSVT): the seed filter is R_ℓ at the singular values of B̃, on the
+    # adiabatic seed at the solver's ℓ and on a real state at fixed ells
+    inst = make()
+    filt, gap, _ = seed_filter(inst)
+    u, sv, vh = np.linalg.svd(inst.A.mat @ qb_matrix(inst.b) / inst.d)
+    seeded = evolve(inst, AqcConfig(T=0.2 * inst.kappa))
+    if inst.form != "positive-definite":
+        seeded, _ = aqc._dilated_to_twoblock(seeded, inst.n)
+    rng = np.random.default_rng(2)
+    real = rng.normal(size=2 * inst.dim)
+    solver_ell = solve_aqc_filtered(inst, 1e-6).params["ell"]
+    cases = [(seeded, ell) for ell in (1, 17, solver_ell)]
+    cases += [(StateRegister(real / np.linalg.norm(real), 1, inst.n), ell)
+              for ell in (4, 60)]
+    for psi, ell in cases:
+        r = filter_eval(FilterSpec(ell, gap), sv)
+        top, bottom = np.split(psi.amps, 2)
+        out = np.concatenate([u @ (r * (u.conj().T @ top)),
+                              vh.conj().T @ (r * (vh @ bottom))])
+        got = filt(ell, psi)
+        assert abs(got.success_probability - np.linalg.norm(out) ** 2) <= 1e-12
+        assert np.max(np.abs(got.post_state.amps
+                             - out / np.linalg.norm(out))) <= 1e-12
 
 
 def test_solvers_and_sweeps_build_no_encoding_and_run_no_guard(monkeypatch):
@@ -451,10 +500,11 @@ def test_solvers_and_sweeps_build_no_encoding_and_run_no_guard(monkeypatch):
 @pytest.mark.parametrize("form, n", [(form, 3) for form in FORMS]
                          + [("planted", n) for n in range(2, 8)])
 def test_solver_contractions_need_no_guard(monkeypatch, counted_view, form, n):
-    # the seed's filter runs on H1/d and the baseline on A/d without a norm
-    # guard: ‖H1‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1, and the exact
-    # norm agrees. The filter reaches the kernel through numerics.clenshaw
-    # (the evolution binds it by name) and the baseline through its own name
+    # the seed's filter runs on H1/d, as the pair [B, B†]/d with B = A·Q_b,
+    # and the baseline on A/d without a norm guard: ‖B‖ <= ‖A‖ <= NORM_BOUND
+    # at entry and d >= 1, and the exact norms agree. The filter reaches the
+    # kernel through numerics.clenshaw (the evolution binds it by name) and
+    # the baseline through its own name
     inst = (planted_tridiag_instance(n, 16.0, 0) if form == "planted"
             else gen_instance(n, 6.0, 1, form))
     seen, counter = [], {"matvecs": 0}
@@ -469,8 +519,10 @@ def test_solver_contractions_need_no_guard(monkeypatch, counted_view, form, n):
     aqc_report = solve_aqc_filtered(inst, 1e-6)
     qsp_report = solve_qsp_direct(inst, 1e-6)
     dim = _filter_picture(inst).dim
-    assert [m.shape[0] for m in seen] == [2 * dim, dim]
-    for m in seen:
+    pair, a = seen
+    assert (pair.shape, a.shape) == ((2, dim, dim), (dim, dim))
+    assert np.array_equal(pair[1], pair[0].conj().T)
+    for m in (*pair, a):
         assert np.linalg.norm(m, 2) <= 1.0 + 1e-10
     # the recorded matrices are the ones applied, once per ledgered query
     assert counter["matvecs"] == (aqc_report.query_ledger["U_H1_filter"]

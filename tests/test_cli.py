@@ -326,10 +326,13 @@ def test_gen_is_identical_across_blas_thread_counts(tmp_path):
     assert one == two
 
 
-def test_experiment_is_identical_across_blas_thread_counts(tmp_path):
-    # the seeded filter stage of the fig-A2 sweep: table and sidecar
+@pytest.mark.parametrize("preset", ["fig-a2-left", "kappa-scaling"])
+def test_experiment_is_identical_across_blas_thread_counts(tmp_path, preset):
+    # table and sidecar of the fig-A2 sweep's seeded filter stage, and of
+    # the kappa-scaling sweep: the calibration's stacked evolution (one
+    # np.matmul per term on (S, 2, N, N) pairs) and its three solvers
     one, two = under_blas_thread_counts(
-        tmp_path, "experiment", "fig-a2-left", "--trials", "1")
+        tmp_path, "experiment", preset, "--trials", "1")
     assert len(one[1]) == 2
     assert one == two
 

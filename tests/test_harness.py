@@ -190,10 +190,12 @@ def test_calibration_stack_rows_are_bitwise_evolve(kappa):
 
 
 def test_calibrate_time_factor_builds_no_filter_stage(monkeypatch):
+    # aqc.seed_filter builds H1's blocks from Q_b through aqc's qb_matrix;
+    # the evolution takes its blocks from qlsp.hamiltonian_blocks
     def no_h1(*args):
         raise AssertionError("calibration built H1")
 
-    monkeypatch.setattr(aqc, "make_h1", no_h1)
+    monkeypatch.setattr(aqc, "qb_matrix", no_h1)
     assert calibrate_time_factor(4.0) == 0.1
 
 

@@ -21,6 +21,7 @@ from eigenfilter.numerics import (
     linsolve,
     spectral_norm_bound,
 )
+from eigenfilter.qlsp import offdiag, offdiag_pair
 
 
 def _reference_matvec(m):
@@ -339,7 +340,7 @@ def test_complex_hermitian_operator_keeps_complex_arithmetic(matvec_counter):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("nops", [1, 2], ids=["one-stack", "two-stacks"])
+@pytest.mark.parametrize("nops", [1, 2], ids=["one-pair", "two-pairs"])
 @pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
 @pytest.mark.parametrize("complex_c", [False, True], ids=["real-c", "complex-c"])
@@ -347,20 +348,21 @@ def test_complex_hermitian_operator_keeps_complex_arithmetic(matvec_counter):
 @pytest.mark.parametrize("coeffs", [
     [0.7], [0.3, -0.8], [0.2, 0.5, -0.4], [-0.1, 0.6, 0.3, -0.5],
 ], ids=["deg0", "deg1", "deg2", "deg3"])
-def test_stacked_kernel_rows_are_bitwise_the_2d_call(coeffs, size, complex_c,
-                                                     complex_v, complex_m, nops):
-    # (S, D, D) stacks of matrices and an (S, D) stack of vectors: row s of
-    # the result is byte for byte the 2-D call on row s
+def test_pair_kernel_stack_rows_are_bitwise_the_unstacked_call(
+        coeffs, size, complex_c, complex_v, complex_m, nops):
+    # (S, 2, N, N) stacks of pairs [B, B†] and an (S, 2N) stack of vectors:
+    # row s of the result is byte for byte the (2, N, N) call on row s
     rng = np.random.default_rng(10 * size + len(coeffs))
     ops = []
     for _ in range(nops):
         m = rng.normal(size=(size, 12, 12))
         if complex_m:
             m = m + 1j * rng.normal(size=(size, 12, 12))
-        ops.append(m / (1.25 * np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None])
-    v = rng.normal(size=(size, 12))
+        m = m / (1.25 * np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
+        ops.append(np.stack([offdiag_pair(b) for b in m]))
+    v = rng.normal(size=(size, 24))
     if complex_v:
-        v = v + 1j * rng.normal(size=(size, 12))
+        v = v + 1j * rng.normal(size=(size, 24))
     c = np.array(coeffs) * (0.6 - 0.8j if complex_c else 1.0)
     got = clenshaw(c, tuple(ops) if nops == 2 else ops[0], v)
     assert got.shape == v.shape
@@ -372,15 +374,36 @@ def test_stacked_kernel_rows_are_bitwise_the_2d_call(coeffs, size, complex_c,
         assert got[s].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 4, 8, 12, 64])
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
-def test_stacked_kernel_counts_one_matmul_per_degree(counted_view, complex_v):
-    # a real stack meets a complex stacked vector through its (S, D, 2)
-    # float view, a real one through (S, D, 1) columns
+def test_pair_kernel_matches_dense_offdiag(dim, complex_m, complex_v):
+    # [B, B†] maps [a; c] to [B·c; B†·a], the dense σ₊⊗B + σ₋⊗B† product;
+    # BLAS sums N-long and 2N-long rows in different orders, so the two
+    # series agree to rounding, not bitwise
+    rng = np.random.default_rng(dim)
+    b = rng.normal(size=(dim, dim))
+    if complex_m:
+        b = b + 1j * rng.normal(size=(dim, dim))
+    b /= 1.25 * np.linalg.norm(b, 2)
+    v = rng.normal(size=2 * dim) + (1j * rng.normal(size=2 * dim) if complex_v else 0.0)
+    c = jacobi_anger_coeffs(0.9)
+    got = clenshaw(c, offdiag_pair(b), v)
+    want = clenshaw(c, offdiag(b).mat, v)
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+def test_pair_kernel_counts_one_matmul_per_degree(counted_view, complex_v):
+    # a real stack of pairs meets a complex stacked vector through its
+    # (S, 2, N, 2) float view, a real one through (S, 2, N, 1) columns
     rng = np.random.default_rng(8)
-    m = rng.normal(size=(3, 6, 6)) / 10.0
-    v = rng.normal(size=(3, 6)) + (1j * rng.normal(size=(3, 6)) if complex_v else 0.0)
+    m = np.stack([offdiag_pair(b) for b in rng.normal(size=(3, 6, 6)) / 10.0])
+    v = rng.normal(size=(3, 12)) + (1j * rng.normal(size=(3, 12)) if complex_v else 0.0)
     counter = {"matvecs": 0}
     clenshaw(np.array([0.5, -0.2, 0.3, 0.1]), counted_view(m, counter), v)
+    assert counter["products"] == ["matmul"] * 3
     assert counter["dtypes"] == [(float, float)] * 3
 
 

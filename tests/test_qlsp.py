@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from eigenfilter.aqc import hamiltonian_pair
 from eigenfilter.blockenc import (
     encode,
     multiply,
@@ -24,6 +23,7 @@ from eigenfilter.numerics import (
     spectral_norm_bound,
 )
 from eigenfilter.qlsp import (
+    FORMS,
     QlspInstance,
     eigenpath_length,
     eigenpath_state,
@@ -37,11 +37,14 @@ from eigenfilter.qlsp import (
     make_h1_encoding,
     make_hf,
     offdiag,
+    offdiag_pair,
     path_vector,
     path_vectors,
     solution_state,
 )
 from eigenfilter.zeno import zeno_params
+
+from conftest import dense_hamiltonians
 
 
 def test_instance_validation():
@@ -191,7 +194,7 @@ def test_gap_bound_forms():
 
 def test_hamiltonian_pair_dilated_null_spaces_and_start():
     inst = gen_instance(3, 10.0, 6, form="hermitian-indefinite")
-    h0, h1, init = hamiltonian_pair(inst)
+    h0, h1, init = dense_hamiltonians(inst)
     assert init.norm() == pytest.approx(1.0)
     assert np.linalg.norm(h0.mat @ init.amps) <= 1e-12
     x = linsolve(inst.A, inst.b).amps
@@ -224,7 +227,7 @@ def test_hamiltonian_pair_dilation_matches_complex_built_q(form, complex_b):
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
     want0 = np.kron(sp, sz_i @ q) + np.kron(sp.T, q @ sz_i)
     want1 = np.kron(sp, sx_a @ q) + np.kron(sp.T, q @ sx_a)
-    h0, h1, _ = hamiltonian_pair(dataclasses.replace(inst, b=b))
+    h0, h1, _ = dense_hamiltonians(dataclasses.replace(inst, b=b))
     tol = 64 * np.finfo(float).eps
     assert np.max(np.abs(h0.mat - want0)) <= tol
     assert np.max(np.abs(h1.mat - want1)) <= tol
@@ -283,7 +286,7 @@ def test_hamiltonian_blocks_match_explicit_kronecker_products(form):
                 # bitwise on real instances
                 assert np.array_equal(offdiag(b0).mat, want0)
                 assert np.array_equal(offdiag(b1).mat, want1)
-                assert np.array_equal(hamiltonian_pair(real)[2].amps, start)
+                assert np.array_equal(dense_hamiltonians(real)[2].amps, start)
                 assert offdiag(b0).mat.dtype == np.float64
             # complex b and complex Hermitian A: B† and the product Q_bA
             # round differently, within a few ulps
@@ -294,6 +297,20 @@ def test_hamiltonian_blocks_match_explicit_kronecker_products(form):
             assert np.max(np.abs(offdiag(b0).mat - want0)) <= tol
             assert np.max(np.abs(offdiag(b1).mat - want1)) <= tol
             assert offdiag(b1).mat.dtype == np.complex128
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_offdiag_pair_is_the_blocks_of_offdiag(form):
+    # the solvers multiply [B, B†]; offdiag(B) is the dense σ₊⊗B + σ₋⊗B†
+    # with the same entries, and both are float64 exactly when B is real
+    inst = gen_instance(3, 8.0, 0, form)
+    for case in (inst, _phased_instance(inst, 5)):
+        for blk in hamiltonian_blocks(case)[:2]:
+            pair, dense, half = offdiag_pair(blk), offdiag(blk).mat, blk.shape[0]
+            assert pair.shape == (2, half, half)
+            assert np.array_equal(pair[0], dense[:half, half:])
+            assert np.array_equal(pair[1], dense[half:, :half])
+            assert pair.dtype == dense.dtype
 
 
 def test_extend_general_keeps_singular_values():
