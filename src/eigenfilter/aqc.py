@@ -26,7 +26,7 @@ import numpy as np
 
 from .blockenc import qb_matrix
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
-from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sample_restarts
+from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
 from .numerics import StateRegister, clenshaw, convex_combination, fidelity
 from .qlsp import (
     NORM_BOUND,
@@ -209,21 +209,25 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
                        cfg: AqcConfig | None = None,
                        mode: str = "postselect",
                        seed: int | None = None,
-                       max_attempts: int = 10_000,
                        observer=None) -> SolverReport:
-    """Adiabatic seed at constant precision, then one filtering step.
+    """aqc_run's report, charged as mode and seed say."""
+    return aqc_run(inst, eps, cfg, observer)(mode, seed)
+
+
+def aqc_run(inst: QlspInstance, eps: float, cfg: AqcConfig | None = None,
+            observer=None):
+    """Adiabatic seed at constant precision, then one filtering step, run
+    once: report(mode="postselect", seed=None), charged by filtering.sampled.
 
     The filter degree targets eps scaled by the measured seed overlap
     (a weaker seed needs a sharper filter); the final first-qubit
-    measurement removes the |1⟩|b⟩ null component. In sample mode the run
-    is simulated once and seeded coins decide the restarts; the ledger
-    charges the filter once per attempt that reached it. observer, if
-    given, is handed to the one evolve call (see overlap_recorder).
+    measurement removes the |1⟩|b⟩ null component. The coin stages are the
+    dilated run's |+⟩ acceptance (dilated forms), the filter (2ℓ queries)
+    and the ancilla. observer, if given, is handed to the one evolve call
+    (see overlap_recorder).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if mode not in ("postselect", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg or AqcConfig(T=TIME_FACTOR * inst.kappa)
 
     # the filtering picture: positive definite stays on (A, b); general
@@ -244,28 +248,25 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
 
     out = filt(ell, seeded)
     final = measure_ancilla(out.post_state)
-    # coin stages: the dilated run's |+> acceptance, the filter, the ancilla
-    probs = ([accept_p] if dilated else [])
-    probs += [out.success_probability, final.success_probability]
-    reached = sample_restarts(probs, np.random.default_rng(seed),
-                              max_attempts, mode)
-    attempts = reached[0]
-
+    stages = ([(accept_p, 0)] if dilated else [])
+    stages += [(out.success_probability, 2 * ell), (final.success_probability, 0)]
     fid = fidelity(final.post_state.amps[:filt_inst.dim], target.amps[:filt_inst.dim])
-    return SolverReport(
-        method="aqc",
-        params={
-            "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-            "T": cfg.T, "p": cfg.p, "steps": cfg.num_steps, "ell": ell,
-            "gamma0": gamma0, "dilated_accept_p": accept_p,
-            "mode": mode, "seed": seed, "form": inst.form,
-        },
-        final_fidelity=fid,
-        success_probabilities=probs,
-        query_ledger={"U_H1_filter": 2 * ell * reached[int(dilated)],
-                      "O_B": attempts},
-        formula_derived_costs={
-            "aqc_evolution_queries": hsim_query_formula(inst.d, inst.kappa),
-        },
-        attempts=attempts,
-    )
+
+    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
+        return sampled(
+            stages, "U_H1_filter", mode, seed,
+            method="aqc",
+            params={
+                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
+                "T": cfg.T, "p": cfg.p, "steps": cfg.num_steps, "ell": ell,
+                "gamma0": gamma0, "dilated_accept_p": accept_p,
+                "form": inst.form,
+            },
+            final_fidelity=fid,
+            success_probabilities=[p for p, _ in stages],
+            formula_derived_costs={
+                "aqc_evolution_queries": hsim_query_formula(inst.d, inst.kappa),
+            },
+        )
+
+    return report

@@ -29,7 +29,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
 from .chebpoly import ChebSeries
-from .filtering import sample_restarts
+from .filtering import sampled
 from .numerics import StateRegister, clenshaw, fidelity, real_if_real
 from .qlsp import QlspInstance, extend_general, solution_state
 from .report import SolverReport
@@ -188,17 +188,18 @@ def build_inversion_poly(alpha_kappa: float, eps: float,
 
 
 def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
-                     seed: int | None = None,
-                     max_attempts: int = 10_000) -> SolverReport:
-    """Apply the inversion polynomial to |b⟩ and postselect.
+                     seed: int | None = None) -> SolverReport:
+    """qsp_run's report, charged as mode and seed say."""
+    return qsp_run(inst, eps)(mode, seed)
+
+
+def qsp_run(inst: QlspInstance, eps: float):
+    """Apply the inversion polynomial to |b⟩ once and postselect:
+    report(mode="postselect", seed=None), charged by filtering.sampled.
 
     Query ledger: polynomial degree per attempt times attempts; the expected
     count degree/p is recorded as a diagnostic. No amplitude amplification.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if mode not in ("postselect", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     work = inst
     if inst.form == "general":
         work = extend_general(inst.A, inst.b, inst.kappa, inst.d)
@@ -210,21 +211,22 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
     out = clenshaw(spec.series.coefficients, work.A.mat / alpha,
                    real_if_real(work.b.amps)).astype(complex)
     p = float(np.linalg.norm(out) ** 2)
-    [attempts] = sample_restarts([p], np.random.default_rng(seed),
-                                 max_attempts, mode)
     state = StateRegister(out / np.linalg.norm(out),
                           ancilla=work.b.ancilla, system=work.b.system)
     fid = fidelity(state, oracle)
-    return SolverReport(
-        method="qsp-direct",
-        params={
-            "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-            "degree": spec.degree, "degree_budget": spec.degree_budget,
-            "c": spec.c, "mode": mode, "seed": seed, "form": inst.form,
-        },
-        final_fidelity=fid,
-        success_probabilities=[p],
-        query_ledger={"U_A": spec.degree * attempts, "O_B": attempts},
-        formula_derived_costs={"expected_queries": spec.degree / p},
-        attempts=attempts,
-    )
+
+    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
+        return sampled(
+            [(p, spec.degree)], "U_A", mode, seed,
+            method="qsp-direct",
+            params={
+                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
+                "degree": spec.degree, "degree_budget": spec.degree_budget,
+                "c": spec.c, "form": inst.form,
+            },
+            final_fidelity=fid,
+            success_probabilities=[p],
+            formula_derived_costs={"expected_queries": spec.degree / p},
+        )
+
+    return report

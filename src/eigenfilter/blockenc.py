@@ -1,10 +1,10 @@
-"""Block-encoding algebra: (alpha, m, eps) bookkeeping plus explicit dilations.
+"""Block-encoding algebra: (alpha, m) bookkeeping plus explicit dilations.
 
-An encoding carries the encoded matrix together with its subnormalization,
-ancilla count, and error bound, and scales to the full desk-scale
-dimensions. `verify` completes payload/alpha to an actual unitary with one
-extra ancilla, so the bookkeeping can be checked against a real top-left
-block on tiny dimensions; no encoding stores that unitary.
+An encoding carries the encoded matrix together with its subnormalization
+and ancilla count, and scales to the full desk-scale dimensions. `verify`
+completes payload/alpha to an actual unitary with one extra ancilla, so the
+bookkeeping can be checked against a real top-left block on tiny
+dimensions; no encoding stores that unitary.
 
 The subnormalization guards (‖payload‖ ≤ alpha) check the certified bound
 sqrt(‖A‖₁·‖A‖∞) before any SVD and fall back to the exact spectral norm only
@@ -36,21 +36,18 @@ DILATION_DIM_CAP = 2 ** 14
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Operator payload with subnormalization alpha, m ancillas, error bound."""
+    """Exact encoding of a payload with subnormalization alpha, m ancillas."""
 
     payload: DenseOperator
     alpha: float
     ancilla: int
-    err_bound: float = 0.0
 
     def __post_init__(self):
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.ancilla < 0:
             raise ValueError("ancilla count must be non-negative")
-        if self.err_bound < 0.0:
-            raise ValueError("error bound must be non-negative")
-        limit = self.alpha * (1.0 + 1e-10) + self.err_bound
+        limit = self.alpha * (1.0 + 1e-10)
         nrm = spectral_norm_bound(self.payload, limit)
         if nrm > limit:
             raise ValueError(
@@ -70,8 +67,8 @@ def _num_qubits(dim: int) -> int:
     return n
 
 
-def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
-           err_bound: float = 0.0) -> BlockEncoding:
+def encode(A: DenseOperator, alpha: float,
+           ancilla: int | None = None) -> BlockEncoding:
     """Encoding of A with subnormalization alpha.
 
     When the ancilla count is not supplied, the sparse-access convention
@@ -80,7 +77,7 @@ def encode(A: DenseOperator, alpha: float, ancilla: int | None = None,
     """
     if ancilla is None:
         ancilla = _num_qubits(A.dim) + 2
-    return BlockEncoding(A, float(alpha), ancilla, err_bound)
+    return BlockEncoding(A, float(alpha), ancilla)
 
 
 def shift_add_identity(enc: BlockEncoding, c: complex) -> BlockEncoding:
@@ -94,8 +91,7 @@ def shift_add_identity(enc: BlockEncoding, c: complex) -> BlockEncoding:
         enc.payload.mat + c * np.eye(enc.dim),
         hermitian=enc.payload.hermitian and c.imag == 0.0,
     )
-    return BlockEncoding(shifted, enc.alpha + abs(c), enc.ancilla + 1,
-                         enc.err_bound)
+    return BlockEncoding(shifted, enc.alpha + abs(c), enc.ancilla + 1)
 
 
 def multiply(e1: BlockEncoding, e2: BlockEncoding) -> BlockEncoding:
@@ -103,8 +99,7 @@ def multiply(e1: BlockEncoding, e2: BlockEncoding) -> BlockEncoding:
     if e1.dim != e2.dim:
         raise ValueError("dimension mismatch")
     prod = DenseOperator(e1.payload.mat @ e2.payload.mat)
-    err = e1.alpha * e2.err_bound + e2.alpha * e1.err_bound
-    return BlockEncoding(prod, e1.alpha * e2.alpha, e1.ancilla + e2.ancilla, err)
+    return BlockEncoding(prod, e1.alpha * e2.alpha, e1.ancilla + e2.ancilla)
 
 
 def linear_combine(encs, weights) -> BlockEncoding:
@@ -122,8 +117,7 @@ def linear_combine(encs, weights) -> BlockEncoding:
     herm = all(e.payload.hermitian for e in encs)
     alpha = sum(wi * e.alpha for wi, e in zip(w, encs))
     anc = sum(e.ancilla for e in encs) + 1
-    err = sum(wi * e.err_bound for wi, e in zip(w, encs))
-    return BlockEncoding(DenseOperator(total, hermitian=herm), alpha, anc, err)
+    return BlockEncoding(DenseOperator(total, hermitian=herm), alpha, anc)
 
 
 def qb_matrix(b: StateRegister) -> np.ndarray:

@@ -30,9 +30,11 @@ from .chebpoly import (
 )
 from . import numerics
 from .numerics import StateRegister, clenshaw_apply, eig_hermitian
+from .report import SolverReport
 
 # Eigenvalues within this distance of λ count as the target eigenspace.
 EIGENSPACE_TOL = 1e-8
+MAX_ATTEMPTS = 10_000  # a sampled run with no success by then raises
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class MeasurementOutcome:
     """Projection result: success probability plus the renormalized state.
 
     The projection is deterministic; a sampled run draws its coins against
-    the recorded probability (see sample_restarts), and the failure branch
+    the recorded probability (see sampled), and the failure branch
     state is not modeled.
     """
 
@@ -192,17 +194,14 @@ def measure_ancilla(state: StateRegister) -> MeasurementOutcome:
 
 
 def sample_restarts(probs: list[float], rng: np.random.Generator,
-                    max_attempts: int, mode: str = "sample") -> list[int]:
+                    max_attempts: int) -> list[int]:
     """Sample a chain of measurements, restarting it from the top on failure.
 
     Each attempt draws one coin rng.random() < probs[i] per stage, in order,
     and stops at the first failure; the first attempt that passes every
     stage ends the run. Returns how many times each stage was reached, so
-    entry 0 is the number of attempts; a ledger charges each stage's cost
-    that many times. In "postselect" mode each stage is reached once.
+    entry 0 is the number of attempts.
     """
-    if mode == "postselect":
-        return [1] * len(probs)
     reached = [0] * len(probs)
     for _ in range(max_attempts):
         for i, p in enumerate(probs):
@@ -212,3 +211,28 @@ def sample_restarts(probs: list[float], rng: np.random.Generator,
         else:
             return reached
     raise RuntimeError(f"no success within {max_attempts} attempts")
+
+
+def sampled(stages: list[tuple[float, int]], key: str, mode: str,
+            seed: int | None, **report) -> SolverReport:
+    """The SolverReport of one deterministic run of a measurement chain: the
+    one charging rule of every solver.
+
+    stages is the chain in order, as (success probability, queries per
+    reach). "postselect" reaches each stage once; "sample" draws seeded
+    coins (sample_restarts, MAX_ATTEMPTS). ledger[key] charges each stage's
+    queries once per attempt that reached it; O_B and attempts count the
+    attempts. report holds the other fields; mode and seed join its params.
+    """
+    if mode == "postselect":
+        reached = [1] * len(stages)
+    elif mode == "sample":
+        reached = sample_restarts([p for p, _ in stages],
+                                  np.random.default_rng(seed), MAX_ATTEMPTS)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    attempts = reached[0]
+    queries = sum(q * r for (_, q), r in zip(stages, reached))
+    report["params"] = {**report["params"], "mode": mode, "seed": seed}
+    return SolverReport(**report, query_ledger={key: queries, "O_B": attempts},
+                        attempts=attempts)

@@ -39,6 +39,10 @@ DEFAULT_ELL_FRACTIONS = (0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 12.0, 15.0, 18.0, 21
 CALIBRATION_FACTORS = (0.1, 0.125, 0.16, 0.2, 0.25, 0.32, 0.4, 0.5, 0.64,
                        0.8, 1.0, 1.25, 1.6)
 SEED_OVERLAP_TARGET = 0.9
+# the calibration's planted instances: the seed overlap is insensitive to
+# dimension, so a small n keeps it fast
+CALIBRATION_N = 5
+CALIBRATION_SEEDS = 3
 
 
 @dataclass(frozen=True)
@@ -343,18 +347,19 @@ def zeno_log_factor(kappa: float, eps: float) -> float:
     return math.log(2.0 / params.eps_p) * params.M / math.log(kappa)
 
 
-def calibrate_time_factor(kappa: float, n: int = 5, cal_seeds: int = 3) -> float:
+def calibrate_time_factor(kappa: float) -> float:
     """Smallest time factor whose mean seed overlap reaches SEED_OVERLAP_TARGET.
 
     Constant-precision preparation: the adiabatic seed should land at a
     kappa-independent overlap with the solution, so the repetition count
     stays flat and the query slope reflects the filter degree alone. The
     search walks a fixed geometric factor grid (ascending, early exit), so
-    the result is deterministic. The overlap is insensitive to dimension,
-    so calibration defaults to a small n for speed. The instances, targets
-    |0⟩|x⟩ and H0/H1 stack (aqc.evolve_stack) are built once, for all factors.
+    the result is deterministic. It evolves the CALIBRATION_SEEDS planted
+    instances of size CALIBRATION_N. The instances, targets |0⟩|x⟩ and
+    H0/H1 stack (aqc.evolve_stack) are built once, for all factors.
     """
-    insts = [planted_tridiag_instance(n, kappa, seed) for seed in range(cal_seeds)]
+    insts = [planted_tridiag_instance(CALIBRATION_N, kappa, seed)
+             for seed in range(CALIBRATION_SEEDS)]
     goals = [prepend_ancilla(solution_state(inst).amps) for inst in insts]
     run = evolve_stack(insts)
     for factor in CALIBRATION_FACTORS:

@@ -3,10 +3,11 @@
 Query counts split into two maps that are never merged: `query_ledger` holds
 exact integers for the polynomial applications of the modeled run, while
 `formula_derived_costs` holds closed-form estimates for subroutines that are
-emulated rather than simulated (flagged by living in this map). A sampled
-run simulates its measurement chain once and restarts by seeded coins; its
-ledger charges each stage's queries once per attempt that reached the stage,
-so aborted attempts pay for what they ran and nothing more.
+emulated rather than simulated (flagged by living in this map). Every
+solver report is charged by `filtering.sampled`: a sampled run simulates its
+measurement chain once and restarts by seeded coins, and its ledger charges
+each stage's queries once per attempt that reached the stage, so aborted
+attempts pay for what they ran and nothing more.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
-from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sample_restarts
+from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
 from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
@@ -115,24 +115,26 @@ def _exact_projector_step(x: np.ndarray,
 
 
 def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
-               seed: int | None = None, ideal_projection: bool = False,
-               max_attempts: int = 10_000) -> tuple[SolverReport, ZenoTrace]:
-    """Walk the schedule grid with filtering projections; final step at eps/4.
+               seed: int | None = None, ideal_projection: bool = False
+               ) -> tuple[SolverReport, ZenoTrace]:
+    """zeno_run's report, charged as mode and seed say, and its trace."""
+    report, trace = zeno_run(inst, eps, ideal_projection)
+    return report(mode, seed), trace
 
-    In sample mode the walk is simulated once and seeded coins decide the
-    restarts: any failed measurement aborts the attempt and restarts the
-    whole walk from |0⟩|b⟩. The ledger charges every filter step each time
-    an attempt reached it, aborted attempts included (those queries were
-    spent).
+
+def zeno_run(inst: QlspInstance, eps: float, ideal_projection: bool = False):
+    """Walk the schedule grid with filtering projections, final step at
+    eps/4, once: (report, trace), report(mode="postselect", seed=None)
+    charging the walk by filtering.sampled.
+
+    The coin stages are each filter step (ideal_projection steps draw none),
+    then the final ancilla measurement; a failure restarts the whole walk
+    from |0⟩|b⟩, and each step costs 2ℓ per attempt that reached it.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if mode not in ("postselect", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
+    params = zeno_params(inst.kappa, eps)
     if inst.form != "positive-definite":
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
         raise ValueError("traversal solver requires a positive-definite instance")
-    params = zeno_params(inst.kappa, eps)
     # QlspInstance checks ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
     # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), alpha(f) = (1-f) + f·d: each
     # B(f)/alpha(f) is a contraction to the encodings' own tolerance
@@ -143,7 +145,7 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
     path = path_vectors(inst, params.f_grid[1:])
     oracle = solution_state(inst)
     trace = ZenoTrace()
-    probs: list[float] = []  # coin stages: each filter step, then the ancilla
+    stages: list[tuple[float, int]] = []
     ells: list[int] = []
     for j in range(1, params.M + 1):
         f = float(params.f_grid[j])
@@ -161,39 +163,35 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
             out = filter_ops((bh_form(f, alpha), b), min(gap, BOUND_GAP_CAP),
                              ell, u)
             u, p = out.post_state, out.success_probability
-            probs.append(p)
+            stages.append((p, 2 * ell))
         if j == params.M:
             final = measure_ancilla(prepend_ancilla(u.amps))
             u = u.with_amps(final.post_state.amps[:u.dim])
             p *= final.success_probability
-            probs.append(final.success_probability)
+            stages.append((final.success_probability, 0))
         trace.per_step_success.append(p)
         trace.states.append(u.amps / np.linalg.norm(u.amps))
 
-    reached = sample_restarts(probs, np.random.default_rng(seed),
-                              max_attempts, mode)
-    attempts = reached[0]
-    queries = 0 if ideal_projection else sum(
-        2 * deg * r for deg, r in zip(ells, reached))
-
     trace.total_success = float(np.prod(trace.per_step_success))
     trace.final_fidelity = fidelity(u.amps, oracle.amps)
-    report = SolverReport(
-        method="zeno",
-        params={
-            "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-            "M": params.M, "eps_p": params.eps_p, "mode": mode, "seed": seed,
-            "ideal_projection": ideal_projection, "ells": ells,
-            "form": inst.form,
-        },
-        final_fidelity=trace.final_fidelity,
-        success_probabilities=list(trace.per_step_success),
-        query_ledger={"U_Hf_filter": queries, "O_B": attempts},
-        formula_derived_costs={
-            "query_envelope": query_envelope(inst.kappa, inst.d, params),
-        },
-        attempts=attempts,
-    )
+
+    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
+        return sampled(
+            stages, "U_Hf_filter", mode, seed,
+            method="zeno",
+            params={
+                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
+                "M": params.M, "eps_p": params.eps_p,
+                "ideal_projection": ideal_projection, "ells": list(ells),
+                "form": inst.form,
+            },
+            final_fidelity=trace.final_fidelity,
+            success_probabilities=list(trace.per_step_success),
+            formula_derived_costs={
+                "query_envelope": query_envelope(inst.kappa, inst.d, params),
+            },
+        )
+
     return report, trace
 
 

@@ -47,7 +47,12 @@ from eigenfilter.qlsp import (
     make_h1_encoding,
     make_hf,
 )
-from eigenfilter.zeno import solve_zeno, validate_zeno_bounds, zeno_params
+from eigenfilter.zeno import (
+    solve_zeno,
+    validate_zeno_bounds,
+    zeno_params,
+    zeno_run,
+)
 
 
 def emit(num: int, ok: bool, detail: str) -> None:
@@ -195,17 +200,21 @@ def test_criterion_07_traversal_solver():
     params = zeno_params(10.0, eps)
     min_fid = 1.0
     bounds_hold = True
-    for seed in range(20):
-        inst = gen_instance(4, 10.0, seed)
-        report, trace = solve_zeno(inst, eps)
-        min_fid = min(min_fid, report.final_fidelity)
+    insts = [gen_instance(4, 10.0, seed) for seed in range(20)]
+    runs = []
+    for inst in insts:
+        report, trace = zeno_run(inst, eps)
+        runs.append(report)
+        min_fid = min(min_fid, report().final_fidelity)
         bounds_hold = bounds_hold and validate_zeno_bounds(
             trace, params, inst).all_hold
+    # run r samples instance r % 20 at seed r from that instance's one walk
     attempts = 0
     for run in range(200):
-        inst = gen_instance(4, 10.0, run % 20)
-        report, _ = solve_zeno(inst, eps, mode="sample", seed=run)
-        attempts += report.attempts
+        attempts += runs[run % 20]("sample", run).attempts
+    for run in (7, 59, 159):
+        fresh, _ = solve_zeno(insts[run % 20], eps, mode="sample", seed=run)
+        assert runs[run % 20]("sample", run).to_dict() == fresh.to_dict()
     rate = 200.0 / attempts
     ok = min_fid >= 1.0 - 1e-6 and bounds_hold and rate >= 1.0 / 400.0
     emit(7, ok, f"kappa=10 N=16 eps=1e-6: postselect fidelity "

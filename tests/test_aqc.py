@@ -6,6 +6,7 @@ import pytest
 from eigenfilter import aqc, baseline, blockenc, numerics
 from eigenfilter.aqc import (
     AqcConfig,
+    aqc_run,
     evolve,
     evolve_stack,
     hsim_query_formula,
@@ -344,16 +345,13 @@ def test_solver_handles_all_forms():
 
 def test_solver_sampled_success_rate():
     # total success probability is Omega(1): one-shot empirical rate over
-    # 200 seeded runs (a capped run that fails raises instead of retrying)
-    inst = gen_instance(3, 6.0, 8)
+    # 200 seeded runs of one simulation (a run whose first attempt passes
+    # every stage reports one attempt)
+    report = aqc_run(gen_instance(3, 6.0, 8), 1e-3)
     hits = 0
     for seed in range(200):
-        try:
-            rep = solve_aqc_filtered(inst, 1e-3, mode="sample", seed=seed,
-                                     max_attempts=1)
-        except RuntimeError:
-            continue
-        hits += rep.final_fidelity >= 1.0 - 1e-3
+        rep = report("sample", seed)
+        hits += rep.attempts == 1 and rep.final_fidelity >= 1.0 - 1e-3
     assert hits >= 0.25 * 200
 
 

@@ -31,7 +31,6 @@ def test_encode_default_ancilla_is_sparse_convention():
     enc = encode(op, alpha=3.0)
     assert enc.ancilla == 3 + 2
     assert enc.alpha == 3.0
-    assert enc.err_bound == 0.0
 
 
 def test_encode_rejects_undersized_alpha():
@@ -94,13 +93,12 @@ def test_shift_complex_records_phase():
     assert not shifted.payload.hermitian
 
 
-def test_multiply_combines_alpha_ancilla_error():
-    a = encode(small_hermitian(4, 9), alpha=2.0, err_bound=1e-3)
-    b = encode(small_hermitian(4, 10), alpha=3.0, err_bound=1e-4)
+def test_multiply_combines_alpha_and_ancilla():
+    a = encode(small_hermitian(4, 9), alpha=2.0)
+    b = encode(small_hermitian(4, 10), alpha=3.0)
     prod = multiply(a, b)
     assert prod.alpha == 6.0
     assert prod.ancilla == a.ancilla + b.ancilla
-    assert prod.err_bound == pytest.approx(2.0 * 1e-4 + 3.0 * 1e-3)
     assert np.allclose(prod.payload.mat, a.payload.mat @ b.payload.mat)
     assert verify(prod) <= 1e-10
 

@@ -3,20 +3,28 @@
 import numpy as np
 import pytest
 
+from eigenfilter import aqc, baseline, numerics
+from eigenfilter.aqc import aqc_run, solve_aqc_filtered
+from eigenfilter.baseline import qsp_run, solve_qsp_direct
 from eigenfilter.blockenc import encode
 from eigenfilter.chebpoly import BOUND_GAP_CAP, FilterSpec
 from eigenfilter.filtering import (
+    MAX_ATTEMPTS,
     apply_filter,
     measure_ancilla,
     prepend_ancilla,
     projector_error,
     reflection_apply,
     sample_restarts,
+    sampled,
     theta_reflection_apply,
     transformed_gap,
 )
-from eigenfilter.harness import planted_hermitian
+from eigenfilter.harness import gen_instance, planted_hermitian
 from eigenfilter.numerics import StateRegister, eig_hermitian, fidelity
+from eigenfilter.zeno import solve_zeno, zeno_run
+
+from conftest import counted
 
 
 def planted(n=4, gap=0.25, seed=0, lam=0.1, alpha=2.0):
@@ -193,3 +201,75 @@ def test_sample_restarts_enforces_max_attempts():
         sample_restarts(probs, np.random.default_rng(4), short)
     with pytest.raises(RuntimeError, match="no success within 5 attempts"):
         sample_restarts([0.0], np.random.default_rng(0), 5)
+
+
+@pytest.mark.parametrize("stages", [
+    [(0.5, 3)],
+    [(0.9, 10), (0.3, 0), (0.8, 7)],
+    [(0.2, 1), (1.0, 2), (0.6, 0), (0.95, 5)],
+])
+def test_sampled_charges_each_stage_once_per_reach(stages):
+    probs = [p for p, _ in stages]
+    fields = {"method": "m", "params": {"k": 1}, "final_fidelity": 1.0}
+    for seed in range(10):
+        reached = sample_restarts(probs, np.random.default_rng(seed),
+                                  MAX_ATTEMPTS)
+        rep = sampled(stages, "Q", "sample", seed, **fields)
+        charged = sum(q * r for (_, q), r in zip(stages, reached))
+        assert rep.query_ledger == {"Q": charged, "O_B": reached[0]}
+        assert rep.attempts == reached[0]
+        assert rep.params == {"k": 1, "mode": "sample", "seed": seed}
+        assert list(rep.params)[-2:] == ["mode", "seed"]
+    rep = sampled(stages, "Q", "postselect", None, **fields)
+    assert rep.query_ledger == {"Q": sum(q for _, q in stages), "O_B": 1}
+    assert rep.attempts == 1
+    assert rep.params == {"k": 1, "mode": "postselect", "seed": None}
+    assert fields["params"] == {"k": 1}
+
+
+def test_sampled_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        sampled([(1.0, 1)], "Q", "bogus", None, method="m", params={},
+                final_fidelity=1.0)
+
+
+@pytest.fixture
+def product_counter(monkeypatch):
+    """Count every operator product of numerics.clenshaw, under each name
+    the solvers call it by (the filters, the evolution, the baseline)."""
+    counter = {"matvecs": 0}
+    recurrence = numerics.clenshaw
+
+    def counted_recurrence(c, ops, vec):
+        return recurrence(c, counted(ops, counter), vec)
+
+    for module in (numerics, aqc, baseline):
+        monkeypatch.setattr(module, "clenshaw", counted_recurrence)
+    return counter
+
+
+RUNS = {
+    "zeno": (lambda inst: zeno_run(inst, 1e-6)[0],
+             lambda inst, s: solve_zeno(inst, 1e-6, "sample", s)[0]),
+    "aqc": (lambda inst: aqc_run(inst, 1e-6),
+            lambda inst, s: solve_aqc_filtered(inst, 1e-6, mode="sample",
+                                               seed=s)),
+    "qsp-direct": (lambda inst: qsp_run(inst, 1e-6),
+                   lambda inst, s: solve_qsp_direct(inst, 1e-6, "sample", s)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_one_run_samples_ten_seeds_for_one_simulation(method, product_counter):
+    run, solve = RUNS[method]
+    inst = gen_instance(3, 10.0, 5)
+    report = run(inst)
+    simulated = product_counter["matvecs"]
+    assert simulated > 0
+    seeds = (*range(9), 159)  # the walk restarts at seed 159 only
+    reports = [report("sample", s) for s in seeds]
+    assert product_counter["matvecs"] == simulated
+    for s, rep in zip(seeds, reports):
+        assert rep.to_dict() == solve(inst, s).to_dict()
+    # each fresh solve simulates the run again, at the same cost
+    assert product_counter["matvecs"] == 11 * simulated

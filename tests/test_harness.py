@@ -200,14 +200,14 @@ def test_calibrate_time_factor_builds_no_filter_stage(monkeypatch):
 
 
 def test_calibrate_time_factor_builds_each_instance_once(monkeypatch):
-    kappa, n, cal_seeds = 8.0, 3, 2
+    kappa = 8.0
 
     def rebuilt_per_factor():
         for factor in CALIBRATION_FACTORS:
             cfg = AqcConfig(T=factor * kappa, p=1.5)
             gams = []
-            for seed in range(cal_seeds):
-                inst = planted_tridiag_instance(n, kappa, seed)
+            for seed in range(harness.CALIBRATION_SEEDS):
+                inst = planted_tridiag_instance(harness.CALIBRATION_N, kappa, seed)
                 x = np.concatenate([solution_state(inst).amps,
                                     np.zeros(inst.dim)])
                 gams.append(abs(np.vdot(x, evolve(inst, cfg).amps)))
@@ -223,9 +223,9 @@ def test_calibrate_time_factor_builds_each_instance_once(monkeypatch):
         return planted_tridiag_instance(*args)
 
     monkeypatch.setattr(harness, "planted_tridiag_instance", counted)
-    assert calibrate_time_factor(kappa, n=n, cal_seeds=cal_seeds) == want
+    assert calibrate_time_factor(kappa) == want
     assert want != CALIBRATION_FACTORS[0]
-    assert len(calls) == cal_seeds
+    assert len(calls) == harness.CALIBRATION_SEEDS
 
 
 def test_fidelity_vs_ell_small_sweep_is_monotone():

@@ -148,7 +148,6 @@ def test_h1_encoding_is_the_three_encoding_product():
                 assert np.array_equal(enc.payload.mat, payload)
                 assert enc.alpha == prod.alpha == float(inst.d)
                 assert enc.ancilla == prod.ancilla == inst.n + 4
-                assert enc.err_bound == prod.err_bound == 0.0
     # a complex right-hand state changes only the rounding of the products
     inst = _complex_b(gen_instance(3, 8.0, 2), 5)
     _, payload = _h1_encoding_product(inst)
@@ -160,7 +159,6 @@ def test_encoding_bookkeeping_matches_construction():
     h1 = make_h1_encoding(inst)
     assert h1.alpha == float(inst.d)
     assert h1.ancilla == inst.n + 4
-    assert h1.err_bound == 0.0
     assert verify(h1) <= 1e-10
     hf = make_hf(inst, 0.25)
     assert hf.alpha == pytest.approx(0.75 + 0.25 * inst.d)

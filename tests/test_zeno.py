@@ -150,13 +150,13 @@ def test_sampled_walk_runs_once_and_charges_every_stage_reached(
     inst = gen_instance(3, 10.0, 5)
     base, _ = solve_zeno(inst, 1e-6)
     seen = []
+    draw = filtering.sample_restarts
 
-    def recording(probs, rng, max_attempts, mode):
-        seen.append((list(probs), filtering.sample_restarts(
-            probs, rng, max_attempts, mode)))
+    def recording(probs, rng, max_attempts):
+        seen.append((list(probs), draw(probs, rng, max_attempts)))
         return seen[-1][1]
 
-    monkeypatch.setattr(zeno, "sample_restarts", recording)
+    monkeypatch.setattr(filtering, "sample_restarts", recording)
     matvec_counter["matvecs"] = 0
     report, _ = solve_zeno(inst, 1e-6, mode="sample", seed=159)
     [(probs, reached)] = seen
