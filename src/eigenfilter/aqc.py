@@ -27,10 +27,12 @@ import numpy as np
 from .blockenc import qb_matrix
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
-from .numerics import StateRegister, clenshaw, convex_combination, fidelity
+from .numerics import (StateRegister, clenshaw, convex_combination, fidelity,
+                       stack_rows)
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
+    check_stack,
     extend_general,
     gap_lower_bound,
     hamiltonian_blocks,
@@ -116,20 +118,21 @@ def evolve(inst: QlspInstance, cfg: AqcConfig,
 
 
 def evolve_stack(insts: list[QlspInstance]):
-    """run(cfg) -> [evolve(inst, cfg) for inst in insts], each row bitwise, by
-    one propagation of (S, 2, N, N) stacks of the H0 and H1 pairs, built
-    here once, on (S, 2N) states. insts share kappa, form and dimension
-    (else ValueError); one stays unstacked."""
-    if len({(inst.kappa, inst.form, inst.dim) for inst in insts}) != 1:
-        raise ValueError("a stack needs one kappa, form and dimension")
-    stack = np.stack if len(insts) > 1 else (lambda arrays: arrays[0])
+    """run(cfg, observer=None) -> [evolve(inst, cfg) for inst in insts],
+    each row bitwise, by one propagation of (S, 2, N, N) stacks of the H0
+    and H1 pairs, built here once, on (S, 2N) states. insts share kappa,
+    form, dimension and d (qlsp.check_stack); one stays unstacked
+    (numerics.stack_rows). observer is evolve's, and sees the (S, 2N)
+    states of a stack."""
+    check_stack(insts)
     h0s, h1s, inits = zip(*map(_pairs, insts))
-    h0, h1 = stack(h0s), stack(h1s)
-    psi = stack([init.amps for init in inits])
+    h0, h1 = stack_rows(h0s), stack_rows(h1s)
+    psi = stack_rows([init.amps for init in inits])
 
-    def run(cfg: AqcConfig) -> list[StateRegister]:
-        out = _propagate(h0, h1, psi, insts[0].kappa, cfg).reshape(len(insts), -1)
-        return [init.with_amps(row) for init, row in zip(inits, out)]
+    def run(cfg: AqcConfig, observer=None) -> list[StateRegister]:
+        out = _propagate(h0, h1, psi, insts[0].kappa, cfg, observer)
+        rows = out.reshape(len(insts), -1)
+        return [init.with_amps(row) for init, row in zip(inits, rows)]
 
     return run
 
@@ -201,7 +204,7 @@ def seed_filter(inst: QlspInstance):
     unguarded: ‖B‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
     h1 = offdiag_pair(inst.A.mat @ qb_matrix(inst.b) / inst.d)
     gap = min(gap_lower_bound(inst, 1.0) / inst.d, BOUND_GAP_CAP)
-    return (lambda ell, psi: filter_ops(h1, gap, ell, psi), gap,
+    return (lambda ell, psi: filter_ops(h1, gap, ell, [psi])[0], gap,
             prepend_ancilla(solution_state(inst).amps))
 
 
@@ -210,35 +213,46 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
                        mode: str = "postselect",
                        seed: int | None = None,
                        observer=None) -> SolverReport:
-    """aqc_run's report, charged as mode and seed say."""
-    return aqc_run(inst, eps, cfg, observer)(mode, seed)
+    """aqc_run's report on a stack of one, charged as mode and seed say."""
+    [report] = aqc_run([inst], eps, cfg, observer)
+    return report(mode, seed)
 
 
-def aqc_run(inst: QlspInstance, eps: float, cfg: AqcConfig | None = None,
-            observer=None):
+def aqc_run(insts: list[QlspInstance], eps: float,
+            cfg: AqcConfig | None = None, observer=None):
     """Adiabatic seed at constant precision, then one filtering step, run
-    once: report(mode="postselect", seed=None), charged by filtering.sampled.
+    once for a stack of instances: one report(mode="postselect",
+    seed=None) per row, charged by filtering.sampled.
 
-    The filter degree targets eps scaled by the measured seed overlap
-    (a weaker seed needs a sharper filter); the final first-qubit
-    measurement removes the |1⟩|b⟩ null component. The coin stages are the
-    dilated run's |+⟩ acceptance (dilated forms), the filter (2ℓ queries)
-    and the ancilla. observer, if given, is handed to the one evolve call
-    (see overlap_recorder).
+    The rows share kappa, form, dimension and d (qlsp.check_stack). Their
+    seeds come from one evolve_stack propagation (a stack of one stays
+    unstacked); the seed filter runs per row, since its degree ℓ follows
+    the row's seed overlap γ0: eps scaled by γ0 (a weaker seed needs a
+    sharper filter). Every row is bitwise its own stack-of-one run. The
+    final first-qubit measurement removes the |1⟩|b⟩ null component. The
+    coin stages are the dilated run's |+⟩ acceptance (dilated forms), the
+    filter (2ℓ queries) and the ancilla. observer, if given, is handed to
+    the one propagation (see overlap_recorder, which reads a stack of one).
     """
+    check_stack(insts)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    cfg = cfg or AqcConfig(T=TIME_FACTOR * inst.kappa)
+    cfg = cfg or AqcConfig(T=TIME_FACTOR * insts[0].kappa)
 
     # the filtering picture: positive definite stays on (A, b); general
     # input is extended once, then evolved and filtered there
-    filt_inst = inst
-    if inst.form == "general":
-        filt_inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    filt, gap, target = seed_filter(filt_inst)
+    filt_insts = [extend_general(inst.A, inst.b, inst.kappa, inst.d)
+                  if inst.form == "general" else inst for inst in insts]
+    seeds = evolve_stack(filt_insts)(cfg, observer)
+    return [_seeded_report(inst, filt_inst, seeded, eps, cfg)
+            for inst, filt_inst, seeded in zip(insts, filt_insts, seeds)]
 
+
+def _seeded_report(inst, filt_inst, seeded, eps, cfg):
+    # one row of aqc_run: the seed filter on the evolved seed, and its report
+    filt, gap, target = seed_filter(filt_inst)
     dilated = inst.form != "positive-definite"
-    seeded, accept_p = evolve(filt_inst, cfg, observer=observer), 1.0
+    accept_p = 1.0
     if dilated:
         seeded, accept_p = _dilated_to_twoblock(seeded, filt_inst.n)
     gamma0 = float(abs(np.vdot(target.amps, seeded.amps)))

@@ -27,15 +27,19 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
+import numpy.polynomial.polyutils as _pu
 
 from .chebpoly import ChebSeries
 from .filtering import sampled
-from .numerics import StateRegister, clenshaw, fidelity, real_if_real
-from .qlsp import QlspInstance, extend_general, solution_state
+from .numerics import StateRegister, clenshaw, fidelity, real_if_real, stack_rows
+from .qlsp import QlspInstance, check_stack, extend_general, solution_state
 from .report import SolverReport
 
 DEGREE_CAP = 1_000_000
 TRANSITION_LO_FRAC = 0.2  # inner edge of the step transition, as a fraction of delta
+# (accuracy, boundary) grid points of the kernel-length search and of the
+# final check
+COARSE, DENSE = (1201, 1601), (4001, 8001)
 
 
 @dataclass(frozen=True)
@@ -108,22 +112,40 @@ def _smoothed_step(delta: float, ripple: float, m: int | None) -> np.ndarray:
     return coeffs * kernel
 
 
+def _divide_by_x(s: np.ndarray) -> np.ndarray:
+    """Chebyshev series of s(x)/x for s(0) = 0, in O(D) where chebdiv takes
+    O(D²): x·T_k = (T_{k-1} + T_{k+1})/2 gives q_{k-1} = 2·s_k - q_{k+1}
+    from the top down, and q_0 = s_1 - q_2/2. Trailing zeros are trimmed
+    from s and from q, as chebdiv trims them."""
+    s = _pu.trimseq(s).tolist()
+    q = [0.0] * (len(s) + 1)
+    for k in range(len(s) - 1, 1, -1):
+        q[k - 1] = 2.0 * s[k] - q[k + 1]
+    q[0] = s[1] - q[2] / 2.0
+    return _pu.trimseq(np.array(q[:len(s) - 1]))
+
+
 def _odd_inverse_series(delta: float, ripple: float, c: float,
                         m: int | None) -> np.ndarray:
     step = _smoothed_step(delta, ripple, m)
     step = step.copy()
     step[0] -= _cheb.chebval(0.0, step)  # force an exact root at x = 0
-    quotient, _ = _cheb.chebdiv(step, [0.0, 1.0])
-    return quotient / c
+    return _divide_by_x(step) / c
+
+
+def _near_error(coeffs: np.ndarray, c: float, delta: float, n_acc: int) -> float:
+    # max |p - 1/(cx)| on the part of an n_acc-point accuracy grid near delta
+    near = np.linspace(delta, min(20.0 * delta, 1.0), (n_acc * 3) // 4)
+    return float(np.max(np.abs(_cheb.chebval(near, coeffs) - 1.0 / (c * near))))
 
 
 def _passes(coeffs: np.ndarray, c: float, eps_prime: float, delta: float,
-            dense: bool) -> bool:
-    # the accuracy grid's part near delta, where failures occur, is checked
-    # first and alone; the rest of it and the boundary grid share one chebval
-    n_acc, n_bnd = (4001, 8001) if dense else (1201, 1601)
-    near = np.linspace(delta, min(20.0 * delta, 1.0), (n_acc * 3) // 4)
-    if np.max(np.abs(_cheb.chebval(near, coeffs) - 1.0 / (c * near))) > eps_prime:
+            grids: tuple[int, int]) -> bool:
+    # grids is (accuracy, boundary) points, COARSE or DENSE; the accuracy
+    # grid's part near delta, where failures occur, is checked first and
+    # alone; the rest of it and the boundary grid share one chebval
+    n_acc, n_bnd = grids
+    if _near_error(coeffs, c, delta, n_acc) > eps_prime:
         return False
     xs = np.linspace(delta, 1.0, n_acc)
     vals = _cheb.chebval(np.concatenate([
@@ -142,7 +164,10 @@ def build_inversion_poly(alpha_kappa: float, eps: float,
     kappa defaults to alpha_kappa (subnormalization 1). The accuracy target
     is validated on dense grids over the working domain and the kernel length
     is minimized by bisection; a growth loop (degree cap 10^6) covers the
-    failure side. Memoized: every instance at one (alpha·kappa, eps, kappa)
+    failure side. That loop raises RuntimeError, naming eps' and the error
+    reached, once a longer kernel leaves the error near delta above eps'
+    and no lower: the construction has an accuracy floor there (near
+    eps = 1e-11 at kappa = 16). Memoized: every instance at one (alpha·kappa, eps, kappa)
     shares one polynomial, and the returned spec is immutable.
     """
     if alpha_kappa <= 1.0:
@@ -157,31 +182,38 @@ def build_inversion_poly(alpha_kappa: float, eps: float,
     budget = 4 * int(math.ceil(alpha_kappa * math.log(kappa / eps)))
 
     build = lambda m: _odd_inverse_series(delta, ripple, c, m)
+
+    def grow(m: int, coeffs: np.ndarray, grids: tuple[int, int], factor: float):
+        # lengthen the kernel until coeffs pass; give up once lengthening
+        # leaves the error near delta above eps' and no lower than before
+        # (the construction's accuracy floor)
+        err = math.inf
+        while not _passes(coeffs, c, eps_prime, delta, grids):
+            prev, err = err, _near_error(coeffs, c, delta, grids[0])
+            if err > eps_prime and err >= prev:
+                raise RuntimeError(
+                    f"inversion polynomial stalls at an accuracy floor above "
+                    f"eps' = {eps_prime:.3g}: lengthening its kernel took the "
+                    f"error near delta from {prev:.3g} to {err:.3g}")
+            m = int(m * factor) | 1
+            if m > 2 * DEGREE_CAP:
+                raise RuntimeError("inversion polynomial degree cap exceeded")
+            coeffs = build(m)
+        return m, coeffs
+
     coeffs = build(None)
-    m0 = 2 * coeffs.size + 1
-    while not _passes(coeffs, c, eps_prime, delta, dense=False):
-        m0 = int(m0 * 1.1) | 1
-        if m0 > 2 * DEGREE_CAP:
-            raise RuntimeError("inversion polynomial degree cap exceeded")
-        coeffs = build(m0)
+    m0, coeffs = grow(2 * coeffs.size + 1, coeffs, COARSE, 1.1)
     lo, hi = 5, m0
     best = coeffs
     while hi - lo > 2:
         mid = ((lo + hi) // 2) | 1
         cand = build(mid)
-        if _passes(cand, c, eps_prime, delta, dense=False):
+        if _passes(cand, c, eps_prime, delta, COARSE):
             hi, best = mid, cand
         else:
             lo = mid
-    if not _passes(best, c, eps_prime, delta, dense=True):
-        # coarse and dense grids disagree near the edge; step back up
-        while not _passes(best, c, eps_prime, delta, dense=True):
-            hi = int(hi * 1.05) | 1
-            if hi > 2 * DEGREE_CAP:
-                raise RuntimeError("inversion polynomial degree cap exceeded")
-            best = build(hi)
-
-    coeffs = best
+    # where coarse and dense grids disagree near the edge, step back up
+    _, coeffs = grow(hi, best, DENSE, 1.05)
     coeffs[0::2] = 0.0  # quotient of even by odd; residue is roundoff
     series = ChebSeries(coeffs, parity="odd")
     return InversionPolySpec(series, c, eps_prime, delta, budget)
@@ -189,31 +221,44 @@ def build_inversion_poly(alpha_kappa: float, eps: float,
 
 def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
                      seed: int | None = None) -> SolverReport:
-    """qsp_run's report, charged as mode and seed say."""
-    return qsp_run(inst, eps)(mode, seed)
+    """qsp_run's report on a stack of one, charged as mode and seed say."""
+    [report] = qsp_run([inst], eps)
+    return report(mode, seed)
 
 
-def qsp_run(inst: QlspInstance, eps: float):
-    """Apply the inversion polynomial to |b⟩ once and postselect:
-    report(mode="postselect", seed=None), charged by filtering.sampled.
+def qsp_run(insts: list[QlspInstance], eps: float):
+    """Apply the inversion polynomial to |b⟩ once for a stack of instances
+    and postselect: one report(mode="postselect", seed=None) per row,
+    charged by filtering.sampled.
 
-    Query ledger: polynomial degree per attempt times attempts; the expected
-    count degree/p is recorded as a diagnostic. No amplitude amplification.
+    The rows share kappa, form, dimension and d (qlsp.check_stack), hence
+    one memoized polynomial, applied as one series over the (S, N, N) stack
+    of A/d (numerics.stack_rows; a stack of one stays 2-D); every row is
+    bitwise its own stack-of-one run. Query ledger: polynomial degree per
+    attempt times attempts; the expected count degree/p is recorded as a
+    diagnostic. No amplitude amplification.
     """
-    work = inst
-    if inst.form == "general":
-        work = extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    alpha = float(work.d)
-    spec = build_inversion_poly(alpha * work.kappa, eps, kappa=work.kappa)
-    oracle = solution_state(work)
+    check_stack(insts)
+    works = [extend_general(inst.A, inst.b, inst.kappa, inst.d)
+             if inst.form == "general" else inst for inst in insts]
+    alpha = float(works[0].d)
+    spec = build_inversion_poly(alpha * works[0].kappa, eps, kappa=works[0].kappa)
 
     # unguarded: ‖A‖ <= NORM_BOUND at entry, alpha = d >= 1, --d only loosens d
-    out = clenshaw(spec.series.coefficients, work.A.mat / alpha,
-                   real_if_real(work.b.amps)).astype(complex)
+    out = clenshaw(spec.series.coefficients,
+                   stack_rows([work.A.mat / alpha for work in works]),
+                   real_if_real(stack_rows([work.b.amps for work in works])))
+    out = out.astype(complex).reshape(len(works), -1)
+    return [_inversion_report(inst, work, row, spec, eps)
+            for inst, work, row in zip(insts, works, out)]
+
+
+def _inversion_report(inst, work, out, spec, eps):
+    # one row of qsp_run: the postselected state and its report
     p = float(np.linalg.norm(out) ** 2)
     state = StateRegister(out / np.linalg.norm(out),
                           ancilla=work.b.ancilla, system=work.b.system)
-    fid = fidelity(state, oracle)
+    fid = fidelity(state, solution_state(work))
 
     def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
         return sampled(

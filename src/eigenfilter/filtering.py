@@ -98,15 +98,19 @@ def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
     the gap is measured from the eigendecomposition.
     """
     htilde = _shifted_contraction(enc, lam)
-    return filter_ops(numerics.check_contraction(htilde),
-                      transformed_gap(enc, lam, gap), ell, psi,
-                      ancilla_budget=enc.ancilla + 2)
+    [out] = filter_ops(numerics.check_contraction(htilde),
+                       transformed_gap(enc, lam, gap), ell, [psi],
+                       ancilla_budget=enc.ancilla + 2)
+    return out
 
 
-def filter_ops(ops, gap_t: float, ell: int, psi: StateRegister,
-               ancilla_budget: int | None = None) -> MeasurementOutcome:
+def filter_ops(ops, gap_t: float, ell: int, psis: list[StateRegister],
+               ancilla_budget: int | None = None) -> list[MeasurementOutcome]:
     """apply_filter's unguarded core, on the contraction H̃ given as
-    numerics.clenshaw's ops, with gap gap_t around 0; numerics.clenshaw is
+    numerics.clenshaw's ops, with gap gap_t around 0: one outcome per state
+    of psis, whose amplitudes run as one numerics.stack_rows stack (ops
+    stacked to match). The probability and the normalization stay per row,
+    so each outcome is bitwise the stack-of-one call. numerics.clenshaw is
     looked up per call, so a counting wrapper there sees it.
 
     For H̃ = σ₊⊗B̃ + σ₋⊗B̃† on a 2N state, ops is the pair [B̃, B̃†] (see
@@ -116,13 +120,17 @@ def filter_ops(ops, gap_t: float, ell: int, psi: StateRegister,
     odd k, its 2ℓ products alternate B̃†, B̃, ..., and the result stays in
     the |0⟩ block."""
     series = filter_cheb_coeffs(FilterSpec(ell, gap_t))
-    out = psi.with_amps(numerics.clenshaw(
-        series.coefficients, ops, numerics.real_if_real(psi.amps)))
-    p = float(out.norm() ** 2)
-    if p <= 1e-300:
-        raise ValueError("state filtered to zero: no overlap with eigenspace")
-    return MeasurementOutcome(min(p, 1.0), out.normalized(),
-                              ancilla_budget=ancilla_budget)
+    out = numerics.clenshaw(series.coefficients, ops, numerics.real_if_real(
+        numerics.stack_rows([psi.amps for psi in psis])))
+    outcomes = []
+    for psi, row in zip(psis, out.reshape(len(psis), -1)):
+        filtered = psi.with_amps(row)
+        p = float(filtered.norm() ** 2)
+        if p <= 1e-300:
+            raise ValueError("state filtered to zero: no overlap with eigenspace")
+        outcomes.append(MeasurementOutcome(min(p, 1.0), filtered.normalized(),
+                                           ancilla_budget=ancilla_budget))
+    return outcomes
 
 
 def projector_error(enc: BlockEncoding, lam: float, ell: int,

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve, evolve_stack,
-                  seed_filter, solve_aqc_filtered)
-from .baseline import solve_qsp_direct
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, aqc_run, evolve,
+                  evolve_stack, seed_filter)
+from .baseline import qsp_run
 from .filtering import prepend_ancilla
 from .numerics import DenseOperator, StateRegister, fidelity
 from .qlsp import QlspInstance, solution_state
 from .report import ExperimentResult, SolverReport
-from .zeno import solve_zeno, zeno_params
+from .zeno import zeno_params, zeno_run
 
 CORNER_SHIFT = 1e-4
 FIT_FLOOR = 1e-10
@@ -379,9 +379,12 @@ def experiment_kappa_scaling(kappas=(4.0, 8.0, 16.0, 32.0, 64.0),
     measured per-attempt ledger divided by the overall success probability.
     The adiabatic seed time is calibrated per kappa to a fixed overlap
     target (see calibrate_time_factor), so its repetition count does not
-    drift with kappa. Slopes are log-log fits of the seed means; for the
-    traversal solver a deflated slope (raw queries divided by the known log
-    factor, see zeno_log_factor) is reported alongside the raw one.
+    drift with kappa. Each solver runs once per kappa over the stack of its
+    seeds' instances (qsp_run, aqc_run, zeno_run), each row bitwise a
+    single solve; the table keeps one row per (seed, method). Slopes are
+    log-log fits of the seed means; for the traversal solver a deflated
+    slope (raw queries divided by the known log factor, see
+    zeno_log_factor) is reported alongside the raw one.
     """
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
@@ -393,15 +396,14 @@ def experiment_kappa_scaling(kappas=(4.0, 8.0, 16.0, 32.0, 64.0),
         factors.append(factor)
         cfg = AqcConfig(T=factor * kappa)
         per_method: dict[str, list[float]] = {m: [] for m in means}
-        for seed in range(seeds):
-            inst = planted_tridiag_instance(n, kappa, seed)
-            qsp = solve_qsp_direct(inst, eps)
-            aqc = solve_aqc_filtered(inst, eps, cfg=cfg)
-            zen, _ = solve_zeno(inst, eps)
-            for method, rep, key in (("qsp-direct", qsp, "U_A"),
+        insts = [planted_tridiag_instance(n, kappa, seed) for seed in range(seeds)]
+        runs = zip(qsp_run(insts, eps), aqc_run(insts, eps, cfg=cfg),
+                   [report for report, _ in zeno_run(insts, eps)])
+        for seed, (qsp, aqc, zen) in enumerate(runs):
+            for method, run, key in (("qsp-direct", qsp, "U_A"),
                                      ("aqc", aqc, "U_H1_filter"),
                                      ("zeno", zen, "U_Hf_filter")):
-                q = _expected_queries(rep, key)
+                q = _expected_queries(run(), key)
                 per_method[method].append(q)
                 rows.append((method, kappa, seed, q))
         for method in means:

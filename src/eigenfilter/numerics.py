@@ -20,8 +20,9 @@ a real instance), complex128 otherwise. `clenshaw` works in the result dtype
 of its coefficients, vector and matrices. A real matrix meets a real vector
 in a GEMV and a complex one in a GEMM on the vector's (N, 2) float view; a
 complex matrix keeps the complex product. States stay complex128. A stack
-of instances, (S, 2, N, N) pairs and (S, 2N) vectors as in
-`aqc.evolve_stack`, runs through the pair's np.matmul, each row bitwise.
+of S instances runs as one: (S, N, N) matrices on (S, N) vectors, or
+(S, 2, N, N) pairs on (S, 2N) vectors, through one np.matmul per term, each
+row bitwise the row's own run (`stack_rows` keeps a stack of one 2-D).
 
 Spectral-norm guards (block-encoding subnormalizations, `clenshaw_apply`'s
 `check_contraction`) go through `spectral_norm_bound`: the certified bound
@@ -243,6 +244,12 @@ def check_contraction(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def stack_rows(arrays) -> np.ndarray:
+    """np.stack(arrays), except that a single array stays unstacked: a
+    stack of one runs through clenshaw's 2-D np.dot path."""
+    return np.stack(arrays) if len(arrays) > 1 else np.asarray(arrays[0])
+
+
 def convex_combination(m0: np.ndarray, m1: np.ndarray):
     """form(f, alpha) writes ((1-f)/alpha)·m0 + (f/alpha)·m1 into one buffer,
     allocated with its scratch term once, and returns that buffer, valid
@@ -264,7 +271,9 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     """Σ_k c_k T_k(H) vec; no validation. H is the matrix ops, or for a
     tuple ops the operator whose k-th product applies ops[k % len(ops)], or
     for a (…, 2, N, N) array [B, B†] the off-diagonal σ₊⊗B + σ₋⊗B† on a
-    (…, 2N) vec.
+    (…, 2N) vec. Any matrix may come as an (S, N, N) stack acting row for
+    row on an (S, N) vec. The vector's shape tells a pair from a stack: a
+    pair's vec ends in 2N, so an S = 2 stack on (2, N) is no pair.
 
     The caller guarantees that each product is by a contraction
     (check_contraction checks it per call; the instance's bound on ‖A‖
@@ -274,22 +283,25 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     together; a real matrix applies to a complex vector through its float
     view. Each matrix is doubled once per call, which is exact, so every
     term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2}; terms
-    with c_k exactly 0 skip their c_k·v. The result is a new array. A
-    matrix multiplies by np.dot. A pair maps [a; c] to [B·c; B†·a], half
-    the flops of the dense product, by one np.matmul with the (…, 2, N, 1
-    or 2) view of b_{k+1}, its halves swapped, into that view of the output.
+    with c_k exactly 0 skip their c_k·v. The result is a new array. A 2-D
+    matrix multiplies by np.dot; a stack or a pair by one np.matmul on the
+    (…, N, 1 or 2) column view of b_{k+1}, each row bitwise the np.dot of
+    that row. A pair maps [a; c] to [B·c; B†·a], half the flops of the
+    dense product, with b_{k+1}'s halves swapped in that view.
     """
     ops = ops if isinstance(ops, tuple) else (ops,)
     dtype = np.result_type(c, vec, *ops)
     split = dtype.kind == "c"  # a real matrix then multiplies a float view
     v = vec.astype(dtype, copy=False)
-    pair = ops[0].ndim > 2
-    rows = (*vec.shape[:-1], 2, vec.shape[-1] // 2) if pair else vec.shape[:1]
+    stacked = ops[0].ndim > 2
+    pair = stacked and vec.shape[-1] == 2 * ops[0].shape[-1]
+    rows = ((*vec.shape[:-1], 2, vec.shape[-1] // 2) if pair
+            else vec.shape if stacked else vec.shape[:1])
 
     def slot():  # a work vector, then its operands for a complex and for a
         # real matrix as product inputs (a pair's halves swapped) and outputs
         b = np.zeros(vec.shape, dtype)
-        col = b.reshape(*rows, 1) if pair else b
+        col = b.reshape(*rows, 1) if stacked else b
         outs = (col, b.view(float).reshape(*rows, -1) if split else col)
         ins = tuple(x[..., ::-1, :, :] for x in outs) if pair else outs
         return b, *ins, *outs
@@ -299,7 +311,7 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     # (2H, input, output); a real matrix under complex work takes float views
     prods = [(2.0 * m, 2, 4) if split and m.dtype.kind != "c" else (2.0 * m, 1, 3)
              for m in ops]
-    product = np.matmul if pair else np.dot
+    product = np.matmul if stacked else np.dot
     cs = c.tolist()
     np.multiply(cs[-1], v, out=bk1[0])
     for k in range(len(cs) - 2, -1, -1):

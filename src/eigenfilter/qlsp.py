@@ -77,6 +77,13 @@ class QlspInstance:
         return self.A.dim
 
 
+def check_stack(insts) -> None:
+    """ValueError unless insts, at least one, share kappa, form, dimension
+    and d: the instances a solver or an evolution runs as one stack."""
+    if len({(inst.kappa, inst.form, inst.dim, inst.d) for inst in insts}) != 1:
+        raise ValueError("a stack needs one kappa, form and dimension, and one d")
+
+
 def solution_state(inst: QlspInstance) -> StateRegister:
     """Classical oracle for the normalized solution A⁻¹b."""
     return linsolve(inst.A, inst.b).normalized()

@@ -30,9 +30,10 @@ import numpy as np
 
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
-from .numerics import StateRegister, convex_combination, fidelity
+from .numerics import StateRegister, convex_combination, fidelity, stack_rows
 from .qlsp import (
     QlspInstance,
+    check_stack,
     gap_lower_bound,
     hamiltonian_blocks,
     path_vectors,
@@ -117,20 +118,29 @@ def _exact_projector_step(x: np.ndarray,
 def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
                seed: int | None = None, ideal_projection: bool = False
                ) -> tuple[SolverReport, ZenoTrace]:
-    """zeno_run's report, charged as mode and seed say, and its trace."""
-    report, trace = zeno_run(inst, eps, ideal_projection)
+    """zeno_run's report on a stack of one, charged as mode and seed say,
+    and its trace."""
+    [(report, trace)] = zeno_run([inst], eps, ideal_projection)
     return report(mode, seed), trace
 
 
-def zeno_run(inst: QlspInstance, eps: float, ideal_projection: bool = False):
+def zeno_run(insts: list[QlspInstance], eps: float,
+             ideal_projection: bool = False):
     """Walk the schedule grid with filtering projections, final step at
-    eps/4, once: (report, trace), report(mode="postselect", seed=None)
-    charging the walk by filtering.sampled.
+    eps/4, once for a stack of instances: one (report, trace) per row,
+    report(mode="postselect", seed=None) charging that row's walk by
+    filtering.sampled.
 
-    The coin stages are each filter step (ideal_projection steps draw none),
-    then the final ancilla measurement; a failure restarts the whole walk
-    from |0⟩|b⟩, and each step costs 2ℓ per attempt that reached it.
+    The rows share kappa, form, dimension and d (qlsp.check_stack), hence
+    the grid and the ells: each step runs one filter over the (S, N, N)
+    stacks of (B̃†, B̃) (numerics.stack_rows; a stack of one stays 2-D), and
+    every row is bitwise its own stack-of-one walk. The coin stages are each
+    filter step (ideal_projection steps draw none), then the final ancilla
+    measurement; a failure restarts the whole walk from |0⟩|b⟩, and each
+    step costs 2ℓ per attempt that reached it.
     """
+    check_stack(insts)
+    inst = insts[0]
     params = zeno_params(inst.kappa, eps)
     if inst.form != "positive-definite":
         # the interpolation path x(f) needs (1-f)I + fA invertible for all f
@@ -138,14 +148,14 @@ def zeno_run(inst: QlspInstance, eps: float, ideal_projection: bool = False):
     # QlspInstance checks ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
     # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), alpha(f) = (1-f) + f·d: each
     # B(f)/alpha(f) is a contraction to the encodings' own tolerance
-    b0, b1, u = hamiltonian_blocks(inst)  # u = b, the |0⟩ block of |0⟩|b⟩
+    b0s, b1s, us = zip(*map(hamiltonian_blocks, insts))  # u = b, the |0⟩ block
+    b0, b1 = stack_rows(b0s), stack_rows(b1s)
     b_form = convex_combination(b0, b1)
-    bh_form = convex_combination(np.ascontiguousarray(b0.conj().T),
-                                 np.ascontiguousarray(b1.conj().T))
-    path = path_vectors(inst, params.f_grid[1:])
-    oracle = solution_state(inst)
-    trace = ZenoTrace()
-    stages: list[tuple[float, int]] = []
+    adjoint = lambda m: np.ascontiguousarray(np.swapaxes(m, -1, -2).conj())
+    bh_form = convex_combination(adjoint(b0), adjoint(b1))
+    paths = [path_vectors(row, params.f_grid[1:]) for row in insts]
+    traces = [ZenoTrace() for _ in insts]
+    stages: list[list[tuple[float, int]]] = [[] for _ in insts]
     ells: list[int] = []
     for j in range(1, params.M + 1):
         f = float(params.f_grid[j])
@@ -154,26 +164,40 @@ def zeno_run(inst: QlspInstance, eps: float, ideal_projection: bool = False):
         target = params.eps_p if j < params.M else params.final_eps
         ell = degree_for_accuracy(gap, target)
         ells.append(ell)
-        nxt = path[j - 1]
-        trace.per_step_overlap.append(float(abs(np.vdot(u.amps, nxt))))
+        for trace, path, u in zip(traces, paths, us):
+            trace.per_step_overlap.append(float(abs(np.vdot(u.amps, path[j - 1]))))
         if ideal_projection:
-            u, p = _exact_projector_step(nxt, u)
+            steps = [_exact_projector_step(path[j - 1], u)
+                     for path, u in zip(paths, us)]
         else:
             b = b_form(f, alpha)
-            out = filter_ops((bh_form(f, alpha), b), min(gap, BOUND_GAP_CAP),
-                             ell, u)
-            u, p = out.post_state, out.success_probability
-            stages.append((p, 2 * ell))
-        if j == params.M:
-            final = measure_ancilla(prepend_ancilla(u.amps))
-            u = u.with_amps(final.post_state.amps[:u.dim])
-            p *= final.success_probability
-            stages.append((final.success_probability, 0))
-        trace.per_step_success.append(p)
-        trace.states.append(u.amps / np.linalg.norm(u.amps))
+            outs = filter_ops((bh_form(f, alpha), b), min(gap, BOUND_GAP_CAP),
+                              ell, us)
+            steps = [(out.post_state, out.success_probability) for out in outs]
+            for chain, (_, p) in zip(stages, steps):
+                chain.append((p, 2 * ell))
+        us = []
+        for trace, chain, (u, p) in zip(traces, stages, steps):
+            if j == params.M:
+                final = measure_ancilla(prepend_ancilla(u.amps))
+                u = u.with_amps(final.post_state.amps[:u.dim])
+                p *= final.success_probability
+                chain.append((final.success_probability, 0))
+            trace.per_step_success.append(p)
+            trace.states.append(u.amps / np.linalg.norm(u.amps))
+            us.append(u)
 
-    trace.total_success = float(np.prod(trace.per_step_success))
-    trace.final_fidelity = fidelity(u.amps, oracle.amps)
+    runs = []
+    for row, u, trace, chain in zip(insts, us, traces, stages):
+        trace.total_success = float(np.prod(trace.per_step_success))
+        trace.final_fidelity = fidelity(u.amps, solution_state(row).amps)
+        runs.append((_walk_report(row, eps, params, ideal_projection, ells,
+                                  chain, trace), trace))
+    return runs
+
+
+def _walk_report(inst, eps, params, ideal_projection, ells, stages, trace):
+    # one row's report(mode, seed) of zeno_run
 
     def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
         return sampled(
@@ -192,7 +216,7 @@ def zeno_run(inst: QlspInstance, eps: float, ideal_projection: bool = False):
             },
         )
 
-    return report, trace
+    return report
 
 
 def query_envelope(kappa: float, d: int, params: ZenoParams) -> float:

@@ -202,8 +202,8 @@ def test_criterion_07_traversal_solver():
     bounds_hold = True
     insts = [gen_instance(4, 10.0, seed) for seed in range(20)]
     runs = []
-    for inst in insts:
-        report, trace = zeno_run(inst, eps)
+    # the 20 walks run as one stack, each row bitwise its own walk
+    for inst, (report, trace) in zip(insts, zeno_run(insts, eps)):
         runs.append(report)
         min_fid = min(min_fid, report().final_fidelity)
         bounds_hold = bounds_hold and validate_zeno_bounds(

@@ -347,7 +347,7 @@ def test_solver_sampled_success_rate():
     # total success probability is Omega(1): one-shot empirical rate over
     # 200 seeded runs of one simulation (a run whose first attempt passes
     # every stage reports one attempt)
-    report = aqc_run(gen_instance(3, 6.0, 8), 1e-3)
+    [report] = aqc_run([gen_instance(3, 6.0, 8)], 1e-3)
     hits = 0
     for seed in range(200):
         rep = report("sample", seed)

@@ -1,7 +1,10 @@
 """Odd inversion polynomial and the direct-application baseline solver."""
 
+import time
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from eigenfilter import baseline
 from eigenfilter.aqc import solve_aqc_filtered
@@ -60,6 +63,47 @@ def test_build_is_memoized(monkeypatch):
         build_inversion_poly(1.0, 2e-3)
     with pytest.raises(ValueError):
         build_inversion_poly(5.5, 0.0)
+
+
+@pytest.mark.parametrize("alpha_kappa", [12.0, 24.0, 48.0, 96.0, 192.0])
+def test_division_by_x_is_chebdiv(alpha_kappa):
+    # the O(D) recurrence gives chebdiv's quotient, value for value and
+    # trimmed to the same length, on the steps criterion 9's builds divide
+    kappa = alpha_kappa / 3.0
+    delta, c = 1.0 / alpha_kappa, 4.0 * alpha_kappa / 3.0
+    ripple = c * (3.0 * 1e-6 / (4.0 * kappa)) * delta
+    step = baseline._smoothed_step(delta, ripple, None).copy()
+    step[0] -= chebyshev.chebval(0.0, step)
+    want, _ = chebyshev.chebdiv(step, [0.0, 1.0])
+    got = baseline._divide_by_x(step)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # a series of both parities, whose s(x) - s(0) chebdiv divides with
+    # no remainder
+    mixed = np.random.default_rng(int(alpha_kappa)).uniform(-1.0, 1.0, 41)
+    mixed[0] -= chebyshev.chebval(0.0, mixed)
+    want, rem = chebyshev.chebdiv(mixed, [0.0, 1.0])
+    assert np.max(np.abs(rem)) <= 1e-13
+    assert np.max(np.abs(baseline._divide_by_x(mixed) - want)) <= 1e-13
+
+
+# degrees at the criterion-9 and perfbench builds, pinned
+@pytest.mark.parametrize("alpha_kappa,kappa,degree", [
+    (12.0, 4.0, 457), (24.0, 8.0, 961), (30.0, 10.0, 1215), (48.0, 16.0, 2003),
+    (96.0, 32.0, 4165), (192.0, 64.0, 8665)])
+def test_build_degrees_are_pinned(alpha_kappa, kappa, degree):
+    assert build_inversion_poly(alpha_kappa, 1e-6, kappa=kappa).degree == degree
+
+
+def test_build_fails_fast_at_its_accuracy_floor():
+    # at alpha·kappa = 48 the error near delta stops falling near 5e-13,
+    # above eps' = 4.69e-14: the growth loop gives up at the first longer
+    # kernel that does no better, naming both
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"floor above eps' = 4\.69e-14: .* "
+                                           r"from 5\.72e-13 to 8\.76e-13"):
+        build_inversion_poly(48.0, 1e-12, kappa=16.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("alpha_kappa,eps", [(4.0, 1e-3), (12.0, 1e-4)])

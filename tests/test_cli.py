@@ -163,19 +163,20 @@ def test_solve_writes_report_and_trace(tmp_path, capsys):
 
 def test_aqc_trace_observes_the_one_evolution(tmp_path, monkeypatch):
     # --trace-out records the overlaps during the solve's own evolution, one
-    # evolve call per solve: the report is the bare solve's, and the trace
-    # is what a separate observed evolution records
+    # propagation per solve (aqc_run's evolve_stack on a stack of one): the
+    # report is the bare solve's, and the trace is what a separate observed
+    # evolution records
     inst_path = tmp_path / "inst.qlsp"
     assert run("gen", "--n", "4", "--kappa", "10", "--form", "planted",
                "--out", str(inst_path)) == 0
     calls = []
-    evolve = aqc.evolve
+    propagate = aqc._propagate
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return evolve(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(aqc, "evolve", counted)
+    monkeypatch.setattr(aqc, "_propagate", counted)
     solve = ("solve", "--in", str(inst_path), "--method", "aqc", "--out")
     assert run(*solve, str(tmp_path / "bare.json")) == 0
     assert run(*solve, str(tmp_path / "traced.json"),
@@ -187,7 +188,7 @@ def test_aqc_trace_observes_the_one_evolution(tmp_path, monkeypatch):
     inst = load_instance(inst_path)
     cfg = aqc.AqcConfig(T=aqc.TIME_FACTOR * inst.kappa)
     record, pts = aqc.overlap_recorder(inst, cfg, max(1, cfg.num_steps // 200))
-    evolve(inst, cfg, observer=record)
+    aqc.evolve(inst, cfg, observer=record)
     write_table(tmp_path / "want.csv", ["s", "overlap"], pts)
     assert len(pts) > 2
     want = (tmp_path / "want.csv").read_bytes()

@@ -249,12 +249,12 @@ def product_counter(monkeypatch):
 
 
 RUNS = {
-    "zeno": (lambda inst: zeno_run(inst, 1e-6)[0],
+    "zeno": (lambda inst: zeno_run([inst], 1e-6)[0][0],
              lambda inst, s: solve_zeno(inst, 1e-6, "sample", s)[0]),
-    "aqc": (lambda inst: aqc_run(inst, 1e-6),
+    "aqc": (lambda inst: aqc_run([inst], 1e-6)[0],
             lambda inst, s: solve_aqc_filtered(inst, 1e-6, mode="sample",
                                                seed=s)),
-    "qsp-direct": (lambda inst: qsp_run(inst, 1e-6),
+    "qsp-direct": (lambda inst: qsp_run([inst], 1e-6)[0],
                    lambda inst, s: solve_qsp_direct(inst, 1e-6, "sample", s)),
 }
 

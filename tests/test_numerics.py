@@ -407,6 +407,32 @@ def test_pair_kernel_counts_one_matmul_per_degree(counted_view, complex_v):
     assert counter["dtypes"] == [(float, float)] * 3
 
 
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_two_stacked_matrices_are_not_read_as_a_pair(dim, complex_m, complex_v):
+    # an (2, N, N) array is an S = 2 stack on a (2, N) vector, each row
+    # bitwise its 2-D call, and a pair [B, C] only on a 2N vector; a tuple
+    # of stacks alternates row for row
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(2, dim, dim)) + (1j * rng.normal(size=(2, dim, dim))
+                                          if complex_m else 0.0)
+    m /= 2.0 * dim
+    v = rng.normal(size=(2, dim)) + (1j * rng.normal(size=(2, dim)) if complex_v else 0.0)
+    c = rng.uniform(-1.0, 1.0, 7)
+    got = clenshaw(c, m, v)
+    assert got.shape == (2, dim)
+    pairs = clenshaw(c, (m, m.conj()), v)
+    for row in range(2):
+        assert got[row].tobytes() == clenshaw(c, m[row], v[row]).tobytes()
+        alone = clenshaw(c, (m[row], m[row].conj()), v[row])
+        assert pairs[row].tobytes() == alone.tobytes()
+    zero = np.zeros((dim, dim))
+    dense = np.block([[zero, m[0]], [m[1], zero]])
+    as_pair = clenshaw(c, m, v.reshape(-1))
+    assert np.max(np.abs(as_pair - clenshaw(c, dense, v.reshape(-1)))) <= 1e-14
+
+
 def test_linsolve_matches_numpy():
     h = random_hermitian(5, 4) + 6.0 * np.eye(5)
     b = np.arange(1.0, 6.0)
