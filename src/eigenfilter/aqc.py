@@ -9,8 +9,10 @@ is small, so a short run at T proportional to kappa already lands a
 constant-overlap trial state; one filtering step then converts constant
 overlap into eps-accuracy. That step (`seed_filter`) runs on H1/d by matvecs:
 like the evolution, it builds no block encoding and runs no norm guard.
-Both hand numerics.clenshaw the off-diagonal pair [B, B†] of each
-σ₊⊗B + σ₋⊗B†: each product is two N×N ones, not one dense 2N×2N.
+Both run on stacks of instances that share kappa, form, dimension and d
+(`evolve` and a single solve are stacks of one), and hand numerics.clenshaw
+the off-diagonal pairs [B, B†] of each σ₊⊗B + σ₋⊗B†: each product is two
+N×N ones per row, not one dense 2N×2N.
 
 Hamiltonian-simulation query costs are not measured (the evolution is
 emulated); they are reported through the known closed-form count and flagged
@@ -91,39 +93,33 @@ def _pairs(inst: QlspInstance):
     return offdiag_pair(b0), offdiag_pair(b1), prepend_ancilla(u0.amps)
 
 
-def evolve(inst: QlspInstance, cfg: AqcConfig,
-           initial: StateRegister | None = None,
-           observer=None) -> StateRegister:
-    """Propagate the initial state through H(f(s)), s from 0 to 1.
+def evolve(inst: QlspInstance, cfg: AqcConfig, observer=None) -> StateRegister:
+    """evolve_stack on a stack of one."""
+    [out] = evolve_stack([inst])(cfg, observer)
+    return out
+
+
+def evolve_stack(insts: list[QlspInstance]):
+    """run(cfg, observer=None) -> each row's |0⟩|u0⟩ propagated through
+    H(f(s)), s from 0 to 1, by one propagation of (S, 2, N, N) stacks of
+    the H0 and H1 pairs, built here once, on (S, 2N) states. insts share
+    kappa, form, dimension and d (qlsp.check_stack); one stays unstacked
+    (numerics.stack_rows), and each row is bitwise its stack of one.
 
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
     matvecs. alpha = qlsp.NORM_BOUND, the bound every instance puts on ‖A‖:
     in each picture ‖H0‖ <= 1 and ‖H1‖ <= ‖A‖, hence every convex
     combination H(f) is bounded too and each H/alpha is a contraction, with
-    no norm computed here. Each step forms the pair [B(f), B(f)†]/alpha of
-    H(f) = σ₊⊗B(f) + σ₋⊗B(f)† from qlsp.hamiltonian_blocks' B0 and B1, with
-    numerics.convex_combination in one buffer allocated before the loop,
-    and hands it to numerics.clenshaw: a series of degree D costs D
-    products of two N×N blocks. The buffer is float64 when B0 and B1 both
-    are (as for every real instance), while the state is complex from the
-    first step. The midpoint rule is second-order accurate in 1/K; each
-    step is unitary to the series' truncation tolerance (1e-16).
-    observer(j, amps), if given, sees the state after j steps, for j = 0
-    (the initial state) through K. evolve_stack runs the same loop on stacks.
+    no norm computed here. Each step forms the pairs [B(f), B(f)†]/alpha
+    from qlsp.hamiltonian_blocks' B0 and B1 in one buffer allocated before
+    the loop (numerics.convex_combination): a series of degree D costs D
+    products of two N×N blocks per row. The buffer is float64 for a real
+    instance, the state complex from the first step. The midpoint rule is
+    second-order accurate in 1/K; each step is unitary to the series'
+    truncation tolerance (1e-16). observer(j, amps), if given, sees the
+    states (2N for a stack of one) after j steps, for j = 0 through K.
     """
-    h0, h1, init = _pairs(inst)
-    psi = (initial if initial is not None else init).amps.astype(complex)
-    return init.with_amps(_propagate(h0, h1, psi, inst.kappa, cfg, observer))
-
-
-def evolve_stack(insts: list[QlspInstance]):
-    """run(cfg, observer=None) -> [evolve(inst, cfg) for inst in insts],
-    each row bitwise, by one propagation of (S, 2, N, N) stacks of the H0
-    and H1 pairs, built here once, on (S, 2N) states. insts share kappa,
-    form, dimension and d (qlsp.check_stack); one stays unstacked
-    (numerics.stack_rows). observer is evolve's, and sees the (S, 2N)
-    states of a stack."""
     check_stack(insts)
     h0s, h1s, inits = zip(*map(_pairs, insts))
     h0, h1 = stack_rows(h0s), stack_rows(h1s)
@@ -138,7 +134,7 @@ def evolve_stack(insts: list[QlspInstance]):
 
 
 def _propagate(h0, h1, psi, kappa, cfg, observer=None):
-    # the one propagator loop, on 2-D arrays or on stacks (see evolve)
+    # the one propagator loop, on 2-D arrays or on stacks (see evolve_stack)
     k = cfg.num_steps
     coeffs = jacobi_anger_coeffs(cfg.T / k * NORM_BOUND)
     form = convex_combination(h0, h1)
@@ -159,9 +155,9 @@ def hsim_query_formula(d: int, kappa: float) -> float:
 
 
 def overlap_recorder(inst: QlspInstance, cfg: AqcConfig, stride: int = 1):
-    """(observer, points): handed to evolve under cfg, observer appends
-    (s, |<0, x(f(s))|psi(s)>|) to points every stride steps, from s = 0 to
-    s = 1.
+    """(observer, points): handed to evolve (a stack of one) under cfg,
+    observer appends (s, |<0, x(f(s))|psi(s)>|) to points every stride
+    steps, from s = 0 to s = 1.
 
     Positive-definite instances only (the instantaneous target is the
     two-block null vector |0>|x(f)>); others raise here, before any run.
@@ -195,17 +191,20 @@ def _dilated_to_twoblock(psi: StateRegister, n: int) -> tuple[StateRegister, flo
     return prepend_ancilla(accepted / np.linalg.norm(accepted)), p
 
 
-def seed_filter(inst: QlspInstance):
-    """(filt, gap, target) for a positive-definite or Hermitian indefinite
-    inst: filt(ell, psi) filters psi toward H1's null space by matvecs with
-    H1/d, whose gap around 0 is at least gap, and target is |0⟩|x⟩. H1 is
-    qlsp.make_h1's σ₊⊗B + σ₋⊗B†, B = A·Q_b (inst's own picture, not
-    hamiltonian_blocks' dilation); the pair [B, B†]/d is built once,
-    unguarded: ‖B‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
-    h1 = offdiag_pair(inst.A.mat @ qb_matrix(inst.b) / inst.d)
-    gap = min(gap_lower_bound(inst, 1.0) / inst.d, BOUND_GAP_CAP)
-    return (lambda ell, psi: filter_ops(h1, gap, ell, [psi])[0], gap,
-            prepend_ancilla(solution_state(inst).amps))
+def seed_filter(insts: list[QlspInstance]):
+    """(filt, gap, targets) for a stack of positive-definite or Hermitian
+    indefinite instances (qlsp.check_stack): filt(ell, psis) filters each
+    row's state toward its H1's null space by matvecs with H1/d, as one
+    filtering.filter_ops stack, and targets holds each row's |0⟩|x⟩. H1 is
+    qlsp.make_h1's σ₊⊗B + σ₋⊗B†, B = A·Q_b (not hamiltonian_blocks'
+    dilation), with gap at least gap around 0; the pairs [B, B†]/d are built
+    once, unguarded: ‖B‖ <= ‖A‖ <= NORM_BOUND at entry and d >= 1."""
+    check_stack(insts)
+    h1 = stack_rows([offdiag_pair(inst.A.mat @ qb_matrix(inst.b) / inst.d)
+                     for inst in insts])
+    gap = min(gap_lower_bound(insts[0], 1.0) / insts[0].d, BOUND_GAP_CAP)
+    return (lambda ell, psis: filter_ops(h1, gap, ell, psis), gap,
+            [prepend_ancilla(solution_state(inst).amps) for inst in insts])
 
 
 def solve_aqc_filtered(inst: QlspInstance, eps: float,
@@ -226,23 +225,22 @@ def aqc_run(insts: list[QlspInstance], eps: float,
 
     The rows share kappa, form, dimension and d (qlsp.check_stack). Their
     seeds come from one evolve_stack propagation (a stack of one stays
-    unstacked); the seed filter runs per row, since its degree ℓ follows
-    the row's seed overlap γ0: eps scaled by γ0 (a weaker seed needs a
-    sharper filter). Every row is bitwise its own stack-of-one run. The
-    final first-qubit measurement removes the |1⟩|b⟩ null component. The
-    coin stages are the dilated run's |+⟩ acceptance (dilated forms), the
-    filter (2ℓ queries) and the ancilla. observer, if given, is handed to
-    the one propagation (see overlap_recorder, which reads a stack of one).
+    unstacked); each row's seed is filtered as a stack of one, since its
+    degree ℓ follows the row's seed overlap γ0: eps scaled by γ0 (a weaker
+    seed needs a sharper filter). Every row is bitwise its own stack-of-one
+    run. The final first-qubit measurement removes the |1⟩|b⟩ null
+    component. The coin stages are the dilated run's |+⟩ acceptance
+    (dilated forms), the filter (2ℓ queries) and the ancilla. observer, if
+    given, is handed to the one propagation (see overlap_recorder, which
+    reads a stack of one).
     """
     check_stack(insts)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or AqcConfig(T=TIME_FACTOR * insts[0].kappa)
 
-    # the filtering picture: positive definite stays on (A, b); general
-    # input is extended once, then evolved and filtered there
-    filt_insts = [extend_general(inst.A, inst.b, inst.kappa, inst.d)
-                  if inst.form == "general" else inst for inst in insts]
+    # general input is evolved and filtered in its extended picture
+    filt_insts = [extend_general(inst) for inst in insts]
     seeds = evolve_stack(filt_insts)(cfg, observer)
     return [_seeded_report(inst, filt_inst, seeded, eps, cfg)
             for inst, filt_inst, seeded in zip(insts, filt_insts, seeds)]
@@ -250,7 +248,7 @@ def aqc_run(insts: list[QlspInstance], eps: float,
 
 def _seeded_report(inst, filt_inst, seeded, eps, cfg):
     # one row of aqc_run: the seed filter on the evolved seed, and its report
-    filt, gap, target = seed_filter(filt_inst)
+    filt, gap, [target] = seed_filter([filt_inst])
     dilated = inst.form != "positive-definite"
     accept_p = 1.0
     if dilated:
@@ -260,7 +258,7 @@ def _seeded_report(inst, filt_inst, seeded, eps, cfg):
         raise ValueError("adiabatic seed has no overlap with the solution")
     ell = degree_for_accuracy(gap, eps * gamma0)
 
-    out = filt(ell, seeded)
+    [out] = filt(ell, [seeded])
     final = measure_ancilla(out.post_state)
     stages = ([(accept_p, 0)] if dilated else [])
     stages += [(out.success_probability, 2 * ell), (final.success_probability, 0)]

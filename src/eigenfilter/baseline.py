@@ -239,8 +239,7 @@ def qsp_run(insts: list[QlspInstance], eps: float):
     diagnostic. No amplitude amplification.
     """
     check_stack(insts)
-    works = [extend_general(inst.A, inst.b, inst.kappa, inst.d)
-             if inst.form == "general" else inst for inst in insts]
+    works = [extend_general(inst) for inst in insts]
     alpha = float(works[0].d)
     spec = build_inversion_poly(alpha * works[0].kappa, eps, kappa=works[0].kappa)
 

@@ -19,12 +19,13 @@ no plotting here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, aqc_run, evolve,
+from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, aqc_run,
                   evolve_stack, seed_filter)
 from .baseline import qsp_run
 from .filtering import prepend_ancilla
@@ -213,8 +214,19 @@ def planted_tridiag_instance(n: int, kappa: float, seed: int) -> QlspInstance:
                         form="positive-definite", seed=seed)
 
 
-def _seed_state(inst: QlspInstance) -> StateRegister:
-    return evolve(inst, AqcConfig(T=TIME_FACTOR * inst.kappa))
+def _seed_fidelities(kappa: float, seeds: int, n: int):
+    """eta(ell): each seed's fidelity with |0⟩|x⟩ after the degree-ell seed
+    filter (ell = 0: none). The seeds evolve as one aqc.evolve_stack for
+    time TIME_FACTOR·kappa, and each degree runs one stacked seed_filter."""
+    insts = [gen_instance(n, kappa, seed) for seed in range(seeds)]
+    psis = evolve_stack(insts)(AqcConfig(T=TIME_FACTOR * kappa))
+    filt, _, targets = seed_filter(insts)
+
+    def eta(ell: int) -> list[float]:
+        outs = [out.post_state for out in filt(ell, psis)] if ell else psis
+        return [fidelity(target, psi) for target, psi in zip(targets, outs)]
+
+    return eta
 
 
 def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
@@ -222,12 +234,12 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
                                seeds: int = 20, n: int = 6) -> ExperimentResult:
     """Fidelity of the filtered adiabatic seed versus filter degree.
 
-    For each kappa, the seed state evolves for time 0.2*kappa under the
-    power-1.5 schedule (aqc's defaults), then aqc.seed_filter filters it at
-    each degree in the grid (degrees scale with kappa via ell_fractions; 0
-    means no filter). Diagnostics hold per-kappa linear fits of log(1 - eta)
-    versus ell above the 1e-10 floor and the initial fidelity in both
-    conventions.
+    For each kappa, the seeds' states evolve as one stack for time
+    0.2*kappa under the power-1.5 schedule (aqc's defaults), then one
+    stacked aqc.seed_filter filters them at each degree in the grid
+    (degrees scale with kappa via ell_fractions; 0 means no filter).
+    Diagnostics hold per-kappa linear fits of log(1 - eta) versus ell above
+    the 1e-10 floor and the initial fidelity in both conventions.
     """
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
@@ -236,17 +248,12 @@ def experiment_fidelity_vs_ell(kappas=(10.0, 50.0, 100.0),
     init_all: list[float] = []
     for kappa in kappas:
         ells = sorted({int(math.ceil(f * kappa)) for f in ell_fractions})
-        etas = np.zeros((seeds, len(ells)))
-        init_k: list[float] = []
-        for seed in range(seeds):
-            inst = gen_instance(n, kappa, seed)
-            psi = _seed_state(inst)
-            filt, _, target = seed_filter(inst)
-            init_k.append(fidelity(target, psi))
-            for j, ell in enumerate(ells):
-                eta = fidelity(target, filt(ell, psi).post_state if ell else psi)
-                etas[seed, j] = eta
-                rows.append((kappa, ell, seed, eta))
+        eta = _seed_fidelities(kappa, seeds, n)
+        init_k = eta(0)
+        # seeds × ells, C-contiguous: mean(axis=0) sums seed by seed
+        etas = np.array([eta(ell) for ell in ells]).T.copy()
+        rows += [(kappa, ell, seed, float(etas[seed, j]))
+                 for seed in range(seeds) for j, ell in enumerate(ells)]
         mean_eta = etas.mean(axis=0)
         mask = (1.0 - mean_eta) > FIT_FLOOR
         fit = linear_fit(np.asarray(ells)[mask], np.log(1.0 - mean_eta[mask]))
@@ -273,10 +280,11 @@ def experiment_ell_vs_kappa(etas=(0.9, 0.99), kappas=(10.0, 20.0, 40.0, 80.0),
                             seeds: int = 10, n: int = 6) -> ExperimentResult:
     """Smallest filter degree reaching each target mean fidelity, per kappa.
 
-    Seed states are prepared once per (kappa, seed); ell* is located by
-    doubling then bisection on the seed-averaged fidelity. Diagnostics hold
-    a linear fit of ell* versus kappa per target and the ratios between
-    consecutive (doubling) kappa values.
+    Each kappa's seeds evolve as one stack, once, and each degree probed
+    runs one stacked seed filter, once; ell* is located by doubling then
+    bisection on the seed-averaged fidelity. Diagnostics hold a linear fit
+    of ell* versus kappa per target and the ratios between consecutive
+    (doubling) kappa values.
     """
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
@@ -284,19 +292,11 @@ def experiment_ell_vs_kappa(etas=(0.9, 0.99), kappas=(10.0, 20.0, 40.0, 80.0),
     targets = sorted(etas)
     stars: dict[float, list[int]] = {t: [] for t in targets}
     for kappa in kappas:
-        prepared = []
-        for seed in range(seeds):
-            inst = gen_instance(n, kappa, seed)
-            filt, _, target = seed_filter(inst)
-            prepared.append((filt, _seed_state(inst), target))
-        cache: dict[int, float] = {}
+        eta = _seed_fidelities(kappa, seeds, n)
 
+        @functools.cache
         def mean_eta(ell: int) -> float:
-            if ell not in cache:
-                cache[ell] = float(np.mean([
-                    fidelity(target, filt(ell, psi).post_state if ell else psi)
-                    for filt, psi, target in prepared]))
-            return cache[ell]
+            return float(np.mean(eta(ell)))
 
         for t in targets:
             if mean_eta(0) >= t:

@@ -151,19 +151,20 @@ def gap_lower_bound(inst: QlspInstance, f: float) -> float:
     return base / math.sqrt(2.0)
 
 
-def extend_general(A: DenseOperator, b: StateRegister,
-                   kappa: float, d: int | None = None) -> QlspInstance:
-    """Extended Hermitian system for arbitrary A: solution sits in |1⟩|x⟩.
+def extend_general(inst: QlspInstance) -> QlspInstance:
+    """The Hermitian picture of inst: general input's extended Hermitian
+    system, whose solution sits in |1⟩|x⟩; any other instance unchanged.
 
     The coefficient matrix offdiag(A) has eigenvalues ± the
     singular values of A, so the condition number is unchanged.
     """
-    rhs = np.kron(np.array([1.0, 0.0]), b.amps)
-    d_ext = d if d is not None else A.dim
+    if inst.form != "general":
+        return inst
+    rhs = np.kron(np.array([1.0, 0.0]), inst.b.amps)
     return QlspInstance(
-        offdiag(A.mat),
-        StateRegister(rhs, ancilla=b.ancilla, system=b.system + 1),
-        kappa, d_ext, form="hermitian-indefinite",
+        offdiag(inst.A.mat),
+        StateRegister(rhs, ancilla=inst.b.ancilla, system=inst.b.system + 1),
+        inst.kappa, inst.d, form="hermitian-indefinite",
     )
 
 
@@ -175,8 +176,7 @@ def hamiltonian_blocks(inst: QlspInstance):
     Q = I - |+,b⟩⟨+,b|, target |0⟩|+⟩|x⟩. General input is first extended
     to a Hermitian indefinite system (8N overall).
     """
-    if inst.form == "general":
-        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    inst = extend_general(inst)
     a, b = inst.A.mat, inst.b
     if inst.form == "positive-definite":
         qb = qb_matrix(b)

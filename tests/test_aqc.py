@@ -46,10 +46,10 @@ from eigenfilter.qlsp import (
 from conftest import dense_hamiltonians
 
 
-def eigh_midpoint(inst, cfg, initial=None):
+def eigh_midpoint(inst, cfg):
     """Reference propagator: exp(-i·dt·H(f_mid)) through eig_hermitian."""
     h0, h1, init = dense_hamiltonians(inst)
-    psi = (initial if initial is not None else init).amps.astype(complex)
+    psi = init.amps.astype(complex)
     k = cfg.num_steps
     dt = cfg.T / k
     for step in range(k):
@@ -278,21 +278,6 @@ def test_propagator_alpha_bounds_exact_pair_norms(form):
         assert np.linalg.norm(h1.mat, 2) <= NORM_BOUND
 
 
-@pytest.mark.parametrize("form", ["positive-definite", "general"])
-def test_evolve_from_explicit_initial_state_matches_eigh_oracle(form):
-    inst = gen_instance(3, 10.0, 13, form=form)
-    _, _, init = dense_hamiltonians(inst)
-    rng = np.random.default_rng(0)
-    amps = rng.normal(size=init.dim) + 1j * rng.normal(size=init.dim)
-    start = init.with_amps(amps / np.linalg.norm(amps))
-    cfg = AqcConfig(T=3.0)
-    got = evolve(inst, cfg, initial=start)
-    assert isinstance(got, StateRegister)
-    assert (got.ancilla, got.system) == (init.ancilla, init.system)
-    want = eigh_midpoint(inst, cfg, initial=start)
-    assert np.max(np.abs(got.amps - want)) <= 1e-12
-
-
 def test_evolve_observer_sees_every_step():
     inst = gen_instance(3, 10.0, 14)
     cfg = AqcConfig(T=1.0)
@@ -392,13 +377,6 @@ def test_hsim_formula_positive_and_growing():
     assert 0.0 < q10 < q100
 
 
-def _filter_picture(inst):
-    """The instance the seeded solver filters in: general input extended."""
-    if inst.form == "general":
-        return extend_general(inst.A, inst.b, inst.kappa, inst.d)
-    return inst
-
-
 @pytest.mark.parametrize("form", FORMS)
 def test_seed_filter_is_apply_filter_on_h1_encoding(form):
     # the stage filters on the pair [B, B†]/d, B = A·Q_b, whose entries are
@@ -406,8 +384,8 @@ def test_seed_filter_is_apply_filter_on_h1_encoding(form):
     # apply_filter forms from H1's encoding. BLAS sums the pair's N-long
     # rows and the dense 2N-long rows in different orders, so success and
     # state agree to a few ulps, not bitwise
-    inst = _filter_picture(gen_instance(3, 6.0, 1, form))
-    filt, gap, target = seed_filter(inst)
+    inst = extend_general(gen_instance(3, 6.0, 1, form))
+    filt, gap, [target] = seed_filter([inst])
     enc, raw_gap = make_h1_encoding(inst), gap_lower_bound(inst, 1.0)
     assert gap == transformed_gap(enc, 0.0, raw_gap)
     assert np.array_equal(target.amps[:inst.dim], solution_state(inst).amps)
@@ -420,7 +398,7 @@ def test_seed_filter_is_apply_filter_on_h1_encoding(form):
     states = [seeded, StateRegister(real / np.linalg.norm(real), 1, inst.n)]
     for psi in states:
         for ell in (1, 4, 17, 60):
-            got = filt(ell, psi)
+            [got] = filt(ell, [psi])
             want = apply_filter(enc, 0.0, ell, psi, gap=raw_gap)
             assert (abs(got.success_probability - want.success_probability)
                     <= 4 * np.finfo(float).eps)
@@ -429,7 +407,7 @@ def test_seed_filter_is_apply_filter_on_h1_encoding(form):
 
 
 @pytest.mark.parametrize("make", [
-    *(lambda form=form: _filter_picture(gen_instance(3, 6.0, 1, form))
+    *(lambda form=form: extend_general(gen_instance(3, 6.0, 1, form))
       for form in FORMS),
     *(lambda n=n, seed=seed: planted_tridiag_instance(n, 16.0, seed)
       for n in (5, 6, 7) for seed in (0, 7)),
@@ -440,7 +418,7 @@ def test_seed_filter_matches_svd_oracle(make):
     # QSVT): the seed filter is R_ℓ at the singular values of B̃, on the
     # adiabatic seed at the solver's ℓ and on a real state at fixed ells
     inst = make()
-    filt, gap, _ = seed_filter(inst)
+    filt, gap, _ = seed_filter([inst])
     u, sv, vh = np.linalg.svd(inst.A.mat @ qb_matrix(inst.b) / inst.d)
     seeded = evolve(inst, AqcConfig(T=0.2 * inst.kappa))
     if inst.form != "positive-definite":
@@ -456,7 +434,7 @@ def test_seed_filter_matches_svd_oracle(make):
         top, bottom = np.split(psi.amps, 2)
         out = np.concatenate([u @ (r * (u.conj().T @ top)),
                               vh.conj().T @ (r * (vh @ bottom))])
-        got = filt(ell, psi)
+        [got] = filt(ell, [psi])
         assert abs(got.success_probability - np.linalg.norm(out) ** 2) <= 1e-12
         assert np.max(np.abs(got.post_state.amps
                              - out / np.linalg.norm(out))) <= 1e-12
@@ -516,7 +494,7 @@ def test_solver_contractions_need_no_guard(monkeypatch, counted_view, form, n):
         monkeypatch.setattr(module, "clenshaw", recorded)
     aqc_report = solve_aqc_filtered(inst, 1e-6)
     qsp_report = solve_qsp_direct(inst, 1e-6)
-    dim = _filter_picture(inst).dim
+    dim = extend_general(inst).dim
     pair, a = seen
     assert (pair.shape, a.shape) == ((2, dim, dim), (dim, dim))
     assert np.array_equal(pair[1], pair[0].conj().T)

@@ -327,13 +327,17 @@ def test_gen_is_identical_across_blas_thread_counts(tmp_path):
     assert one == two
 
 
-@pytest.mark.parametrize("preset", ["fig-a2-left", "kappa-scaling"])
-def test_experiment_is_identical_across_blas_thread_counts(tmp_path, preset):
-    # table and sidecar of the fig-A2 sweep's seeded filter stage, and of
-    # the kappa-scaling sweep: the calibration's stacked evolution (one
-    # np.matmul per term on (S, 2, N, N) pairs) and its three solvers
+@pytest.mark.parametrize("preset, trials", [
+    ("fig-a2-left", "2"), ("fig-a2-right", "2"), ("kappa-scaling", "1"),
+], ids=["fig-a2-left", "fig-a2-right", "kappa-scaling"])
+def test_experiment_is_identical_across_blas_thread_counts(tmp_path, preset,
+                                                          trials):
+    # table and sidecar of the fig-A2 sweeps, whose two seeds per kappa
+    # evolve and filter as S = 2 stacks (one np.matmul per term on
+    # (S, 2, N, N) pairs), and of the kappa-scaling sweep: the
+    # calibration's stacked evolution and its three solvers
     one, two = under_blas_thread_counts(
-        tmp_path, "experiment", preset, "--trials", "1")
+        tmp_path, "experiment", preset, "--trials", trials)
     assert len(one[1]) == 2
     assert one == two
 

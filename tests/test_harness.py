@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from eigenfilter import aqc, harness
-from eigenfilter.aqc import AqcConfig, evolve, evolve_stack
+from eigenfilter.aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, evolve,
+                             evolve_stack, seed_filter)
 from eigenfilter.harness import (
     CALIBRATION_FACTORS,
+    DEFAULT_ELL_FRACTIONS,
+    FIT_FLOOR,
     calibrate_time_factor,
     experiment_ell_vs_kappa,
     experiment_fidelity_vs_ell,
@@ -19,6 +22,7 @@ from eigenfilter.harness import (
     planted_tridiag_instance,
     zeno_log_factor,
 )
+from eigenfilter.numerics import fidelity
 from eigenfilter.qlsp import solution_state
 from eigenfilter.zeno import zeno_params
 
@@ -257,6 +261,112 @@ def test_ell_vs_kappa_small_sweep_is_monotone_in_target():
     for stars in by_kappa.values():
         assert stars[0.9] >= stars[0.5]
     assert "0.9" in result.diagnostics["per_target"]
+
+
+def _per_seed(kappa, seeds, n):
+    # (filt, seed state, target) per seed, each evolved and filtered alone
+    prepared = []
+    for seed in range(seeds):
+        inst = gen_instance(n, kappa, seed)
+        filt, _, [target] = seed_filter([inst])
+        psi = evolve(inst, AqcConfig(T=TIME_FACTOR * inst.kappa))
+        prepared.append((lambda ell, psi, filt=filt: filt(ell, [psi])[0],
+                         psi, target))
+    return prepared
+
+
+def _fidelity_vs_ell_per_seed(kappas, seeds, n):
+    # the per-seed reference of experiment_fidelity_vs_ell
+    rows, per_kappa, init_all = [], {}, []
+    for kappa in kappas:
+        ells = sorted({int(math.ceil(f * kappa)) for f in DEFAULT_ELL_FRACTIONS})
+        etas = np.zeros((seeds, len(ells)))
+        init_k = []
+        for seed, (filt, psi, target) in enumerate(_per_seed(kappa, seeds, n)):
+            init_k.append(fidelity(target, psi))
+            for j, ell in enumerate(ells):
+                eta = fidelity(target, filt(ell, psi).post_state if ell else psi)
+                etas[seed, j] = eta
+                rows.append((kappa, ell, seed, eta))
+        mean_eta = etas.mean(axis=0)
+        mask = (1.0 - mean_eta) > FIT_FLOOR
+        fit = linear_fit(np.asarray(ells)[mask], np.log(1.0 - mean_eta[mask]))
+        init = np.asarray(init_k)
+        init_all.extend(init_k)
+        per_kappa[str(kappa)] = {
+            "slope": fit.slope, "r2": fit.r2, "fit_points": int(mask.sum()),
+            "initial_fidelity": float(init.mean()),
+            "initial_fidelity_squared": float((init ** 2).mean()),
+        }
+    init = np.asarray(init_all)
+    return rows, {
+        "per_kappa": per_kappa,
+        "initial_fidelity_mean": float(init.mean()),
+        "initial_fidelity_squared_mean": float((init ** 2).mean()),
+        "T_factor": TIME_FACTOR, "schedule_power": SCHEDULE_POWER,
+        "n": n, "seeds": seeds,
+    }
+
+
+def _ell_vs_kappa_per_seed(kappas, seeds, n, targets=(0.9, 0.99)):
+    # the per-seed reference of experiment_ell_vs_kappa
+    rows, stars = [], {t: [] for t in targets}
+    for kappa in kappas:
+        prepared = _per_seed(kappa, seeds, n)
+        cache = {}
+
+        def mean_eta(ell):
+            if ell not in cache:
+                cache[ell] = float(np.mean([
+                    fidelity(target, filt(ell, psi).post_state if ell else psi)
+                    for filt, psi, target in prepared]))
+            return cache[ell]
+
+        for t in targets:
+            if mean_eta(0) >= t:
+                star = 0
+            else:
+                hi = max(8, int(math.ceil(kappa / 2)))
+                while mean_eta(hi) < t:
+                    hi *= 2
+                lo = 0
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if mean_eta(mid) >= t:
+                        hi = mid
+                    else:
+                        lo = mid
+                star = hi
+            stars[t].append(star)
+            rows.append((kappa, t, star))
+    diagnostics = {"per_target": {}, "n": n, "seeds": seeds,
+                   "T_factor": TIME_FACTOR, "schedule_power": SCHEDULE_POWER}
+    for t in targets:
+        ys = stars[t]
+        fit = linear_fit(kappas, ys)
+        diagnostics["per_target"][str(t)] = {
+            "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
+            "doubling_ratios": [ys[i + 1] / ys[i] for i in range(len(ys) - 1)
+                                if ys[i] > 0],
+        }
+    return rows, diagnostics
+
+
+# 9 seeds: numpy's mean over 8 or more contiguous values sums pairwise, so
+# a seed-mean taken along the wrong memory axis changes its last bits
+@pytest.mark.parametrize("seeds", [3, 9])
+@pytest.mark.parametrize("experiment, reference", [
+    (experiment_fidelity_vs_ell, _fidelity_vs_ell_per_seed),
+    (experiment_ell_vs_kappa, _ell_vs_kappa_per_seed),
+], ids=["fidelity-vs-ell", "ell-vs-kappa"])
+def test_fig_a2_sweeps_equal_the_per_seed_loop(experiment, reference, seeds):
+    # each kappa's seeds evolve as one stack and each degree filters them
+    # as one; repr keeps every float's bits in the comparison
+    kappas, n = (10.0, 20.0), 4
+    result = experiment(kappas=kappas, seeds=seeds, n=n)
+    rows, diagnostics = reference(kappas, seeds, n)
+    assert repr(result.rows) == repr(rows)
+    assert repr(result.diagnostics) == repr(diagnostics)
 
 
 def test_kappa_scaling_smoke():

@@ -140,7 +140,7 @@ def test_h1_encoding_is_the_three_encoding_product():
                 planted_tridiag_instance(n, 8.0, seed),
                 gen_instance(n, 8.0, seed),
                 gen_instance(n, 8.0, seed, "hermitian-indefinite"),
-                extend_general(general.A, general.b, general.kappa, general.d),
+                extend_general(general),
             ]
             for inst in cases:
                 prod, payload = _h1_encoding_product(inst)
@@ -209,9 +209,7 @@ def test_hamiltonian_pair_dilated_null_spaces_and_start():
     ("hermitian-indefinite", False), ("general", False),
     ("hermitian-indefinite", True)])
 def test_hamiltonian_pair_dilation_matches_complex_built_q(form, complex_b):
-    inst = gen_instance(3, 10.0, 4, form=form)
-    if form == "general":
-        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    inst = extend_general(gen_instance(3, 10.0, 4, form=form))
     b = inst.b
     if complex_b:
         amps = b.amps + 1j * np.random.default_rng(3).normal(size=b.dim)
@@ -240,8 +238,7 @@ def _explicit_pair(inst):
     for general input."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
-    if inst.form == "general":
-        inst = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    inst = extend_general(inst)
     a, b = inst.A.mat, inst.b
     if inst.form == "positive-definite":
         qb = qb_matrix(b)
@@ -313,7 +310,9 @@ def test_offdiag_pair_is_the_blocks_of_offdiag(form):
 
 def test_extend_general_keeps_singular_values():
     inst = gen_instance(3, 10.0, 7, form="general")
-    ext = extend_general(inst.A, inst.b, inst.kappa, inst.d)
+    ext = extend_general(inst)
+    assert ext.form == "hermitian-indefinite"
+    assert (ext.kappa, ext.d) == (inst.kappa, inst.d)
     sv = np.linalg.svd(inst.A.mat, compute_uv=False)
     evs = eig_hermitian(ext.A).eigenvalues
     assert np.allclose(np.sort(np.abs(evs)), np.sort(np.repeat(sv, 2)),
@@ -323,6 +322,10 @@ def test_extend_general_keeps_singular_values():
     x = y[inst.dim:]
     want = linsolve(inst.A, inst.b).amps
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    # every other form is already in its Hermitian picture
+    for form in ("positive-definite", "hermitian-indefinite"):
+        other = gen_instance(3, 10.0, 7, form=form)
+        assert extend_general(other) is other
 
 
 def test_path_vector_endpoints():

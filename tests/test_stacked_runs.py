@@ -1,14 +1,18 @@
 """Solver runs over instance stacks: each row of zeno_run, aqc_run and
-qsp_run is bitwise the stack-of-one run of its instance."""
+qsp_run, and of the seed filter, is bitwise the stack-of-one run of its
+instance."""
 
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 
-from eigenfilter.aqc import aqc_run
+from eigenfilter.aqc import aqc_run, seed_filter
 from eigenfilter.baseline import qsp_run
 from eigenfilter.harness import gen_instance, planted_tridiag_instance
+from eigenfilter.numerics import StateRegister
+from eigenfilter.qlsp import extend_general
 from eigenfilter.zeno import zeno_run
 
 EPS = 1e-6
@@ -63,6 +67,36 @@ def test_stack_rows_are_bitwise_the_stack_of_one_run(method, family, arg, seeds)
             assert [s.tobytes() for s in trace.states] == [
                 s.tobytes() for s in alone_trace.states]
             assert repr(trace.final_fidelity) == repr(alone_trace.final_fidelity)
+
+
+FILTER_CASES = ([("planted", n) for n in (5, 6, 7)]
+                + [("gen", form) for form in FORMS])
+
+
+@pytest.mark.parametrize("seeds", [(0, 7), (7, 0, 1)], ids=["S2", "S3"])
+@pytest.mark.parametrize("family,arg", FILTER_CASES,
+                         ids=[f"{f}-{a}" for f, a in FILTER_CASES])
+def test_seed_filter_rows_are_bitwise_the_stack_of_one_filter(family, arg, seeds):
+    # the filtering picture of aqc_run and the fig-A2 sweeps, on complex
+    # states like the adiabatic seeds
+    insts = [extend_general(instance(family, arg, seed)) for seed in seeds]
+    rng = np.random.default_rng(5)
+    psis = []
+    for inst in insts:
+        amps = rng.normal(size=2 * inst.dim) + 1j * rng.normal(size=2 * inst.dim)
+        psis.append(StateRegister(amps / np.linalg.norm(amps), 1, inst.n))
+    filt, gap, targets = seed_filter(insts)
+    assert len(targets) == len(insts)
+    for ell in (1, 17, 60):
+        outs = filt(ell, psis)
+        assert len(outs) == len(insts)
+        for inst, psi, target, out in zip(insts, psis, targets, outs):
+            alone_filt, alone_gap, [alone_target] = seed_filter([inst])
+            [alone] = alone_filt(ell, [psi])
+            assert gap == alone_gap
+            assert target.amps.tobytes() == alone_target.amps.tobytes()
+            assert repr(out.success_probability) == repr(alone.success_probability)
+            assert out.post_state.amps.tobytes() == alone.post_state.amps.tobytes()
 
 
 MIXED = {
