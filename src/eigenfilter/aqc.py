@@ -10,8 +10,8 @@ constant-overlap trial state; one filtering step then converts constant
 overlap into eps-accuracy. That step (`seed_filter`) runs on H1/d by matvecs:
 like the evolution, it builds no block encoding and runs no norm guard.
 Both run on stacks of instances that share kappa, form, dimension and d
-(`evolve` and a single solve are stacks of one), and hand numerics.clenshaw
-the off-diagonal pairs [B, B†] of each σ₊⊗B + σ₋⊗B†: each product is two
+(`evolve` and a single solve are stacks of one), and hand the Clenshaw
+kernel the off-diagonal pairs [B, B†] of each σ₊⊗B + σ₋⊗B†: each product is two
 N×N ones per row, not one dense 2N×2N.
 
 Hamiltonian-simulation query costs are not measured (the evolution is
@@ -29,8 +29,8 @@ import numpy as np
 from .blockenc import qb_matrix
 from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
-from .numerics import (StateRegister, clenshaw, convex_combination, fidelity,
-                       stack_rows)
+from .numerics import (StateRegister, clenshaw_plan, convex_combination,
+                       fidelity, stack_rows)
 from .qlsp import (
     NORM_BOUND,
     QlspInstance,
@@ -111,14 +111,14 @@ def evolve_stack(insts: list[QlspInstance]):
     matvecs. alpha = qlsp.NORM_BOUND, the bound every instance puts on ‖A‖:
     in each picture ‖H0‖ <= 1 and ‖H1‖ <= ‖A‖, hence every convex
     combination H(f) is bounded too and each H/alpha is a contraction, with
-    no norm computed here. Each step forms the pairs [B(f), B(f)†]/alpha
-    from qlsp.hamiltonian_blocks' B0 and B1 in one buffer allocated before
-    the loop (numerics.convex_combination): a series of degree D costs D
-    products of two N×N blocks per row. The buffer is float64 for a real
-    instance, the state complex from the first step. The midpoint rule is
-    second-order accurate in 1/K; each step is unitary to the series'
-    truncation tolerance (1e-16). observer(j, amps), if given, sees the
-    states (2N for a stack of one) after j steps, for j = 0 through K.
+    no norm computed here. Each step forms 2·[B(f), B(f)†]/alpha from
+    hamiltonian_blocks' B0 and B1, doubled once, in one buffer (numerics.
+    convex_combination) and runs the propagation's one clenshaw_plan on it:
+    D products of two N×N blocks per row for degree D. The buffer is float64
+    for a real instance, the state complex from the first step. The midpoint
+    rule is second-order accurate in 1/K; each step is unitary to the
+    series' truncation tolerance (1e-16). observer(j, amps), if given, sees
+    the states (2N for a stack of one) after j steps, for j = 0 through K.
     """
     check_stack(insts)
     h0s, h1s, inits = zip(*map(_pairs, insts))
@@ -134,15 +134,16 @@ def evolve_stack(insts: list[QlspInstance]):
 
 
 def _propagate(h0, h1, psi, kappa, cfg, observer=None):
-    # the one propagator loop, on 2-D arrays or on stacks (see evolve_stack)
+    # the one propagator loop and its one plan, on 2-D arrays or on stacks
     k = cfg.num_steps
     coeffs = jacobi_anger_coeffs(cfg.T / k * NORM_BOUND)
-    form = convex_combination(h0, h1)
+    form = convex_combination(2.0 * h0, 2.0 * h1)
+    run = clenshaw_plan(coeffs, form(0.0, NORM_BOUND), psi)
     if observer is not None:
         observer(0, psi)
     for step in range(k):
         f = schedule_p((step + 0.5) / k, kappa, cfg.p)
-        psi = clenshaw(coeffs, form(f, NORM_BOUND), psi)
+        psi = run(form(f, NORM_BOUND), psi)
         if observer is not None:
             observer(step + 1, psi)
     return psi

@@ -7,12 +7,12 @@ eigendecomposition (the oracle path) or through a Clenshaw recurrence on
 Chebyshev coefficients (the production path, which mirrors a quantum circuit
 in never diagonalizing). The recurrence, `clenshaw`, is the one polynomial
 kernel, and it takes its operator as matrices: one matrix, a tuple of
-matrices applied in turn, or the pair [B, B†] of σ₊⊗B + σ₋⊗B†. Both solvers
-step along H(f) = (1-f)·H0 + f·H1 = σ₊⊗B(f) + σ₋⊗B(f)†:
-`convex_combination` forms each step's blocks in one buffer per solve and
-hands them to `clenshaw`, with no per-step guard: [B(f), B(f)†]/alpha for
-the Jacobi–Anger series of the adiabatic evolution, and for the Zeno walk's
-filters (B(f)†/alpha, B(f)/alpha), whose products alternate.
+matrices applied in turn, or the pair [B, B†] of σ₊⊗B + σ₋⊗B†; one
+`clenshaw_plan` runs a series many times. Both solvers step along H(f) =
+(1-f)·H0 + f·H1 = σ₊⊗B(f) + σ₋⊗B(f)†, each step's blocks formed in one
+buffer per solve by `convex_combination`, with no guard: the evolution runs
+one plan per propagation on 2·[B(f), B(f)†]/alpha, from endpoints doubled
+once; the walk's filters hand `clenshaw` (B(f)†/alpha, B(f)/alpha).
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
@@ -33,6 +33,7 @@ check would. No solver or sweep runs a guard: the instance bounds ‖A‖.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ HERMITIAN_TOL = 1e-12
 # Relative slack on the cheap norm bound: it absorbs the roundoff of both the
 # bound and the SVD, so the cheap path never accepts what the SVD would reject.
 NORM_BOUND_SLACK = 1e-10
+BLOCK_ROWS = 32
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -254,7 +256,7 @@ def convex_combination(m0: np.ndarray, m1: np.ndarray):
     """form(f, alpha) writes ((1-f)/alpha)·m0 + (f/alpha)·m1 into one buffer,
     allocated with its scratch term once, and returns that buffer, valid
     until the next call (a matrix or a clenshaw pair). The caller
-    guarantees a contraction."""
+    guarantees a contraction; doubled endpoints give twice the form, exactly."""
     hf = np.empty(m0.shape, np.result_type(m0, m1))
     term = np.empty_like(m1)
 
@@ -278,21 +280,28 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     The caller guarantees that each product is by a contraction
     (check_contraction checks it per call; the instance's bound on ‖A‖
     bounds the solvers'). b_D = c_D·v needs no product, so a degree-D
-    series costs D products, each one call into a preallocated buffer: the
-    loop allocates no vector. The work dtype is that of c, vec and ops
-    together; a real matrix applies to a complex vector through its float
-    view. Each matrix is doubled once per call, which is exact, so every
-    term is bitwise the textbook b_k = c_k·v + 2·H·b_{k+1} - b_{k+2}; terms
-    with c_k exactly 0 skip their c_k·v. The result is a new array. A 2-D
-    matrix multiplies by np.dot; a stack or a pair by one np.matmul on the
-    (…, N, 1 or 2) column view of b_{k+1}, each row bitwise the np.dot of
-    that row. A pair maps [a; c] to [B·c; B†·a], half the flops of the
-    dense product, with b_{k+1}'s halves swapped in that view.
+    series costs D products, each into a preallocated buffer. The work
+    dtype is that of c, vec and ops together; a real matrix applies to a
+    complex vector through its float view. A call doubles each matrix
+    (exact) and runs a clenshaw_plan once (the evolution doubles once per
+    propagation), so every term is bitwise the textbook b_k = c_k·v +
+    2·H·b_{k+1} - b_{k+2}, c_k·v skipped where c_k is exactly 0. The result
+    is a new array. A 2-D matrix multiplies by np.dot; a stack or a pair by
+    one np.matmul on the (…, N, 1 or 2) column view of b_{k+1}, each row
+    bitwise the np.dot of that row. A pair maps [a; c] to [B·c; B†·a], half
+    the flops of the dense product, with b_{k+1}'s halves swapped there.
     """
+    ops = ops if isinstance(ops, tuple) else (ops,)
+    return clenshaw_plan(c, ops, vec)(tuple(2.0 * m for m in ops), vec)
+
+
+def clenshaw_plan(c: np.ndarray, ops, vec: np.ndarray):
+    """run(ops2, vec) -> clenshaw(c, ops, vec), bitwise, for ops2 = 2·ops and
+    vec shaped as here. Built from shapes and dtypes, it owns the work vectors
+    and a buffer for the c_k·v rows, BLOCK_ROWS at a time, never all D + 1."""
     ops = ops if isinstance(ops, tuple) else (ops,)
     dtype = np.result_type(c, vec, *ops)
     split = dtype.kind == "c"  # a real matrix then multiplies a float view
-    v = vec.astype(dtype, copy=False)
     stacked = ops[0].ndim > 2
     pair = stacked and vec.shape[-1] == 2 * ops[0].shape[-1]
     rows = ((*vec.shape[:-1], 2, vec.shape[-1] // 2) if pair
@@ -306,25 +315,44 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
         ins = tuple(x[..., ::-1, :, :] for x in outs) if pair else outs
         return b, *ins, *outs
 
-    bk1, bk2, t = slot(), slot(), slot()
-    term = np.empty(vec.shape, dtype)
-    # (2H, input, output); a real matrix under complex work takes float views
-    prods = [(2.0 * m, 2, 4) if split and m.dtype.kind != "c" else (2.0 * m, 1, 3)
-             for m in ops]
+    slots = slot(), slot(), slot()
+    phases = []  # term j's operand, b_{k+1} input, b_k output, b_k, b_{k+2}
+    for j in range(math.lcm(3, len(ops))):  # a real matrix under complex work
+        i, o = (2, 4) if split and ops[j % len(ops)].dtype.kind != "c" else (1, 3)
+        b1, t, b2 = slots[-j % 3], slots[(2 - j) % 3], slots[(1 - j) % 3]
+        phases.append((j % len(ops), b1[i], t[o], t[0], b2[0]))
     product = np.matmul if stacked else np.dot
-    cs = c.tolist()
-    np.multiply(cs[-1], v, out=bk1[0])
-    for k in range(len(cs) - 2, -1, -1):
-        m, i, o = prods[(len(cs) - 2 - k) % len(prods)]
-        product(m, bk1[i], out=t[o])
-        if k == 0:
-            np.multiply(t[0], 0.5, out=t[0])
-        if cs[k] != 0:
-            np.multiply(cs[k], v, out=term)
-            np.add(term, t[0], out=t[0])
-        np.subtract(t[0], bk2[0], out=t[0])
-        bk1, bk2, t = t, bk1, bk2
-    return bk1[0]
+    coef = c[-2::-1].astype(dtype)  # c_{D-1}, …, c_0: term j's c_k
+    nonzero, adds = coef[coef != 0].reshape(-1, *[1] * vec.ndim), (coef != 0).tolist()
+    halves = [False] * (len(coef) - 1) + [True]  # k = 0 applies H, not 2H
+    sizes = np.add.reduceat(coef != 0, range(0, len(coef), BLOCK_ROWS)).tolist()
+    buf = np.empty((max(sizes, default=0), *vec.shape), dtype)  # c_k·v rows
+    blocks, a = [], 0  # per BLOCK_ROWS terms: nonzero c_k, rows, adds, halves
+    for j, n in zip(range(0, len(coef), BLOCK_ROWS), sizes):
+        blocks.append((nonzero[a:a + n], buf[:n], adds[j:j + BLOCK_ROWS],
+                       halves[j:j + BLOCK_ROWS]))
+        a += n
+    cv_rows, result = list(buf), slots[-len(coef) % 3][0]  # b_0, the last term's
+
+    def run(ops2, vec: np.ndarray) -> np.ndarray:
+        v = vec.astype(dtype, copy=False)
+        np.multiply(c[-1], v, out=slots[0][0])
+        slots[1][0].fill(0.0)
+        ops2 = ops2 if isinstance(ops2, tuple) else (ops2,)
+        steps = itertools.cycle([(ops2[n], *x) for n, *x in phases])
+        for cks, out, adds, halves in blocks:
+            np.multiply(cks, v, out=out)
+            free = iter(cv_rows)
+            for add, half, (m, x, y, acc, prev) in zip(adds, halves, steps):
+                product(m, x, out=y)
+                if half:
+                    np.multiply(acc, 0.5, out=acc)
+                if add:
+                    np.add(next(free), acc, out=acc)
+                np.subtract(acc, prev, out=acc)
+        return result.copy()
+
+    return run
 
 
 def linsolve(A: DenseOperator | np.ndarray, b: StateRegister | np.ndarray):

@@ -152,17 +152,23 @@ def test_evolve_with_complex_b_matches_eigh_oracle(form):
     assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
 
 
+def complex_phase_instance(form):
+    # gen_instance(3, 10, 16, form) with A's rows and columns given complex
+    # phases, under the same real b
+    inst = gen_instance(3, 10.0, 16, form=form)
+    rng = np.random.default_rng(2)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=inst.dim))
+    a = phases[:, None] * inst.A.mat * phases.conj()[None, :]
+    return QlspInstance(DenseOperator(a, hermitian=inst.A.hermitian), inst.b,
+                        inst.kappa, inst.d, form=form)
+
+
 @pytest.mark.parametrize("form", ["positive-definite",
                                   "hermitian-indefinite", "general"])
 def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
     # a complex A under a real b leaves H0 real and makes H1 complex, so
     # each step's H(f) is formed in complex arithmetic from mixed dtypes
-    inst = gen_instance(3, 10.0, 16, form=form)
-    rng = np.random.default_rng(2)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=inst.dim))
-    a = phases[:, None] * inst.A.mat * phases.conj()[None, :]
-    inst = QlspInstance(DenseOperator(a, hermitian=inst.A.hermitian), inst.b,
-                        inst.kappa, inst.d, form=form)
+    inst = complex_phase_instance(form)
     h0, h1, _ = dense_hamiltonians(inst)
     assert h0.mat.dtype == np.float64 and h1.mat.dtype == np.complex128
     cfg = AqcConfig(T=2.0)
@@ -170,19 +176,30 @@ def test_evolve_with_complex_a_and_real_b_matches_eigh_oracle(form):
     assert np.max(np.abs(got - eigh_midpoint(inst, cfg))) <= 1e-12
 
 
+def plan_counting_runs(counter):
+    # aqc.clenshaw_plan, whose runs (one per evolution step) count into
+    # counter["calls"]
+    make_plan = aqc.clenshaw_plan
+
+    def plan(c, ops, vec):
+        run = make_plan(c, ops, vec)
+
+        def counted_run(ops2, vec):
+            counter["calls"] += 1
+            return run(ops2, vec)
+        return counted_run
+    return plan
+
+
 def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
     inst = gen_instance(3, 10.0, 17)
     cfg = AqcConfig(T=2.0)
     coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
     assert coeffs.size > 1
-    # count the series evaluations at the recurrence and the operator
+    # count the series evaluations at the plan's run and the operator
     # products at the kernel's calls on each step's pair [B(f), B(f)†]
     counter = {"calls": 0, "matvecs": 0}
-    recurrence, make_form = aqc.clenshaw, aqc.convex_combination
-
-    def counted_clenshaw(c, matvec, vec):
-        counter["calls"] += 1
-        return recurrence(c, matvec, vec)
+    make_form = aqc.convex_combination
 
     def counted_convex_combination(m0, m1):
         form = make_form(m0, m1)
@@ -193,7 +210,7 @@ def test_evolve_costs_one_matvec_per_term(monkeypatch, counted_view):
             return counted_view(pair, counter)
         return counted_form
 
-    monkeypatch.setattr(aqc, "clenshaw", counted_clenshaw)
+    monkeypatch.setattr(aqc, "clenshaw_plan", plan_counting_runs(counter))
     monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
     evolve(inst, cfg)
     assert counter["calls"] == cfg.num_steps
@@ -221,6 +238,38 @@ def test_evolve_stack_rows_are_bitwise_evolve(form):
     assert alone.amps.tobytes() == evolve(insts[0], AqcConfig(T=0.6)).amps.tobytes()
 
 
+def one_shot_propagation(insts, cfg):
+    # the propagator as one one-shot numerics.clenshaw call per step on the
+    # undoubled [B(f), B(f)†]/alpha stack, which the call doubles
+    h0s, h1s, inits = zip(*map(aqc._pairs, insts))
+    form = numerics.convex_combination(numerics.stack_rows(h0s),
+                                       numerics.stack_rows(h1s))
+    psi = numerics.stack_rows([init.amps for init in inits])
+    k = cfg.num_steps
+    coeffs = jacobi_anger_coeffs(cfg.T / k * NORM_BOUND)
+    for step in range(k):
+        f = schedule_p((step + 0.5) / k, insts[0].kappa, cfg.p)
+        psi = numerics.clenshaw(coeffs, form(f, NORM_BOUND), psi)
+    return psi.reshape(len(insts), -1)
+
+
+@pytest.mark.parametrize("insts", [
+    lambda: [planted_tridiag_instance(5, 16.0, seed) for seed in range(3)],
+    lambda: [planted_tridiag_instance(7, 16.0, 0)],
+    lambda: [gen_instance(3, 6.0, 1, "hermitian-indefinite")],
+    lambda: [gen_instance(3, 6.0, 1, "general")],
+    lambda: [complex_phase_instance("positive-definite")],
+], ids=["planted5-S3", "planted7", "indefinite3", "general3", "complex-phase"])
+def test_planned_propagation_is_bitwise_one_shot_clenshaw(insts):
+    # one plan per propagation on the endpoints doubled once gives, step for
+    # step, the one-shot kernel on each step's pair
+    insts = insts()
+    cfg = AqcConfig(T=aqc.TIME_FACTOR * insts[0].kappa)
+    rows = evolve_stack(insts)(cfg)
+    want = one_shot_propagation(insts, cfg)
+    assert [row.amps.tobytes() for row in rows] == [w.tobytes() for w in want]
+
+
 def test_evolve_stack_row_matches_eigh_oracle():
     insts = [gen_instance(3, 10.0, seed) for seed in (12, 13)]
     cfg = AqcConfig(T=2.0)
@@ -245,7 +294,7 @@ def test_evolve_stack_costs_one_stacked_product_per_term(monkeypatch,
     insts = [gen_instance(3, 10.0, seed) for seed in range(3)]
     cfg = AqcConfig(T=2.0)
     coeffs = jacobi_anger_coeffs(cfg.T / cfg.num_steps * NORM_BOUND)
-    counter = {"matvecs": 0}
+    counter = {"calls": 0, "matvecs": 0}
     make_form = aqc.convex_combination
 
     def counted_convex_combination(m0, m1):
@@ -257,8 +306,10 @@ def test_evolve_stack_costs_one_stacked_product_per_term(monkeypatch,
             return counted_view(pairs, counter)
         return counted_form
 
+    monkeypatch.setattr(aqc, "clenshaw_plan", plan_counting_runs(counter))
     monkeypatch.setattr(aqc, "convex_combination", counted_convex_combination)
     evolve_stack(insts)(cfg)
+    assert counter["calls"] == cfg.num_steps
     # one np.matmul per term on the whole stack of pairs, a float64 stack
     # meeting the complex states through their float view
     products = cfg.num_steps * (coeffs.size - 1)

@@ -307,13 +307,17 @@ def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
     ("--n", "7", "--kappa", "16", "--form", "planted", "--method", "zeno"),
     ("--n", "7", "--kappa", "16", "--form", "planted",
      "--method", "qsp-direct"),
-    # the dilated adiabatic path
+    # the dilated adiabatic path; every evolution step runs the one plan
     ("--n", "4", "--kappa", "6", "--seed", "1",
      "--form", "hermitian-indefinite", "--method", "aqc"),
+    ("--n", "3", "--kappa", "6", "--form", "hermitian-indefinite",
+     "--method", "aqc"),
+    ("--n", "3", "--kappa", "6", "--form", "general", "--method", "aqc"),
     # the inversion polynomial's Dolph-Chebyshev window on a dilated instance
     ("--n", "3", "--kappa", "6", "--seed", "1", "--form", "general",
      "--method", "qsp-direct"),
-], ids=["zeno", "qsp-direct", "aqc-dilated", "qsp-direct-general"])
+], ids=["zeno", "qsp-direct", "aqc-dilated", "aqc-indefinite3", "aqc-general3",
+        "qsp-direct-general"])
 def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
     one, two = under_blas_thread_counts(tmp_path, "solve", *solve_args)
     assert one == two

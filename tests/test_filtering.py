@@ -236,15 +236,21 @@ def test_sampled_rejects_an_unknown_mode():
 @pytest.fixture
 def product_counter(monkeypatch):
     """Count every operator product of numerics.clenshaw, under each name
-    the solvers call it by (the filters, the evolution, the baseline)."""
+    the solvers call it by (the filters, the baseline), and of the runs of
+    the evolution's numerics.clenshaw_plan."""
     counter = {"matvecs": 0}
-    recurrence = numerics.clenshaw
+    recurrence, make_plan = numerics.clenshaw, numerics.clenshaw_plan
 
     def counted_recurrence(c, ops, vec):
         return recurrence(c, counted(ops, counter), vec)
 
-    for module in (numerics, aqc, baseline):
+    def counted_plan(c, ops, vec):
+        run = make_plan(c, ops, vec)
+        return lambda ops2, vec: run(counted(ops2, counter), vec)
+
+    for module in (numerics, baseline):
         monkeypatch.setattr(module, "clenshaw", counted_recurrence)
+    monkeypatch.setattr(aqc, "clenshaw_plan", counted_plan)
     return counter
 
 

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
+from eigenfilter.aqc import AqcConfig, evolve, evolve_stack
 from eigenfilter.chebpoly import FilterSpec, filter_cheb_coeffs, jacobi_anger_coeffs
+from eigenfilter.harness import gen_instance
 from eigenfilter.numerics import (
+    BLOCK_ROWS,
     DenseOperator,
     SpectralDecomposition,
     StateRegister,
     clenshaw,
     clenshaw_apply,
+    clenshaw_plan,
     eig_hermitian,
     fidelity,
     hermitian_part,
@@ -151,6 +155,17 @@ def _bits(x):
     return (np.asarray(x, dtype=complex) + 0.0).tobytes()
 
 
+def _block_series(degree):
+    # a decaying series with every third coefficient exactly 0
+    c = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+    c[1::3] = 0.0
+    return (c / np.arange(1, degree + 2)).tolist()
+
+
+BLOCK_DEGREES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+
+
+@pytest.mark.parametrize("via", ["clenshaw", "plan"])
 @pytest.mark.parametrize("nops", [1, 2], ids=["one-op", "two-ops"])
 @pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
@@ -159,10 +174,14 @@ def _bits(x):
     [0.7], [0.3, -0.8], [0.2, 0.5, -0.4], [-0.1, 0.6, 0.3, -0.5],
     [0.4, 0.0, -0.3, 0.0, 0.2, 0.0, -0.1],
     filter_cheb_coeffs(FilterSpec(24, 0.1)).coefficients.tolist(),
-], ids=["deg0", "deg1", "deg2", "deg3", "even6", "filter48"])
+    *map(_block_series, BLOCK_DEGREES),
+], ids=["deg0", "deg1", "deg2", "deg3", "even6", "filter48",
+        "block-1", "block", "block+1", "2block+1"])
 def test_kernel_is_bitwise_the_textbook_recurrence(coeffs, complex_c, complex_v,
-                                                   complex_m, nops):
-    # the reference cycles through the operators one matvec at a time
+                                                   complex_m, nops, via):
+    # the reference cycles through the operators one matvec at a time; a
+    # plan runs twice on operands doubled here, its c_k·v rows formed
+    # BLOCK_ROWS at a time, degrees on both sides of a block included
     rng = np.random.default_rng(len(coeffs))
     ops = []
     for _ in range(nops):
@@ -174,9 +193,16 @@ def test_kernel_is_bitwise_the_textbook_recurrence(coeffs, complex_c, complex_v,
     c = np.array(coeffs) * (0.6 - 0.8j if complex_c else 1.0)
     blocks = itertools.cycle([_reference_matvec(m) for m in ops])
     want = _reference_clenshaw(c, lambda x: next(blocks)(x), v)
-    got = clenshaw(c, tuple(ops) if nops == 2 else ops[0], v)
-    assert got.dtype == np.result_type(c, v, *ops)
-    assert _bits(got) == _bits(want)
+    operand = tuple(ops) if nops == 2 else ops[0]
+    if via == "clenshaw":
+        runs = [clenshaw(c, operand, v)]
+    else:
+        run = clenshaw_plan(c, operand, v)
+        doubled = tuple(2.0 * m for m in ops) if nops == 2 else 2.0 * ops[0]
+        runs = [run(doubled, v), run(doubled, v)]
+    for got in runs:
+        assert got.dtype == np.result_type(c, v, *ops)
+        assert _bits(got) == _bits(want)
 
 
 def test_kernel_result_survives_the_next_call():
@@ -192,6 +218,29 @@ def test_kernel_result_survives_the_next_call():
     assert not np.shares_memory(first, v)
     assert np.array_equal(first, kept)
     assert np.array_equal(clenshaw(c[:1], h, v), c[0] * v)  # degree 0
+    # a plan's result is a new array that the plan's next run leaves alone
+    for coeffs in (c, c[:1]):
+        run = clenshaw_plan(coeffs, h, v)
+        first = run(2.0 * h, v)
+        kept = first.copy()
+        second = run(2.0 * h, rng.normal(size=8))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, v)
+        assert np.array_equal(first, kept)
+    # the states an observer sees are not work vectors of later steps
+    inst = gen_instance(3, 10.0, 14)
+    seen = []
+    evolve(inst, AqcConfig(T=1.0), lambda j, psi: seen.append((psi, psi.copy())))
+    assert all(np.array_equal(psi, kept) for psi, kept in seen)
+    # two runs of one evolve_stack, as the calibration makes, are the runs
+    # of fresh stacks, and leave each other's results alone
+    insts = [gen_instance(3, 6.0, seed) for seed in range(3)]
+    run = evolve_stack(insts)
+    cfgs = (AqcConfig(T=0.6), AqcConfig(T=1.2, steps=30))
+    first, second = (run(cfg) for cfg in cfgs)
+    for cfg, rows in zip(cfgs, (first, second)):
+        fresh = evolve_stack(insts)(cfg)
+        assert [r.amps.tobytes() for r in rows] == [r.amps.tobytes() for r in fresh]
 
 
 def test_clenshaw_matches_spectral_oracle():
