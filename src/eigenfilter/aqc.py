@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import qb_matrix
-from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy, jacobi_anger_coeffs
+from .chebpoly import (BOUND_GAP_CAP, FilterSpec, degree_for_accuracy,
+                       filter_cheb_coeffs, jacobi_anger_coeffs)
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
 from .numerics import (StateRegister, clenshaw_plan, convex_combination,
                        fidelity, stack_rows)
@@ -37,7 +38,7 @@ from .qlsp import (
     check_stack,
     extend_general,
     gap_lower_bound,
-    hamiltonian_blocks,
+    hamiltonian_pairs,
     offdiag_pair,
     path_vectors,
     solution_state,
@@ -87,12 +88,6 @@ def schedule_p(s: float, kappa: float, p: float) -> float:
     return kappa / (kappa - 1.0) * (1.0 - base ** (1.0 / (1.0 - p)))
 
 
-def _pairs(inst: QlspInstance):
-    # the H0 and H1 pairs and |0⟩|u0⟩ of qlsp.hamiltonian_blocks' picture
-    b0, b1, u0 = hamiltonian_blocks(inst)
-    return offdiag_pair(b0), offdiag_pair(b1), prepend_ancilla(u0.amps)
-
-
 def evolve(inst: QlspInstance, cfg: AqcConfig, observer=None) -> StateRegister:
     """evolve_stack on a stack of one."""
     [out] = evolve_stack([inst])(cfg, observer)
@@ -102,17 +97,18 @@ def evolve(inst: QlspInstance, cfg: AqcConfig, observer=None) -> StateRegister:
 def evolve_stack(insts: list[QlspInstance]):
     """run(cfg, observer=None) -> each row's |0⟩|u0⟩ propagated through
     H(f(s)), s from 0 to 1, by one propagation of (S, 2, N, N) stacks of
-    the H0 and H1 pairs, built here once, on (S, 2N) states. insts share
-    kappa, form, dimension and d (qlsp.check_stack); one stays unstacked
-    (numerics.stack_rows), and each row is bitwise its stack of one.
+    the H0 and H1 pairs (qlsp.hamiltonian_pairs), built here once, on
+    (S, 2N) states. insts share kappa, form, dimension and d
+    (qlsp.check_stack); one stays unstacked (numerics.stack_rows), and
+    each row is bitwise its stack of one.
 
     Each of the K steps applies exp(-i·(T/K)·H(f(s_mid))) as the Chebyshev
     series Σ_k c_k T_k(H/alpha) (see jacobi_anger_coeffs), by Clenshaw
     matvecs. alpha = qlsp.NORM_BOUND, the bound every instance puts on ‖A‖:
     in each picture ‖H0‖ <= 1 and ‖H1‖ <= ‖A‖, hence every convex
     combination H(f) is bounded too and each H/alpha is a contraction, with
-    no norm computed here. Each step forms 2·[B(f), B(f)†]/alpha from
-    hamiltonian_blocks' B0 and B1, doubled once, in one buffer (numerics.
+    no norm computed here. Each step forms 2·[B(f), B(f)†]/alpha from the
+    H0 and H1 pairs, doubled once, in one buffer (numerics.
     convex_combination) and runs the propagation's one clenshaw_plan on it:
     D products of two N×N blocks per row for degree D. The buffer is float64
     for a real instance, the state complex from the first step. The midpoint
@@ -121,8 +117,8 @@ def evolve_stack(insts: list[QlspInstance]):
     the states (2N for a stack of one) after j steps, for j = 0 through K.
     """
     check_stack(insts)
-    h0s, h1s, inits = zip(*map(_pairs, insts))
-    h0, h1 = stack_rows(h0s), stack_rows(h1s)
+    h0, h1, u0s = hamiltonian_pairs(insts)
+    inits = [prepend_ancilla(u0.amps) for u0 in u0s]
     psi = stack_rows([init.amps for init in inits])
 
     def run(cfg: AqcConfig, observer=None) -> list[StateRegister]:
@@ -204,8 +200,9 @@ def seed_filter(insts: list[QlspInstance]):
     h1 = stack_rows([offdiag_pair(inst.A.mat @ qb_matrix(inst.b) / inst.d)
                      for inst in insts])
     gap = min(gap_lower_bound(insts[0], 1.0) / insts[0].d, BOUND_GAP_CAP)
-    return (lambda ell, psis: filter_ops(h1, gap, ell, psis), gap,
-            [prepend_ancilla(solution_state(inst).amps) for inst in insts])
+    return (lambda ell, psis: filter_ops(
+        h1, filter_cheb_coeffs(FilterSpec(ell, gap)), psis), gap,
+        [prepend_ancilla(solution_state(inst).amps) for inst in insts])
 
 
 def solve_aqc_filtered(inst: QlspInstance, eps: float,

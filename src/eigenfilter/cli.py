@@ -35,7 +35,7 @@ from .numerics import StateRegister, eig_hermitian, fidelity
 from .qlsp import (
     QlspInstance,
     eigenpath_length,
-    eigenpath_state,
+    eigenpath_states,
     gap_lower_bound,
     lstar,
     make_h1_encoding,
@@ -236,9 +236,8 @@ def _validate_eigenpath(args, failures):
         bound = 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
         _check(failures, L <= bound, f"eigenpath kappa={kappa!r}",
                f"length={L!r} bound={bound!r}")
-        over = [f for f in (0.0, 0.25, 0.5, 0.75, 1.0)
-                if eigenpath_state(inst, f).derivative_norm
-                > 2.0 / gap_lower_bound(inst, f)]
+        over = [pt.f for pt in eigenpath_states(inst, (0.0, 0.25, 0.5, 0.75, 1.0))
+                if pt.derivative_norm > 2.0 / gap_lower_bound(inst, pt.f)]
         _check(failures, not over, f"eigenpath derivatives kappa={kappa!r}",
                f"over 2/gap at f={over!r}" if over else "")
         params = zeno_params(kappa, 1e-4)

@@ -8,9 +8,10 @@ P_λ + e^{iθ}(I - P_λ) without any measurement.
 
 Phase factors of the signal-processing circuit are never computed: the
 polynomial is applied directly with a Clenshaw recurrence, which acts
-identically on the encoded block. The transforms that take an encoding
-guard ‖H̃‖ <= 1 per call (for the `filter` command, criteria 3–4 and direct
-calls); solvers and sweeps use the unguarded `filter_ops` on their matrices.
+identically on the encoded block. Every transform runs through the one
+body `filter_ops`, which takes its series. The transforms that take an
+encoding guard ‖H̃‖ <= 1 per call (for the `filter` command, criteria 3–4
+and direct calls); solvers and sweeps hand it their matrices unguarded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .chebpoly import (
     reflection_cheb_coeffs,
 )
 from . import numerics
-from .numerics import StateRegister, clenshaw_apply, eig_hermitian
+from .numerics import StateRegister, eig_hermitian
 from .report import SolverReport
 
 # Eigenvalues within this distance of λ count as the target eigenspace.
@@ -56,13 +57,6 @@ class MeasurementOutcome:
             raise ValueError("success probability outside [0, 1]")
         if self.mode not in ("postselect", "sample"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def _shifted_contraction(enc: BlockEncoding, lam: float) -> np.ndarray:
-    h = enc.payload
-    if not h.hermitian:
-        raise ValueError("filtering needs a Hermitian payload")
-    return (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam))
 
 
 def measured_gap(eigenvalues: np.ndarray, lam: float) -> float:
@@ -97,29 +91,42 @@ def apply_filter(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
     gap of the payload around λ (the algorithm-as-specified path); by default
     the gap is measured from the eigendecomposition.
     """
-    htilde = _shifted_contraction(enc, lam)
-    [out] = filter_ops(numerics.check_contraction(htilde),
-                       transformed_gap(enc, lam, gap), ell, [psi],
-                       ancilla_budget=enc.ancilla + 2)
+    return _transform(filter_cheb_coeffs, enc, lam, ell, psi, gap)
+
+
+def reflection_apply(enc: BlockEncoding, lam: float, ell: int, psi: StateRegister,
+                     gap: float | None = None) -> MeasurementOutcome:
+    """Apply the normalized reflection polynomial about the λ-eigenspace."""
+    return _transform(reflection_cheb_coeffs, enc, lam, ell, psi, gap)
+
+
+def _transform(series_of, enc, lam, ell, psi, gap):
+    # series_of(FilterSpec(ell, gap̃)) of the guarded H̃ = (H - λI)/(alpha + |λ|)
+    h = enc.payload
+    if not h.hermitian:
+        raise ValueError("filtering needs a Hermitian payload")
+    htilde = numerics.check_contraction(
+        (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam)))
+    series = series_of(FilterSpec(ell, transformed_gap(enc, lam, gap)))
+    [out] = filter_ops(htilde, series, [psi], ancilla_budget=enc.ancilla + 2)
     return out
 
 
-def filter_ops(ops, gap_t: float, ell: int, psis: list[StateRegister],
+def filter_ops(ops, series, psis: list[StateRegister],
                ancilla_budget: int | None = None) -> list[MeasurementOutcome]:
-    """apply_filter's unguarded core, on the contraction H̃ given as
-    numerics.clenshaw's ops, with gap gap_t around 0: one outcome per state
-    of psis, whose amplitudes run as one numerics.stack_rows stack (ops
-    stacked to match). The probability and the normalization stay per row,
-    so each outcome is bitwise the stack-of-one call. numerics.clenshaw is
-    looked up per call, so a counting wrapper there sees it.
+    """The one filtering body: series (a ChebSeries) of the contraction H̃,
+    given unguarded as numerics.clenshaw's ops, on each state of psis,
+    whose amplitudes run as one numerics.stack_rows stack (ops stacked to
+    match). The probability and the normalization stay per row, so each
+    outcome is bitwise the stack-of-one call. numerics.clenshaw is looked
+    up per call, so a counting wrapper there sees it.
 
     For H̃ = σ₊⊗B̃ + σ₋⊗B̃† on a 2N state, ops is the pair [B̃, B̃†] (see
     numerics.clenshaw). For a state in H̃'s |0⟩ block, held as that block
-    alone, ops is (B̃†, B̃): the filter series is even, so the Clenshaw
-    vector b_k lies in the |0⟩ block for even k and in the |1⟩ block for
-    odd k, its 2ℓ products alternate B̃†, B̃, ..., and the result stays in
-    the |0⟩ block."""
-    series = filter_cheb_coeffs(FilterSpec(ell, gap_t))
+    alone, ops is (B̃†, B̃), and series is even (the filter): b_k lies in
+    the |0⟩ block for even k and in the |1⟩ block for odd k, its 2ℓ
+    products alternate B̃†, B̃, ..., and the result stays in the |0⟩
+    block."""
     out = numerics.clenshaw(series.coefficients, ops, numerics.real_if_real(
         numerics.stack_rows([psi.amps for psi in psis])))
     outcomes = []
@@ -144,18 +151,6 @@ def projector_error(enc: BlockEncoding, lam: float, ell: int,
     inside = np.abs(dec.eigenvalues - lam) <= EIGENSPACE_TOL
     vals = filter_eval(spec, shifted)
     return float(np.abs(vals - inside.astype(float)).max())
-
-
-def reflection_apply(enc: BlockEncoding, lam: float, ell: int,
-                     psi: StateRegister,
-                     gap: float | None = None) -> MeasurementOutcome:
-    """Apply the normalized reflection polynomial about the λ-eigenspace."""
-    htilde = _shifted_contraction(enc, lam)
-    gap_t = transformed_gap(enc, lam, gap)
-    series = reflection_cheb_coeffs(FilterSpec(ell, gap_t))
-    out = clenshaw_apply(series, htilde, psi)
-    p = min(float(out.norm() ** 2), 1.0)
-    return MeasurementOutcome(p, out.normalized(), ancilla_budget=enc.ancilla + 2)
 
 
 def theta_reflection_apply(enc: BlockEncoding, lam: float, ell: int, theta: float,

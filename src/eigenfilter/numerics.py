@@ -12,7 +12,8 @@ matrices applied in turn, or the pair [B, B†] of σ₊⊗B + σ₋⊗B†; one
 (1-f)·H0 + f·H1 = σ₊⊗B(f) + σ₋⊗B(f)†, each step's blocks formed in one
 buffer per solve by `convex_combination`, with no guard: the evolution runs
 one plan per propagation on 2·[B(f), B(f)†]/alpha, from endpoints doubled
-once; the walk's filters hand `clenshaw` (B(f)†/alpha, B(f)/alpha).
+once; the walk forms the same pair [B(f), B(f)†]/alpha and its filters hand
+`clenshaw` the pair's halves, (B(f)†/alpha, B(f)/alpha), as two views.
 
 An operator's dtype is decided once, when a DenseOperator is built: float64
 when every imaginary part is exactly zero (as for every operator built from
@@ -199,32 +200,26 @@ def eig_hermitian(H: DenseOperator | np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec)
 
 
-def _coefficients(coeffs) -> np.ndarray:
+def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
+                   v: StateRegister | np.ndarray):
+    """Apply Σ_k c_k T_k(Hn) to one state v by the backward Clenshaw
+    recurrence: the checked one-state wrapper over clenshaw.
+
+    The coefficients (an array or a ChebSeries) may be real or complex; Hn
+    must be a contraction (see check_contraction). A series of degree D
+    costs D matvecs. When Hn, the coefficients and v are all real the
+    recurrence runs in float64; the result is complex either way.
+    """
     c = np.asarray(getattr(coeffs, "coefficients", coeffs)).reshape(-1)
     c = c.astype(complex if np.iscomplexobj(c) else float)
     if c.size == 0 or not np.all(np.isfinite(c)):
         raise ValueError("invalid Chebyshev coefficients")
-    return c
-
-
-def clenshaw_apply(coeffs, Hn: DenseOperator | np.ndarray,
-                   v: StateRegister | np.ndarray):
-    """Apply Σ_k c_k T_k(Hn) to v by the backward Clenshaw recurrence.
-
-    The coefficients may be real or complex; Hn must be a contraction (see
-    check_contraction). A series of degree D costs D matvecs. When Hn, the
-    coefficients and v are all real the recurrence runs in float64; the
-    result is complex either way.
-    """
-    c = _coefficients(coeffs)
     m = Hn.mat if isinstance(Hn, DenseOperator) else np.asarray(Hn)
     vec = v.amps if isinstance(v, StateRegister) else np.asarray(v, dtype=complex)
     if vec.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
     out = clenshaw(c, check_contraction(m), real_if_real(vec)).astype(complex)
-    if isinstance(v, StateRegister):
-        return v.with_amps(out)
-    return out
+    return v.with_amps(out) if isinstance(v, StateRegister) else out
 
 
 def real_if_real(a) -> np.ndarray:

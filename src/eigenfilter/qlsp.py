@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, linear_combine, qb_matrix
-from .numerics import DenseOperator, StateRegister, linsolve, real_if_real
+from .numerics import (DenseOperator, StateRegister, linsolve, real_if_real,
+                       stack_rows)
 
 FORMS = ("positive-definite", "hermitian-indefinite", "general")
 
@@ -188,6 +189,14 @@ def hamiltonian_blocks(inst: QlspInstance):
             StateRegister(minus_b, ancilla=1, system=b.system))
 
 
+def hamiltonian_pairs(insts):
+    """(H0, H1, u0s): the solvers' endpoints, each row's hamiltonian_blocks
+    as offdiag_pairs stacked by numerics.stack_rows, and each row's u0."""
+    b0s, b1s, u0s = zip(*map(hamiltonian_blocks, insts))
+    return (stack_rows([offdiag_pair(b) for b in b0s]),
+            stack_rows([offdiag_pair(b) for b in b1s]), u0s)
+
+
 @dataclass(frozen=True)
 class EigenpathPoint:
     """One point of the null-space curve f ↦ |x(f)⟩."""
@@ -232,16 +241,21 @@ def path_vector(inst: QlspInstance, f: float) -> np.ndarray:
 
 
 def eigenpath_state(inst: QlspInstance, f: float) -> EigenpathPoint:
-    """Exact eigenpath point and derivative norm, endpoints included.
+    """eigenpath_states at the one point f."""
+    return eigenpath_states(inst, [f])[0]
 
-    With M = (1-f)I + fA and y = M⁻¹b, ∂_f y = M⁻¹(I - A)·y. The parallel-
+
+def eigenpath_states(inst: QlspInstance, fs) -> list[EigenpathPoint]:
+    """Exact eigenpath points and derivative norms, endpoints included, on
+    one path_vectors call. With M = (1-f)I + fA and y = M⁻¹b, ∂_f y = M⁻¹(I - A)·y. The parallel-
     transported derivative of x = y/‖y‖ is the part of ∂_f y/‖y‖ orthogonal
-    to x: ‖∂_f x‖ = ‖(I - |x⟩⟨x|)·M⁻¹(I - A)·x‖.
+    to x: ‖∂_f x‖ = ‖(I - |x⟩⟨x|)·M⁻¹(I - A)·x‖, one solve per point.
     """
-    if not 0.0 <= f <= 1.0:
+    fs = [float(f) for f in fs]
+    if not all(0.0 <= f <= 1.0 for f in fs):
         raise ValueError("f must lie in [0, 1]")
-    x = path_vector(inst, f)
-    return EigenpathPoint(f, inst.b.with_amps(x), _derivative_norm(inst, f, x))
+    return [EigenpathPoint(f, inst.b.with_amps(x), _derivative_norm(inst, f, x))
+            for f, x in zip(fs, path_vectors(inst, fs))]
 
 
 def _derivative_norm(inst: QlspInstance, f: float, x: np.ndarray) -> float:
@@ -261,9 +275,7 @@ def lstar(kappa: float, a: float, b: float) -> float:
 
 def eigenpath_length(inst: QlspInstance) -> float:
     """Trapezoidal quadrature of ‖∂_f x(f)‖ over f in [0, 1] (see
-    eigenpath_state) at EIGENPATH_SAMPLES points, on path vectors computed
-    together."""
+    eigenpath_states) at EIGENPATH_SAMPLES points."""
     fs = np.linspace(0.0, 1.0, EIGENPATH_SAMPLES)
-    derivs = [_derivative_norm(inst, float(f), x)
-              for f, x in zip(fs, path_vectors(inst, fs))]
-    return float(np.trapezoid(derivs, fs))
+    return float(np.trapezoid(
+        [pt.derivative_norm for pt in eigenpath_states(inst, fs)], fs))

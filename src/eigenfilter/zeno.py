@@ -15,10 +15,11 @@ singular-value picture of QSVT, arXiv 1806.01838). The final first-qubit
 measurement therefore succeeds with probability 1; it is still performed,
 and its probability is recorded in the last step entry.
 
-The blocks B0 = Q_b and B1 = A·Q_b come from `qlsp.hamiltonian_blocks`,
-with B(f) = (1-f)·B0 + f·B1; each step forms B(f)/alpha(f) and its adjoint
-with `numerics.convex_combination` and filters without a norm guard or a
-block encoding: ‖A‖ is bounded once, where the instance is built.
+The pairs [B0, B0†] and [B1, B1†] of B0 = Q_b and B1 = A·Q_b come from
+`qlsp.hamiltonian_pairs`, as for the adiabatic solver; each step forms
+[B(f), B(f)†]/alpha(f) with `numerics.convex_combination` and filters on
+its halves without a norm guard or a block encoding: ‖A‖ is bounded once,
+where the instance is built.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebpoly import BOUND_GAP_CAP, degree_for_accuracy
+from .chebpoly import (BOUND_GAP_CAP, FilterSpec, degree_for_accuracy,
+                       filter_cheb_coeffs)
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
-from .numerics import StateRegister, convex_combination, fidelity, stack_rows
+from .numerics import StateRegister, convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
     check_stack,
     gap_lower_bound,
-    hamiltonian_blocks,
+    hamiltonian_pairs,
     path_vectors,
     solution_state,
 )
@@ -132,12 +134,13 @@ def zeno_run(insts: list[QlspInstance], eps: float,
     filtering.sampled.
 
     The rows share kappa, form, dimension and d (qlsp.check_stack), hence
-    the grid and the ells: each step runs one filter over the (S, N, N)
-    stacks of (B̃†, B̃) (numerics.stack_rows; a stack of one stays 2-D), and
-    every row is bitwise its own stack-of-one walk. The coin stages are each
-    filter step (ideal_projection steps draw none), then the final ancilla
-    measurement; a failure restarts the whole walk from |0⟩|b⟩, and each
-    step costs 2ℓ per attempt that reached it.
+    the grid and the ells: each step forms the (S, 2, N, N) stack of pairs
+    [B̃, B̃†] (numerics.stack_rows; a stack of one stays 2-D) and runs one
+    filter on its halves (B̃†, B̃), and every row is bitwise its own
+    stack-of-one walk. The coin stages are each filter step
+    (ideal_projection steps draw none), then the final ancilla measurement;
+    a failure restarts the whole walk from |0⟩|b⟩, and each step costs 2ℓ
+    per attempt that reached it.
     """
     check_stack(insts)
     inst = insts[0]
@@ -148,11 +151,8 @@ def zeno_run(insts: list[QlspInstance], eps: float,
     # QlspInstance checks ‖A‖ <= NORM_BOUND at entry, so ‖B(f)‖ <= (1-f) +
     # f·NORM_BOUND <= alpha(f)·(1 + 1e-10), alpha(f) = (1-f) + f·d: each
     # B(f)/alpha(f) is a contraction to the encodings' own tolerance
-    b0s, b1s, us = zip(*map(hamiltonian_blocks, insts))  # u = b, the |0⟩ block
-    b0, b1 = stack_rows(b0s), stack_rows(b1s)
-    b_form = convex_combination(b0, b1)
-    adjoint = lambda m: np.ascontiguousarray(np.swapaxes(m, -1, -2).conj())
-    bh_form = convex_combination(adjoint(b0), adjoint(b1))
+    h0, h1, us = hamiltonian_pairs(insts)  # u = b, the |0⟩ block
+    form = convex_combination(h0, h1)
     paths = [path_vectors(row, params.f_grid[1:]) for row in insts]
     traces = [ZenoTrace() for _ in insts]
     stages: list[list[tuple[float, int]]] = [[] for _ in insts]
@@ -170,9 +170,9 @@ def zeno_run(insts: list[QlspInstance], eps: float,
             steps = [_exact_projector_step(path[j - 1], u)
                      for path, u in zip(paths, us)]
         else:
-            b = b_form(f, alpha)
-            outs = filter_ops((bh_form(f, alpha), b), min(gap, BOUND_GAP_CAP),
-                              ell, us)
+            pair = form(f, alpha)
+            series = filter_cheb_coeffs(FilterSpec(ell, min(gap, BOUND_GAP_CAP)))
+            outs = filter_ops((pair[..., 1, :, :], pair[..., 0, :, :]), series, us)
             steps = [(out.post_state, out.success_probability) for out in outs]
             for chain, (_, p) in zip(stages, steps):
                 chain.append((p, 2 * ell))

@@ -41,7 +41,7 @@ from eigenfilter.harness import (
 from eigenfilter.numerics import StateRegister, eig_hermitian
 from eigenfilter.qlsp import (
     eigenpath_length,
-    eigenpath_state,
+    eigenpath_states,
     gap_lower_bound,
     lstar,
     make_h1_encoding,
@@ -231,9 +231,8 @@ def test_criterion_08_eigenpath_bounds():
             inst = gen_instance(4, kappa, seed)
             bound = 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
             worst_len = max(worst_len, eigenpath_length(inst) / bound)
-            for f in np.linspace(0.0, 1.0, 21):
-                pt = eigenpath_state(inst, float(f))
-                ratio = pt.derivative_norm * gap_lower_bound(inst, float(f)) / 2.0
+            for pt in eigenpath_states(inst, np.linspace(0.0, 1.0, 21)):
+                ratio = pt.derivative_norm * gap_lower_bound(inst, pt.f) / 2.0
                 worst_deriv = max(worst_deriv, ratio)
     spread = 0.0
     for kappa in (10.0, 100.0):

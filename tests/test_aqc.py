@@ -18,7 +18,7 @@ from eigenfilter.aqc import (
 from eigenfilter.baseline import solve_qsp_direct
 from eigenfilter.blockenc import qb_matrix
 from eigenfilter.chebpoly import FilterSpec, filter_eval, jacobi_anger_coeffs
-from eigenfilter.filtering import apply_filter, transformed_gap
+from eigenfilter.filtering import apply_filter, prepend_ancilla, transformed_gap
 from eigenfilter.harness import (
     experiment_ell_vs_kappa,
     experiment_fidelity_vs_ell,
@@ -38,6 +38,7 @@ from eigenfilter.qlsp import (
     QlspInstance,
     extend_general,
     gap_lower_bound,
+    hamiltonian_pairs,
     make_h1_encoding,
     path_vector,
     solution_state,
@@ -241,10 +242,9 @@ def test_evolve_stack_rows_are_bitwise_evolve(form):
 def one_shot_propagation(insts, cfg):
     # the propagator as one one-shot numerics.clenshaw call per step on the
     # undoubled [B(f), B(f)†]/alpha stack, which the call doubles
-    h0s, h1s, inits = zip(*map(aqc._pairs, insts))
-    form = numerics.convex_combination(numerics.stack_rows(h0s),
-                                       numerics.stack_rows(h1s))
-    psi = numerics.stack_rows([init.amps for init in inits])
+    h0, h1, u0s = hamiltonian_pairs(insts)
+    form = numerics.convex_combination(h0, h1)
+    psi = numerics.stack_rows([prepend_ancilla(u0.amps).amps for u0 in u0s])
     k = cfg.num_steps
     coeffs = jacobi_anger_coeffs(cfg.T / k * NORM_BOUND)
     for step in range(k):

@@ -304,6 +304,7 @@ def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
 
 
 @pytest.mark.parametrize("solve_args", [
+    # the walk, whose filters take the halves of one [B, B†] pair per step
     ("--n", "7", "--kappa", "16", "--form", "planted", "--method", "zeno"),
     ("--n", "7", "--kappa", "16", "--form", "planted",
      "--method", "qsp-direct"),
@@ -358,4 +359,24 @@ def test_poly_is_identical_across_blas_thread_counts(tmp_path):
     # the array filter evaluation and the closed-form reflection norm
     one, two = under_blas_thread_counts(
         tmp_path, "poly", "--ell", "64", "--gap", "0.05", "--kind", "reflection")
+    assert one == two
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("poly", "--ell", "16", "--gap", "0.1", "--kind", "reflection"), True),
+    # the eigenpath suite's points come from one eigenpath_states call
+    (("validate", "--suite", "eigenpath"), False),
+], ids=["poly-reflection-16", "validate-eigenpath"])
+def test_command_is_identical_across_blas_thread_counts(tmp_path, argv, out):
+    one, two = under_blas_thread_counts(tmp_path, *argv, out=out)
+    assert one == two
+
+
+def test_filter_is_identical_across_blas_thread_counts(tmp_path):
+    # apply_filter, through filtering.filter_ops, on an instance file
+    path = tmp_path / "p.qlsp"
+    assert main(["gen", "--form", "planted", "--n", "3", "--kappa", "4",
+                 "--seed", "2", "--out", str(path)]) == 0
+    one, two = under_blas_thread_counts(tmp_path, "filter", "--in", str(path),
+                                        "--lam", "1.0")
     assert one == two

@@ -7,7 +7,8 @@ from eigenfilter import aqc, baseline, numerics
 from eigenfilter.aqc import aqc_run, solve_aqc_filtered
 from eigenfilter.baseline import qsp_run, solve_qsp_direct
 from eigenfilter.blockenc import encode
-from eigenfilter.chebpoly import BOUND_GAP_CAP, FilterSpec
+from eigenfilter.chebpoly import (BOUND_GAP_CAP, FilterSpec, filter_eval,
+                                  reflection_eval)
 from eigenfilter.filtering import (
     MAX_ATTEMPTS,
     apply_filter,
@@ -20,8 +21,10 @@ from eigenfilter.filtering import (
     theta_reflection_apply,
     transformed_gap,
 )
-from eigenfilter.harness import gen_instance, planted_hermitian
+from eigenfilter.harness import (gen_instance, planted_hermitian,
+                                 planted_tridiag_instance)
 from eigenfilter.numerics import StateRegister, eig_hermitian, fidelity
+from eigenfilter.qlsp import FORMS, extend_general, make_h1_encoding
 from eigenfilter.zeno import solve_zeno, zeno_run
 
 from conftest import counted
@@ -279,3 +282,59 @@ def test_one_run_samples_ten_seeds_for_one_simulation(method, product_counter):
         assert rep.to_dict() == solve(inst, s).to_dict()
     # each fresh solve simulates the run again, at the same cost
     assert product_counter["matvecs"] == 11 * simulated
+
+
+# The spectral-oracle rows: every form of gen_instance at n = 2-4, and the
+# planted tridiagonal instances of the benchmark at n = 5-7, seeds 0 and 7.
+ORACLE_INSTANCES = [
+    *[(gen_instance, (n, 6.0, 1, form)) for form in FORMS for n in (2, 3, 4)],
+    *[(planted_tridiag_instance, (n, 16.0, s)) for n in (5, 6, 7) for s in (0, 7)],
+]
+ORACLE_IDS = [f"{make.__name__}{args}" for make, args in ORACLE_INSTANCES]
+
+
+@pytest.mark.parametrize("make, args", ORACLE_INSTANCES, ids=ORACLE_IDS)
+def test_filter_and_reflection_match_their_values_at_the_eigenvalues(make, args):
+    # apply_filter is R_ℓ and reflection_apply is S_ℓ at the eigenvalues of
+    # H̃ = (H - λI)/(alpha + |λ|), H = H1 of the Hermitian picture, through
+    # its eigendecomposition: to 1e-12 on the success probability and on
+    # every amplitude of the state, at λ = 0 (the null space) and at the top
+    # eigenvalue, on a complex trial state
+    enc = make_h1_encoding(extend_general(make(*args)))
+    dec = eig_hermitian(enc.payload)
+    vec = dec.eigenvectors
+    psi = trial_state(enc.payload.dim, 5)
+    coef = vec.conj().T @ psi.amps
+    for lam in (0.0, float(dec.eigenvalues[-1])):
+        x = (dec.eigenvalues - lam) / (enc.alpha + abs(lam))
+        spec = FilterSpec(12, transformed_gap(enc, lam))
+        for apply, value in ((apply_filter, filter_eval),
+                             (reflection_apply, reflection_eval)):
+            want = vec @ (value(spec, x) * coef)
+            got = apply(enc, lam, 12, psi)
+            assert abs(got.success_probability
+                       - min(np.linalg.norm(want) ** 2, 1.0)) <= 1e-12
+            assert np.max(np.abs(got.post_state.amps
+                                 - want / np.linalg.norm(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("make, args", ORACLE_INSTANCES, ids=ORACLE_IDS)
+def test_inversion_series_matches_its_values_at_the_eigenvalues(
+        make, args, monkeypatch):
+    # qsp_run applies its series p to |b⟩ through A/d of the Hermitian
+    # picture (extend_general); the oracle is p at the eigenvalues of A/d:
+    # to 1e-12 on every amplitude and on the success probability
+    inst = make(*args)
+    work = extend_general(inst)
+    outs, kernel = [], baseline.clenshaw
+    monkeypatch.setattr(baseline, "clenshaw",
+                        lambda *a: outs.append(kernel(*a)) or outs[-1])
+    [report] = qsp_run([inst], 1e-6)
+    spec = baseline.build_inversion_poly(work.d * work.kappa, 1e-6,
+                                         kappa=work.kappa)
+    lam, vec = np.linalg.eigh(work.A.mat / work.d)
+    want = vec @ (spec.series(lam) * (vec.conj().T @ work.b.amps))
+    [got] = outs
+    assert np.max(np.abs(got - want)) <= 1e-12
+    p = report("postselect").success_probabilities[0]
+    assert abs(p - np.linalg.norm(want) ** 2) <= 1e-12

@@ -27,6 +27,7 @@ from eigenfilter.qlsp import (
     QlspInstance,
     eigenpath_length,
     eigenpath_state,
+    eigenpath_states,
     extend_general,
     gap_lower_bound,
     hamiltonian_blocks,
@@ -389,6 +390,25 @@ def test_eigenpath_state_is_null_vector():
         hf = make_hf(inst, f).payload.mat
         lifted = np.concatenate([pt.state.amps, np.zeros(inst.dim)])
         assert np.linalg.norm(hf @ lifted) <= 1e-10
+
+
+def test_eigenpath_states_run_one_eigh_and_equal_each_point(monkeypatch):
+    # one path_vectors call (one eigh for Hermitian A) serves every point,
+    # and each point is bitwise the one-point call
+    inst = gen_instance(4, 10.0, 3)
+    fs = np.linspace(0.0, 1.0, 21)
+    singles = [eigenpath_state(inst, float(f)) for f in fs]
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a: calls.append(a) or eigh(*a))
+    pts = eigenpath_states(inst, fs)
+    assert len(calls) == 1
+    for pt, single in zip(pts, singles, strict=True):
+        assert pt.f == single.f
+        assert np.array_equal(pt.state.amps, single.state.amps)
+        assert pt.derivative_norm == single.derivative_norm
+    with pytest.raises(ValueError, match="f must lie in"):
+        eigenpath_states(inst, [0.5, 1.5])
 
 
 def _central_difference(inst, f, h=1e-5):

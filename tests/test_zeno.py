@@ -194,9 +194,21 @@ def test_walk_builds_no_block_encoding(monkeypatch):
     assert len(built) == 1
 
 
+class _CountedPair(np.ndarray):
+    """A step's pair [B̃, B̃†] whose halves, as the walk slices them, are
+    counting views with a counter of their own each."""
+
+    def __getitem__(self, key):
+        plain = self.view(np.ndarray)
+        half = plain[key]
+        which = int(not np.shares_memory(half, plain[..., 0, :, :]))
+        return self.counted_view(half, self.counters[which])
+
+
 def _walk_contractions(monkeypatch, counted_view, inst):
     """(f, alpha, dense B(f)/alpha, dense B(f)†/alpha) for every filter step
-    of one walk, each matrix counted as the kernel applies it."""
+    of one walk, each half of the step's one pair counted as the kernel
+    applies it."""
     seen = []
     make_form = zeno.convex_combination
 
@@ -204,24 +216,24 @@ def _walk_contractions(monkeypatch, counted_view, inst):
         form = make_form(m0, m1)
 
         def recorded(f, alpha):
-            m, counter = form(f, alpha), {"matvecs": 0}
-            seen.append((f, alpha, np.array(m), counter))
-            return counted_view(m, counter)
+            m, counters = form(f, alpha), ({"matvecs": 0}, {"matvecs": 0})
+            seen.append((f, alpha, np.array(m), counters))
+            pair = m.view(_CountedPair)
+            pair.counters, pair.counted_view = counters, counted_view
+            return pair
         return recorded
 
     monkeypatch.setattr(zeno, "convex_combination", recording)
     report, _ = solve_zeno(inst, 1e-6)
-    # each step forms B(f)/alpha, then its adjoint
-    forms, adjoints = seen[::2], seen[1::2]
+    # each step forms one pair [B(f)/alpha, B(f)†/alpha]
     grid = zeno_params(inst.kappa, 1e-6).f_grid[1:]
-    assert [f for f, *_ in forms] == [f for f, *_ in adjoints] == list(grid)
-    assert [a for _, a, *_ in forms] == [a for _, a, *_ in adjoints]
-    # and its filter of degree 2ℓ applies each of the two ℓ times
+    assert [f for f, *_ in seen] == list(grid)
+    assert [a for _, a, *_ in seen] == [(1 - f) + f * inst.d for f in grid]
+    # and its filter of degree 2ℓ applies each of the two halves ℓ times
     ells = report.params["ells"]
-    assert [c["matvecs"] for *_, c in forms] == ells
-    assert [c["matvecs"] for *_, c in adjoints] == ells
-    return [(f, alpha, b, bh)
-            for (f, alpha, b, _), (_, _, bh, _) in zip(forms, adjoints)]
+    assert [b["matvecs"] for *_, (b, _) in seen] == ells
+    assert [bh["matvecs"] for *_, (_, bh) in seen] == ells
+    return [(f, alpha, pair[0], pair[1]) for f, alpha, pair, _ in seen]
 
 
 def test_walk_contractions_equal_make_hf(monkeypatch, counted_view):
