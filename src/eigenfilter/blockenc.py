@@ -67,17 +67,13 @@ def _num_qubits(dim: int) -> int:
     return n
 
 
-def encode(A: DenseOperator, alpha: float,
-           ancilla: int | None = None) -> BlockEncoding:
-    """Encoding of A with subnormalization alpha.
-
-    When the ancilla count is not supplied, the sparse-access convention
-    m = n + 2 is recorded (n system qubits). The norm guard is the one
-    `BlockEncoding` runs on construction.
+def encode(A: DenseOperator, alpha: float) -> BlockEncoding:
+    """Encoding of A with subnormalization alpha and the sparse-access
+    ancilla count m = n + 2 (n system qubits). The norm guard is the one
+    `BlockEncoding` runs on construction; an encoding with another count
+    is built as BlockEncoding(A, alpha, m).
     """
-    if ancilla is None:
-        ancilla = _num_qubits(A.dim) + 2
-    return BlockEncoding(A, float(alpha), ancilla)
+    return BlockEncoding(A, float(alpha), _num_qubits(A.dim) + 2)
 
 
 def shift_add_identity(enc: BlockEncoding, c: complex) -> BlockEncoding:

@@ -23,7 +23,8 @@ from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_recorder,
 from .baseline import solve_qsp_direct
 from .blockenc import encode, verify
 from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
-from .filtering import apply_filter, measured_gap, transformed_gap
+from .filtering import (EIGENSPACE_TOL, apply_filter, measured_gap,
+                        transformed_gap)
 from .harness import (
     experiment_ell_vs_kappa,
     experiment_fidelity_vs_ell,
@@ -33,6 +34,7 @@ from .harness import (
 )
 from .numerics import StateRegister, eig_hermitian, fidelity
 from .qlsp import (
+    FORMS,
     QlspInstance,
     eigenpath_length,
     eigenpath_states,
@@ -54,7 +56,7 @@ from .zeno import solve_zeno, validate_zeno_bounds, zeno_params
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
 
-FORM_CHOICES = ("positive-definite", "hermitian-indefinite", "general", "planted")
+FORM_CHOICES = (*FORMS, "planted")
 
 
 class ValidationFailure(Exception):
@@ -128,7 +130,7 @@ def _cmd_filter(args) -> int:
     dec = eig_hermitian(inst.A.mat)
     idx = int(np.argmin(np.abs(dec.eigenvalues - args.lam)))
     lam = float(dec.eigenvalues[idx])
-    if abs(lam - args.lam) > 1e-8:
+    if abs(lam - args.lam) > EIGENSPACE_TOL:
         raise ValidationFailure(
             f"{args.lam!r} is not an eigenvalue (nearest: {lam!r})")
     gap = measured_gap(dec.eigenvalues, lam)  # enc's payload is inst.A
@@ -143,7 +145,7 @@ def _cmd_filter(args) -> int:
                        < out.success_probability)
         if not sampled:
             post = inst.b
-    mask = np.abs(dec.eigenvalues - lam) <= 1e-8
+    mask = np.abs(dec.eigenvalues - lam) <= EIGENSPACE_TOL
     proj = (dec.eigenvectors[:, mask] @
             (dec.eigenvectors[:, mask].conj().T @ inst.b.amps))
     oracle = proj / np.linalg.norm(proj)
@@ -299,7 +301,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_instance_flags(p, with_form=True):
+    def add_instance_flags(p):
         p.add_argument("--in", dest="infile", default=None,
                        help="instance file (overrides --n/--kappa)")
         p.add_argument("--n", type=int, default=None)
@@ -307,9 +309,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--d", type=int, default=None,
                        help="override the assumed sparsity bound")
         p.add_argument("--seed", type=int, default=0)
-        if with_form:
-            p.add_argument("--form", choices=FORM_CHOICES,
-                           default="positive-definite")
+        p.add_argument("--form", choices=FORM_CHOICES,
+                       default="positive-definite")
 
     p = sub.add_parser("gen", help="generate an instance file")
     add_instance_flags(p)

@@ -9,9 +9,10 @@ P_λ + e^{iθ}(I - P_λ) without any measurement.
 Phase factors of the signal-processing circuit are never computed: the
 polynomial is applied directly with a Clenshaw recurrence, which acts
 identically on the encoded block. Every transform runs through the one
-body `filter_ops`, which takes its series. The transforms that take an
-encoding guard ‖H̃‖ <= 1 per call (for the `filter` command, criteria 3–4
-and direct calls); solvers and sweeps hand it their matrices unguarded.
+body `filter_ops`, which takes its series, and none runs a norm guard: an
+encoding bounds ‖H‖ <= alpha·(1 + 1e-10) once, when it is built, and with
+it ‖H̃‖ <= 1 + 1e-10; solvers and sweeps hand `filter_ops` matrices that
+the instance's bound on ‖A‖ already bounds.
 """
 
 from __future__ import annotations
@@ -42,21 +43,19 @@ MAX_ATTEMPTS = 10_000  # a sampled run with no success by then raises
 class MeasurementOutcome:
     """Projection result: success probability plus the renormalized state.
 
-    The projection is deterministic; a sampled run draws its coins against
-    the recorded probability (see sampled), and the failure branch
-    state is not modeled.
+    The projection is deterministic, so every outcome is postselected; a
+    sampled run draws its coins against the recorded probability (see
+    sampled), and the failure branch state is not modeled.
     """
 
     success_probability: float
     post_state: StateRegister
-    mode: str = "postselect"
     ancilla_budget: int | None = None
+    mode = "postselect"  # a class constant, not a field
 
     def __post_init__(self):
         if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
             raise ValueError("success probability outside [0, 1]")
-        if self.mode not in ("postselect", "sample"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def measured_gap(eigenvalues: np.ndarray, lam: float) -> float:
@@ -101,12 +100,12 @@ def reflection_apply(enc: BlockEncoding, lam: float, ell: int, psi: StateRegiste
 
 
 def _transform(series_of, enc, lam, ell, psi, gap):
-    # series_of(FilterSpec(ell, gap̃)) of the guarded H̃ = (H - λI)/(alpha + |λ|)
+    # series_of(FilterSpec(ell, gap̃)) of H̃ = (H - λI)/(alpha + |λ|), unguarded:
+    # enc bounds ‖H‖ <= alpha·(1 + 1e-10), so ‖H̃‖ <= 1 + 1e-10
     h = enc.payload
     if not h.hermitian:
         raise ValueError("filtering needs a Hermitian payload")
-    htilde = numerics.check_contraction(
-        (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam)))
+    htilde = (h.mat - lam * np.eye(h.dim)) / (enc.alpha + abs(lam))
     series = series_of(FilterSpec(ell, transformed_gap(enc, lam, gap)))
     [out] = filter_ops(htilde, series, [psi], ancilla_budget=enc.ancilla + 2)
     return out

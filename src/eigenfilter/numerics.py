@@ -273,8 +273,8 @@ def clenshaw(c: np.ndarray, ops, vec: np.ndarray) -> np.ndarray:
     pair's vec ends in 2N, so an S = 2 stack on (2, N) is no pair.
 
     The caller guarantees that each product is by a contraction
-    (check_contraction checks it per call; the instance's bound on ‖A‖
-    bounds the solvers'). b_D = c_D·v needs no product, so a degree-D
+    (clenshaw_apply checks it per call; an encoding or the instance's
+    ‖A‖ bounds the rest). b_D = c_D·v needs no product, so a degree-D
     series costs D products, each into a preallocated buffer. The work
     dtype is that of c, vec and ops together; a real matrix applies to a
     complex vector through its float view. A call doubles each matrix

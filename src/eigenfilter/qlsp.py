@@ -59,12 +59,15 @@ class QlspInstance:
             raise ValueError("matrix and right-hand side dimensions differ")
         if abs(self.b.norm() - 1.0) > 1e-12:
             raise ValueError("right-hand state must be normalized")
-        sv = np.linalg.svd(self.A.mat, compute_uv=False)
-        if sv[0] > NORM_BOUND:
-            raise ValueError(f"||A|| = {sv[0]:.6g} exceeds 1")
-        if sv[-1] < 1.0 / self.kappa - 1e-10:
+        if self.A.hermitian:  # the singular values of a Hermitian A are its |λ|
+            sv = np.abs(np.linalg.eigvalsh(self.A.mat))
+        else:
+            sv = np.linalg.svd(self.A.mat, compute_uv=False)
+        if sv.max() > NORM_BOUND:
+            raise ValueError(f"||A|| = {sv.max():.6g} exceeds 1")
+        if sv.min() < 1.0 / self.kappa - 1e-10:
             raise ValueError(
-                f"smallest singular value {sv[-1]:.6g} below 1/kappa"
+                f"smallest singular value {sv.min():.6g} below 1/kappa"
             )
 
     @property

@@ -32,7 +32,7 @@ import numpy as np
 from .chebpoly import (BOUND_GAP_CAP, FilterSpec, degree_for_accuracy,
                        filter_cheb_coeffs)
 from .filtering import filter_ops, measure_ancilla, prepend_ancilla, sampled
-from .numerics import StateRegister, convex_combination, fidelity
+from .numerics import convex_combination, fidelity
 from .qlsp import (
     QlspInstance,
     check_stack,
@@ -106,28 +106,15 @@ class ZenoTrace:
             raise AssertionError("total success != product of step successes")
 
 
-def _exact_projector_step(x: np.ndarray,
-                          u: StateRegister) -> tuple[StateRegister, float]:
-    # idealized eps_P = 0 projection onto span{|0,x(f)>, |1,b>}, x = x(f);
-    # the walk's |1> block is zero, so only <x|u>·x remains
-    proj = np.vdot(x, u.amps) * x
-    p = float(np.linalg.norm(proj) ** 2 / u.norm() ** 2)
-    if p <= 1e-300:
-        raise ValueError("exact projection annihilated the state")
-    return u.with_amps(proj / np.linalg.norm(proj)), p
-
-
 def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
-               seed: int | None = None, ideal_projection: bool = False
-               ) -> tuple[SolverReport, ZenoTrace]:
+               seed: int | None = None) -> tuple[SolverReport, ZenoTrace]:
     """zeno_run's report on a stack of one, charged as mode and seed say,
-    and its trace."""
-    [(report, trace)] = zeno_run([inst], eps, ideal_projection)
+    and its trace. Every step projects with a filter polynomial."""
+    [(report, trace)] = zeno_run([inst], eps)
     return report(mode, seed), trace
 
 
-def zeno_run(insts: list[QlspInstance], eps: float,
-             ideal_projection: bool = False):
+def zeno_run(insts: list[QlspInstance], eps: float):
     """Walk the schedule grid with filtering projections, final step at
     eps/4, once for a stack of instances: one (report, trace) per row,
     report(mode="postselect", seed=None) charging that row's walk by
@@ -137,10 +124,9 @@ def zeno_run(insts: list[QlspInstance], eps: float,
     the grid and the ells: each step forms the (S, 2, N, N) stack of pairs
     [B̃, B̃†] (numerics.stack_rows; a stack of one stays 2-D) and runs one
     filter on its halves (B̃†, B̃), and every row is bitwise its own
-    stack-of-one walk. The coin stages are each filter step
-    (ideal_projection steps draw none), then the final ancilla measurement;
-    a failure restarts the whole walk from |0⟩|b⟩, and each step costs 2ℓ
-    per attempt that reached it.
+    stack-of-one walk. The coin stages are each filter step, then the final
+    ancilla measurement; a failure restarts the whole walk from |0⟩|b⟩, and
+    each step costs 2ℓ per attempt that reached it.
     """
     check_stack(insts)
     inst = insts[0]
@@ -166,18 +152,13 @@ def zeno_run(insts: list[QlspInstance], eps: float,
         ells.append(ell)
         for trace, path, u in zip(traces, paths, us):
             trace.per_step_overlap.append(float(abs(np.vdot(u.amps, path[j - 1]))))
-        if ideal_projection:
-            steps = [_exact_projector_step(path[j - 1], u)
-                     for path, u in zip(paths, us)]
-        else:
-            pair = form(f, alpha)
-            series = filter_cheb_coeffs(FilterSpec(ell, min(gap, BOUND_GAP_CAP)))
-            outs = filter_ops((pair[..., 1, :, :], pair[..., 0, :, :]), series, us)
-            steps = [(out.post_state, out.success_probability) for out in outs]
-            for chain, (_, p) in zip(stages, steps):
-                chain.append((p, 2 * ell))
+        pair = form(f, alpha)
+        series = filter_cheb_coeffs(FilterSpec(ell, min(gap, BOUND_GAP_CAP)))
+        outs = filter_ops((pair[..., 1, :, :], pair[..., 0, :, :]), series, us)
         us = []
-        for trace, chain, (u, p) in zip(traces, stages, steps):
+        for trace, chain, out in zip(traces, stages, outs):
+            u, p = out.post_state, out.success_probability
+            chain.append((p, 2 * ell))
             if j == params.M:
                 final = measure_ancilla(prepend_ancilla(u.amps))
                 u = u.with_amps(final.post_state.amps[:u.dim])
@@ -191,12 +172,11 @@ def zeno_run(insts: list[QlspInstance], eps: float,
     for row, u, trace, chain in zip(insts, us, traces, stages):
         trace.total_success = float(np.prod(trace.per_step_success))
         trace.final_fidelity = fidelity(u.amps, solution_state(row).amps)
-        runs.append((_walk_report(row, eps, params, ideal_projection, ells,
-                                  chain, trace), trace))
+        runs.append((_walk_report(row, eps, params, ells, chain, trace), trace))
     return runs
 
 
-def _walk_report(inst, eps, params, ideal_projection, ells, stages, trace):
+def _walk_report(inst, eps, params, ells, stages, trace):
     # one row's report(mode, seed) of zeno_run
 
     def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
@@ -205,8 +185,7 @@ def _walk_report(inst, eps, params, ideal_projection, ells, stages, trace):
             method="zeno",
             params={
                 "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-                "M": params.M, "eps_p": params.eps_p,
-                "ideal_projection": ideal_projection, "ells": list(ells),
+                "M": params.M, "eps_p": params.eps_p, "ells": list(ells),
                 "form": inst.form,
             },
             final_fidelity=trace.final_fidelity,

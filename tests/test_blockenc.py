@@ -154,7 +154,7 @@ def test_block_encoding_rejects_overfull_payload():
 
 
 def test_verify_rejects_a_non_unitary_dilation(monkeypatch):
-    enc = encode(DenseOperator(0.5 * np.eye(2)), alpha=1.0, ancilla=1)
+    enc = BlockEncoding(DenseOperator(0.5 * np.eye(2)), 1.0, 1)
     monkeypatch.setattr(blockenc, "dilate_to_unitary",
                         lambda e: DenseOperator(np.eye(4) * 0.9))
     with pytest.raises(ValueError, match="not unitary"):
@@ -163,6 +163,6 @@ def test_verify_rejects_a_non_unitary_dilation(monkeypatch):
 
 def test_dilation_size_guard():
     op = DenseOperator(np.eye(2) * 0.5)
-    enc = encode(op, alpha=1.0, ancilla=14)
+    enc = BlockEncoding(op, 1.0, 14)
     with pytest.raises(ValueError):
         dilate_to_unitary(enc)

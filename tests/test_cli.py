@@ -279,14 +279,16 @@ def test_module_entry_point_is_reproducible(tmp_path):
     assert first.stdout.startswith("instance ")
 
 
-def under_blas_thread_counts(tmp_path, *argv, out=True):
-    # stdout, and the bytes of every file --out writes when out is set, of
-    # one command under one and two BLAS threads
+def under_blas_thread_counts(tmp_path, *argv, out=True, trace=False):
+    # stdout, and the bytes of every file --out (when out is set) and
+    # --trace-out (when trace is set) write, of one command under one and
+    # two BLAS threads
     outputs = []
     for threads in ("1", "2"):
         path = tmp_path / f"out-{threads}"
         cmd = [sys.executable, "-m", "eigenfilter", *argv]
         cmd += ["--out", str(path)] if out else []
+        cmd += ["--trace-out", f"{path}.trace.csv"] if trace else []
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -379,4 +381,36 @@ def test_filter_is_identical_across_blas_thread_counts(tmp_path):
                  "--seed", "2", "--out", str(path)]) == 0
     one, two = under_blas_thread_counts(tmp_path, "filter", "--in", str(path),
                                         "--lam", "1.0")
+    assert one == two
+
+
+@pytest.mark.parametrize("method", ["aqc", "zeno"])
+def test_traced_solve_is_identical_across_blas_thread_counts(tmp_path, method):
+    # the overlap trace recorded during the evolution, and the walk's
+    # per-step successes and overlaps
+    one, two = under_blas_thread_counts(
+        tmp_path, "solve", "--n", "7", "--kappa", "16", "--form", "planted",
+        "--method", method, trace=True)
+    assert len(one[1]) == 2
+    assert one == two
+
+
+@pytest.mark.parametrize("method", ["aqc", "zeno", "qsp-direct"])
+def test_sampled_solve_is_identical_across_blas_thread_counts(tmp_path,
+                                                              method):
+    # filtering.sampled's seeded coins under each solver; seed 159 restarts
+    # the walk once
+    one, two = under_blas_thread_counts(
+        tmp_path, "solve", "--n", "6", "--kappa", "16", "--form", "planted",
+        "--mode", "sample", "--seed", "159", "--method", method)
+    assert one == two
+
+
+def test_sampled_filter_is_identical_across_blas_thread_counts(tmp_path):
+    # the filter command's one seeded coin on an instance file
+    path = tmp_path / "p.qlsp"
+    assert main(["gen", "--form", "planted", "--n", "3", "--kappa", "4",
+                 "--seed", "2", "--out", str(path)]) == 0
+    one, two = under_blas_thread_counts(tmp_path, "filter", "--in", str(path),
+                                        "--lam", "1.0", "--mode", "sample")
     assert one == two

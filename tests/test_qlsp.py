@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eigenfilter.blockenc import (
-    encode,
+    BlockEncoding,
     multiply,
     qb_matrix,
     verify,
@@ -60,6 +60,37 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         QlspInstance(DenseOperator(3.0 * np.eye(good.dim)), good.b,
                      kappa=10.0, d=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_instance(4, 10.0, 3),
+    lambda: gen_instance(4, 10.0, 3, "hermitian-indefinite"),
+    lambda: planted_tridiag_instance(5, 16.0, 1),
+], ids=["positive-definite", "hermitian-indefinite", "planted"])
+def test_hermitian_instance_entry_check_needs_no_svd(monkeypatch, make):
+    # one eigvalsh bounds a Hermitian A; at and past both bounds it accepts
+    # and rejects exactly as the SVD does, with the SVD's messages
+    inst = make()
+    sv = np.linalg.svd(inst.A.mat, compute_uv=False)
+    over = DenseOperator(inst.A.mat * (1.0 + 3e-10), hermitian=True)
+    over_sv = np.linalg.svd(over.mat, compute_uv=False)
+    general = gen_instance(3, 6.0, 1, "general")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a Hermitian instance needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    dataclasses.replace(inst)
+    dataclasses.replace(inst, kappa=1.0 / sv[-1])  # at the lower bound
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(inst, A=over)
+    assert str(err.value) == f"||A|| = {over_sv[0]:.6g} exceeds 1"
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(inst, kappa=(1.0 - 1e-6) / sv[-1])
+    assert str(err.value) == (
+        f"smallest singular value {sv[-1]:.6g} below 1/kappa")
+    with pytest.raises(AssertionError, match="needs no SVD"):
+        dataclasses.replace(general)  # a non-Hermitian A keeps the SVD
 
 
 def test_solution_state_solves_the_system():
@@ -118,11 +149,12 @@ def _h1_encoding_product(inst):
     # of three block encodings: the reference for make_h1_encoding
     qb = qb_matrix(inst.b)
     zero = np.zeros((inst.dim, inst.dim))
-    wall = encode(DenseOperator(np.block([[np.eye(inst.dim), zero], [zero, qb]]),
-                                hermitian=True), 1.0, ancilla=1)
+    wall = BlockEncoding(
+        DenseOperator(np.block([[np.eye(inst.dim), zero], [zero, qb]]),
+                      hermitian=True), 1.0, 1)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    mid = encode(DenseOperator(np.kron(sx, inst.A.mat), hermitian=True),
-                 float(inst.d), ancilla=inst.n + 2)
+    mid = BlockEncoding(DenseOperator(np.kron(sx, inst.A.mat), hermitian=True),
+                        float(inst.d), inst.n + 2)
     prod = multiply(multiply(wall, mid), wall)
     return prod, hermitian_part(prod.payload.mat)
 
