@@ -81,6 +81,12 @@ def filter_eval(spec: FilterSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
+def gap_region_max(spec: FilterSpec, points: int = 2001) -> float:
+    """max |R_ell| at `points` evenly spaced x in [gap, 1]: by evenness the
+    sup over D_gap, which spec.error_bound bounds."""
+    return float(np.abs(filter_eval(spec, np.linspace(spec.gap, 1.0, points))).max())
+
+
 def reflection_eval(spec: FilterSpec, x):
     """S_ell(x; gap) = (2·R_ell - 1) normalized to sup-norm 1 on [-1, 1].
 

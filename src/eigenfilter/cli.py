@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,8 @@ from .aqc import (SCHEDULE_POWER, TIME_FACTOR, AqcConfig, overlap_recorder,
                   solve_aqc_filtered)
 from .baseline import solve_qsp_direct
 from .blockenc import encode, verify
-from .chebpoly import FilterSpec, degree_for_accuracy, filter_eval, reflection_eval
+from .chebpoly import (FilterSpec, degree_for_accuracy, filter_eval,
+                       gap_region_max, reflection_eval)
 from .filtering import (EIGENSPACE_TOL, apply_filter, measured_gap,
                         transformed_gap)
 from .harness import (
@@ -36,10 +36,7 @@ from .numerics import StateRegister, eig_hermitian, fidelity
 from .qlsp import (
     FORMS,
     QlspInstance,
-    eigenpath_length,
-    eigenpath_states,
-    gap_lower_bound,
-    lstar,
+    eigenpath_bound_ratios,
     make_h1_encoding,
     make_hf,
 )
@@ -51,7 +48,7 @@ from .storage import (
     save_report,
     write_table,
 )
-from .zeno import solve_zeno, validate_zeno_bounds, zeno_params
+from .zeno import grid_spread, solve_zeno, validate_zeno_bounds, zeno_params
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -223,29 +220,23 @@ def _validate_minimax(args, failures):
     for gap in (0.05, 0.1, 0.2):
         for ell in (8, 16, 32):
             spec = FilterSpec(ell, gap)
-            xs = np.concatenate([np.linspace(gap, 1.0, 2001),
-                                 np.linspace(-1.0, -gap, 2001)])
-            got = float(np.max(np.abs(filter_eval(spec, xs))))
+            got = gap_region_max(spec)
             _check(failures, got <= spec.error_bound,
                    f"minimax ell={ell} gap={gap!r}",
                    f"max={got!r} bound={spec.error_bound!r}")
 
 
 def _validate_eigenpath(args, failures):
+    fs = (0.0, 0.25, 0.5, 0.75, 1.0)
     for kappa in (10.0, 100.0):
         inst = gen_instance(4, kappa, args.seed)
-        L = eigenpath_length(inst)
-        bound = 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
-        _check(failures, L <= bound, f"eigenpath kappa={kappa!r}",
-               f"length={L!r} bound={bound!r}")
-        over = [pt.f for pt in eigenpath_states(inst, (0.0, 0.25, 0.5, 0.75, 1.0))
-                if pt.derivative_norm > 2.0 / gap_lower_bound(inst, pt.f)]
+        length, derivs = eigenpath_bound_ratios(inst, fs)
+        _check(failures, length <= 1.0, f"eigenpath kappa={kappa!r}",
+               f"length/bound={length!r}")
+        over = [f for f, r in zip(fs, derivs) if r > 1.0]
         _check(failures, not over, f"eigenpath derivatives kappa={kappa!r}",
                f"over 2/gap at f={over!r}" if over else "")
-        params = zeno_params(kappa, 1e-4)
-        seg = [lstar(kappa, float(a), float(b))
-               for a, b in zip(params.f_grid[:-1], params.f_grid[1:])]
-        spread = max(seg) - min(seg)
+        spread = grid_spread(kappa, 1e-4)
         _check(failures, spread <= 1e-10, f"equal-segment grid kappa={kappa!r}",
                f"spread={spread!r}")
 

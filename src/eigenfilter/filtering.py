@@ -1,10 +1,10 @@
-"""Eigenstate filtering, reflection, and phase-reflection transforms.
+"""Eigenstate filtering and reflection transforms.
 
 The polynomial transforms act on a block-encoded Hermitian operator H through
 the shifted contraction H̃ = (H - λI)/(alpha + |λ|). Applying the even filter
 polynomial and measuring the encoding ancillas in |0..0⟩ projects a trial
-state toward the λ-eigenspace; the reflection variants realize 2P_λ - I and
-P_λ + e^{iθ}(I - P_λ) without any measurement.
+state toward the λ-eigenspace; the reflection variant realizes 2P_λ - I
+without any measurement.
 
 Phase factors of the signal-processing circuit are never computed: the
 polynomial is applied directly with a Clenshaw recurrence, which acts
@@ -17,7 +17,6 @@ the instance's bound on ‖A‖ already bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,25 +149,6 @@ def projector_error(enc: BlockEncoding, lam: float, ell: int,
     inside = np.abs(dec.eigenvalues - lam) <= EIGENSPACE_TOL
     vals = filter_eval(spec, shifted)
     return float(np.abs(vals - inside.astype(float)).max())
-
-
-def theta_reflection_apply(enc: BlockEncoding, lam: float, ell: int, theta: float,
-                           psi: StateRegister,
-                           gap: float | None = None) -> MeasurementOutcome:
-    """Apply P_λ + e^{iθ}(I - P_λ) via one-bit phase estimation semantics.
-
-    The circuit interferes the identity with the reflection:
-    e^{iθ/2}(cos(θ/2)·I - i·sin(θ/2)·S) fixes the +1 sector of S and phases
-    the -1 sector by e^{iθ}.
-    """
-    refl = reflection_apply(enc, lam, ell, psi, gap=gap)
-    s_psi = refl.post_state.amps * math.sqrt(refl.success_probability)
-    amps = np.exp(1j * theta / 2.0) * (
-        math.cos(theta / 2.0) * psi.amps - 1j * math.sin(theta / 2.0) * s_psi
-    )
-    out = psi.with_amps(amps)
-    p = min(float(out.norm() ** 2), 1.0)
-    return MeasurementOutcome(p, out.normalized(), ancilla_budget=enc.ancilla + 3)
 
 
 def prepend_ancilla(u: np.ndarray) -> StateRegister:

@@ -47,6 +47,13 @@ NORM_BOUND_SLACK = 1e-10
 BLOCK_ROWS = 32
 
 
+def _check_hermitian(m: np.ndarray, message: str) -> None:
+    """ValueError(message) when max|m - m†| exceeds HERMITIAN_TOL·max(1, max|m|)."""
+    dev = float(np.abs(m - m.conj().T).max(initial=0.0))
+    if dev > HERMITIAN_TOL * max(1.0, float(np.abs(m).max(initial=0.0))):
+        raise ValueError(message.format(dev=dev, tol=HERMITIAN_TOL))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -69,13 +76,8 @@ class DenseOperator:
             raise ValueError("operator has non-finite entries")
         object.__setattr__(self, "mat", _readonly(m))
         if self.hermitian:
-            scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-            dev = float(np.abs(m - m.conj().T).max(initial=0.0))
-            if dev > HERMITIAN_TOL * scale:
-                raise ValueError(
-                    f"hermitian flag set but max asymmetry {dev:.3e} exceeds "
-                    f"{HERMITIAN_TOL:.0e} (relative)"
-                )
+            _check_hermitian(m, "hermitian flag set but max asymmetry "
+                                "{dev:.3e} exceeds {tol:.0e} (relative)")
 
     @property
     def dim(self) -> int:
@@ -182,17 +184,15 @@ def eig_hermitian(H: DenseOperator | np.ndarray) -> SpectralDecomposition:
 
     The input is symmetrized before the solve to strip roundoff drift from
     repeated constructions; inputs that are not Hermitian within tolerance
-    are rejected outright.
+    are rejected outright, except a DenseOperator tagged hermitian: it is
+    read-only, and was checked when it was built.
     """
     m = np.asarray(H.mat if isinstance(H, DenseOperator) else H, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("eig_hermitian needs a square matrix of dim >= 1")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    dev = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if dev > HERMITIAN_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max|H - H†| = {dev:.3e} (tol {HERMITIAN_TOL:.0e} rel)"
-        )
+    if not (isinstance(H, DenseOperator) and H.hermitian):
+        _check_hermitian(m, "matrix is not Hermitian: max|H - H†| = {dev:.3e} "
+                            "(tol {tol:.0e} rel)")
     try:
         lam, vec = np.linalg.eigh(hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -282,3 +282,12 @@ def eigenpath_length(inst: QlspInstance) -> float:
     fs = np.linspace(0.0, 1.0, EIGENPATH_SAMPLES)
     return float(np.trapezoid(
         [pt.derivative_norm for pt in eigenpath_states(inst, fs)], fs))
+
+
+def eigenpath_bound_ratios(inst: QlspInstance, fs) -> tuple[float, list[float]]:
+    """The eigenpath bounds as ratios, each at most 1 where its bound holds:
+    eigenpath_length / lstar(κ, 0, 1), and ‖∂_f x‖·gap_lower_bound(f)/2 at
+    each f in fs, from one eigenpath_states call."""
+    return (eigenpath_length(inst) / lstar(inst.kappa, 0.0, 1.0),
+            [pt.derivative_norm * gap_lower_bound(inst, pt.f) / 2.0
+             for pt in eigenpath_states(inst, fs)])

@@ -38,6 +38,7 @@ from .qlsp import (
     check_stack,
     gap_lower_bound,
     hamiltonian_pairs,
+    lstar,
     path_vectors,
     solution_state,
 )
@@ -88,6 +89,14 @@ def zeno_params(kappa: float, eps: float) -> ZenoParams:
     grid = np.array([zeno_schedule(j / m, kappa) for j in range(m + 1)])
     grid[-1] = 1.0
     return ZenoParams(m, 1.0 / (162.0 * m ** 2), eps / 4.0, grid)
+
+
+def grid_spread(kappa: float, eps: float) -> float:
+    """max - min of qlsp.lstar over the segments of zeno_params(kappa, eps)'s
+    grid: zero up to roundoff on an equal-length grid."""
+    g = zeno_params(kappa, eps).f_grid
+    seg = [lstar(kappa, float(a), float(b)) for a, b in zip(g[:-1], g[1:])]
+    return max(seg) - min(seg)
 
 
 @dataclass

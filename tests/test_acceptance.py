@@ -22,7 +22,7 @@ from eigenfilter.blockenc import (
 from eigenfilter.chebpoly import (
     BOUND_GAP_CAP,
     FilterSpec,
-    filter_eval,
+    gap_region_max,
     minimax_oracle,
     reflection_eval,
 )
@@ -39,15 +39,9 @@ from eigenfilter.harness import (
     planted_hermitian,
 )
 from eigenfilter.numerics import StateRegister, eig_hermitian
-from eigenfilter.qlsp import (
-    eigenpath_length,
-    eigenpath_states,
-    gap_lower_bound,
-    lstar,
-    make_h1_encoding,
-    make_hf,
-)
+from eigenfilter.qlsp import eigenpath_bound_ratios, make_h1_encoding, make_hf
 from eigenfilter.zeno import (
+    grid_spread,
     solve_zeno,
     validate_zeno_bounds,
     zeno_params,
@@ -61,11 +55,6 @@ def emit(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def gap_region(gap: float, points: int = 2001) -> np.ndarray:
-    return np.concatenate([np.linspace(gap, 1.0, points),
-                           np.linspace(-1.0, -gap, points)])
-
-
 def test_criterion_01_filter_bound_is_strict():
     t0 = time.perf_counter()
     worst = 0.0
@@ -73,7 +62,7 @@ def test_criterion_01_filter_bound_is_strict():
     for gap in (0.05, 0.1, 0.2, BOUND_GAP_CAP):
         for ell in (8, 16, 32, 64):
             spec = FilterSpec(ell, gap)
-            got = float(np.abs(filter_eval(spec, gap_region(gap))).max())
+            got = gap_region_max(spec)
             worst = max(worst, got / spec.error_bound)
             strict = strict and got < spec.error_bound
     elapsed = time.perf_counter() - t0
@@ -89,7 +78,7 @@ def test_criterion_02_minimax_optimality():
         for gap in (0.2, 0.5):
             oracle = minimax_oracle(ell, gap)
             spec = FilterSpec(ell, gap)
-            grid = float(np.abs(filter_eval(spec, gap_region(gap, 20001))).max())
+            grid = gap_region_max(spec, 20001)
             worst = max(worst, abs(oracle - grid))
     closed = abs(minimax_oracle(1, 0.5) - 0.6)
     ok = worst <= 1e-6 and closed <= 1e-9
@@ -228,18 +217,11 @@ def test_criterion_08_eigenpath_bounds():
     worst_len = worst_deriv = 0.0
     for kappa in (10.0, 100.0):
         for seed in (0, 1):
-            inst = gen_instance(4, kappa, seed)
-            bound = 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
-            worst_len = max(worst_len, eigenpath_length(inst) / bound)
-            for pt in eigenpath_states(inst, np.linspace(0.0, 1.0, 21)):
-                ratio = pt.derivative_norm * gap_lower_bound(inst, pt.f) / 2.0
-                worst_deriv = max(worst_deriv, ratio)
-    spread = 0.0
-    for kappa in (10.0, 100.0):
-        grid = zeno_params(kappa, 1e-6).f_grid
-        seg = [lstar(kappa, float(a), float(b))
-               for a, b in zip(grid[:-1], grid[1:])]
-        spread = max(spread, max(seg) - min(seg))
+            length, derivs = eigenpath_bound_ratios(
+                gen_instance(4, kappa, seed), np.linspace(0.0, 1.0, 21))
+            worst_len = max(worst_len, length)
+            worst_deriv = max(worst_deriv, *derivs)
+    spread = max(grid_spread(kappa, 1e-6) for kappa in (10.0, 100.0))
     ok = worst_len <= 1.0 and worst_deriv <= 1.0 and spread <= 1e-10
     emit(8, ok, f"kappa in {{10, 100}}: path length / (2 ln k / (1 - 1/k)) "
                 f"<= {worst_len:.3f} <= 1; derivative norm * gap / 2 "

@@ -244,12 +244,23 @@ def test_validate_minimax_suite(capsys):
 
 def test_validate_reports_each_failed_check(capsys, monkeypatch):
     # a filter that misses its bound everywhere fails all nine minimax checks
-    monkeypatch.setattr(cli, "filter_eval", lambda spec, xs: np.full_like(xs, 2.0))
+    monkeypatch.setattr(cli, "gap_region_max", lambda spec: 2.0)
     assert run("validate", "--suite", "minimax") == 2
     captured = capsys.readouterr()
     assert captured.out.count("FAIL minimax") == 9
     assert "all checks passed" not in captured.out
     assert "minimax ell=8 gap=0.05; minimax ell=16 gap=0.05" in captured.err
+
+
+def test_validate_eigenpath_reports_each_failed_check(capsys, monkeypatch):
+    # ratios over 1 and a spread over 1e-10 fail all six eigenpath checks
+    monkeypatch.setattr(cli, "eigenpath_bound_ratios",
+                        lambda inst, fs: (2.0, [2.0] * len(fs)))
+    monkeypatch.setattr(cli, "grid_spread", lambda kappa, eps: 1.0)
+    assert run("validate", "--suite", "eigenpath") == 2
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == 6 and "ok " not in out
+    assert "over 2/gap at f=[0.0, 0.25, 0.5, 0.75, 1.0]" in out
 
 
 def test_validate_blockenc_suite(capsys):

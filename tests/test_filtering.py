@@ -1,4 +1,4 @@
-"""Filter, reflection, and phase-reflection transforms against the oracle."""
+"""Filter and reflection transforms against the oracle."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from eigenfilter.filtering import (
     reflection_apply,
     sample_restarts,
     sampled,
-    theta_reflection_apply,
     transformed_gap,
 )
 from eigenfilter.harness import (gen_instance, planted_hermitian,
@@ -121,19 +120,6 @@ def test_reflection_matches_spectral_oracle():
     got = out.post_state.amps * np.sqrt(out.success_probability)
     spec = FilterSpec(30, transformed_gap(enc, 0.1))
     assert np.linalg.norm(got - want) <= 4.0 * spec.error_bound
-
-
-def test_theta_reflection_matches_spectral_oracle():
-    enc, projector = planted(n=4, gap=0.25, seed=12, lam=0.1)
-    psi = trial_state(16, 13)
-    theta = 0.9
-    out = theta_reflection_apply(enc, 0.1, 30, theta, psi)
-    phase_op = projector + np.exp(1j * theta) * (np.eye(16) - projector)
-    want = phase_op @ psi.amps
-    got = out.post_state.amps * np.sqrt(out.success_probability)
-    spec = FilterSpec(30, transformed_gap(enc, 0.1))
-    # global phase of the construction is physical here: compare directly
-    assert np.linalg.norm(got - want) <= 8.0 * spec.error_bound
 
 
 def test_prepend_ancilla_is_the_layout_measure_ancilla_reads():

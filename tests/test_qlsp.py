@@ -25,7 +25,7 @@ from eigenfilter.numerics import (
 from eigenfilter.qlsp import (
     FORMS,
     QlspInstance,
-    eigenpath_length,
+    eigenpath_bound_ratios,
     eigenpath_state,
     eigenpath_states,
     extend_general,
@@ -43,7 +43,7 @@ from eigenfilter.qlsp import (
     path_vectors,
     solution_state,
 )
-from eigenfilter.zeno import zeno_params
+from eigenfilter.zeno import grid_spread, zeno_params
 
 from conftest import dense_hamiltonians
 
@@ -476,12 +476,10 @@ def test_derivative_norm_matches_central_difference():
 
 def test_derivative_bound_and_length():
     for kappa in (10.0, 100.0):
-        inst = gen_instance(4, kappa, 10)
-        for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-            pt = eigenpath_state(inst, f)
-            assert pt.derivative_norm <= 2.0 / gap_lower_bound(inst, f)
-        L = eigenpath_length(inst)
-        assert L <= 2.0 * math.log(kappa) / (1.0 - 1.0 / kappa)
+        length, derivs = eigenpath_bound_ratios(gen_instance(4, kappa, 10),
+                                                (0.0, 0.25, 0.5, 0.75, 1.0))
+        assert all(r <= 1.0 for r in derivs)
+        assert length <= 1.0
 
 
 def test_lstar_total_and_segmentation():
@@ -491,7 +489,7 @@ def test_lstar_total_and_segmentation():
     params = zeno_params(kappa, 1e-4)
     segs = [lstar(kappa, float(a), float(b))
             for a, b in zip(params.f_grid[:-1], params.f_grid[1:])]
-    assert max(segs) - min(segs) <= 1e-10
+    assert grid_spread(kappa, 1e-4) <= 1e-10
     assert sum(segs) == pytest.approx(lstar(kappa, 0.0, 1.0))
 
 
