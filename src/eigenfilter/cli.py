@@ -37,6 +37,7 @@ from .qlsp import (
     FORMS,
     QlspInstance,
     eigenpath_bound_ratios,
+    encoding_bookkeeping,
     make_h1_encoding,
     make_hf,
 )
@@ -256,17 +257,13 @@ def _validate_zeno(args, failures):
 
 def _validate_blockenc(args, failures):
     inst = gen_instance(2, 10.0, args.seed)
-    enc = make_h1_encoding(inst)
-    err = verify(enc)
-    ok = err <= 1e-10 and enc.ancilla == inst.n + 4 and enc.alpha == inst.d
-    _check(failures, ok, "encoding H1",
-           f"alpha={enc.alpha!r} m={enc.ancilla} err={err!r}")
-    hf = make_hf(inst, 0.5)
-    want_alpha = 1.0 - 0.5 + 0.5 * inst.d
-    err = verify(hf)
-    ok = err <= 1e-10 and hf.ancilla == inst.n + 6 and hf.alpha == want_alpha
-    _check(failures, ok, "encoding H(f)",
-           f"alpha={hf.alpha!r} m={hf.ancilla} err={err!r}")
+    encs = {"H1": make_h1_encoding(inst), "H(f)": make_hf(inst, 0.5)}
+    for (label, enc), book in zip(encs.items(),
+                                  encoding_bookkeeping(inst, 0.5)):
+        err = verify(enc)
+        ok = err <= 1e-10 and (enc.alpha, enc.ancilla) == book
+        _check(failures, ok, f"encoding {label}",
+               f"alpha={enc.alpha!r} m={enc.ancilla} err={err!r}")
 
 
 def _cmd_validate(args) -> int:
@@ -360,10 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationFailure as e:
-        print(f"validation failure: {e}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except StorageError as e:
+    except (ValidationFailure, StorageError) as e:
         print(f"validation failure: {e}", file=sys.stderr)
         return VALIDATION_ERROR
     except (ValueError, RuntimeError, OSError) as e:

@@ -141,6 +141,11 @@ def make_hf(inst: QlspInstance, f: float) -> BlockEncoding:
     return linear_combine(pair, [1 - f, f])
 
 
+def encoding_bookkeeping(inst: QlspInstance, f: float):
+    """(alpha, m) of make_h1_encoding(inst) and make_hf(inst, f)."""
+    return (float(inst.d), inst.n + 4), (1.0 - f + f * inst.d, inst.n + 6)
+
+
 def gap_lower_bound(inst: QlspInstance, f: float) -> float:
     """Lower bound on the spectral gap of H(f) around 0.
 

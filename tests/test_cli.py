@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -280,148 +281,147 @@ def test_experiment_writes_table_and_sidecar(tmp_path, capsys):
     assert result.diagnostics["per_target"]
 
 
-def test_module_entry_point_is_reproducible(tmp_path):
-    cmd = [sys.executable, "-m", "eigenfilter", "gen", "--n", "2",
-           "--kappa", "4", "--seed", "9"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stdout.startswith("instance ")
-
-
-def under_blas_thread_counts(tmp_path, *argv, out=True, trace=False):
-    # stdout, and the bytes of every file --out (when out is set) and
-    # --trace-out (when trace is set) write, of one command under one and
-    # two BLAS threads
-    outputs = []
-    for threads in ("1", "2"):
-        path = tmp_path / f"out-{threads}"
-        cmd = [sys.executable, "-m", "eigenfilter", *argv]
-        cmd += ["--out", str(path)] if out else []
-        cmd += ["--trace-out", f"{path}.trace.csv"] if trace else []
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        files = sorted(tmp_path.glob(f"out-{threads}*"))
-        assert bool(files) == out
-        outputs.append((proc.stdout, [f.read_bytes() for f in files]))
-    return outputs
-
-
-def test_aqc_solve_is_identical_across_blas_thread_counts(tmp_path):
-    one, two = under_blas_thread_counts(
-        tmp_path, "solve", "--n", "7", "--kappa", "16", "--form", "planted",
-        "--method", "aqc")
-    assert one == two
-
-
-@pytest.mark.parametrize("solve_args", [
+# Byte identity across BLAS thread counts: row "solve[zeno]" is the test
+# test_solve_is_identical_across_blas_thread_counts[zeno], and row "gen" the
+# unparametrized test_gen_is_identical_across_blas_thread_counts. A row writes
+# `files` files (0: no --out), adds --trace-out if `trace`, and says `says`.
+Row = namedtuple("Row", "id command files says trace", defaults=(1, "", False))
+Run = namedtuple("Run", "code stdout stderr files")
+PLANTED = "solve --n 7 --kappa 16 --form planted --method"
+SAMPLED = ("solve --n 6 --kappa 16 --form planted --mode sample --seed 159 "
+           "--method")
+SMALL = "solve --n 3 --kappa 6 --form"
+INSTANCE = "filter --in ../p.qlsp --lam 1.0"
+PASSED = "all checks passed"
+BLAS_ROWS = [
+    Row("aqc_solve", f"{PLANTED} aqc"),
     # the walk, whose filters take the halves of one [B, B†] pair per step
-    ("--n", "7", "--kappa", "16", "--form", "planted", "--method", "zeno"),
-    ("--n", "7", "--kappa", "16", "--form", "planted",
-     "--method", "qsp-direct"),
+    Row("solve[zeno]", f"{PLANTED} zeno"),
+    Row("solve[qsp-direct]", f"{PLANTED} qsp-direct"),
     # the dilated adiabatic path; every evolution step runs the one plan
-    ("--n", "4", "--kappa", "6", "--seed", "1",
-     "--form", "hermitian-indefinite", "--method", "aqc"),
-    ("--n", "3", "--kappa", "6", "--form", "hermitian-indefinite",
-     "--method", "aqc"),
-    ("--n", "3", "--kappa", "6", "--form", "general", "--method", "aqc"),
+    Row("solve[aqc-dilated]", "solve --n 4 --kappa 6 --seed 1 --method aqc "
+        "--form hermitian-indefinite"),
+    Row("solve[aqc-indefinite3]",
+        f"{SMALL} hermitian-indefinite --method aqc"),
+    Row("solve[aqc-general3]", f"{SMALL} general --method aqc"),
     # the inversion polynomial's Dolph-Chebyshev window on a dilated instance
-    ("--n", "3", "--kappa", "6", "--seed", "1", "--form", "general",
-     "--method", "qsp-direct"),
-], ids=["zeno", "qsp-direct", "aqc-dilated", "aqc-indefinite3", "aqc-general3",
-        "qsp-direct-general"])
-def test_solve_is_identical_across_blas_thread_counts(tmp_path, solve_args):
-    one, two = under_blas_thread_counts(tmp_path, "solve", *solve_args)
-    assert one == two
-
-
-def test_gen_is_identical_across_blas_thread_counts(tmp_path):
-    # the planted spectrum, the SVD behind measured_kappa and the real-field
-    # matrix block
-    one, two = under_blas_thread_counts(
-        tmp_path, "gen", "--n", "7", "--kappa", "16", "--form", "planted")
-    assert one == two
-
-
-@pytest.mark.parametrize("preset, trials", [
-    ("fig-a2-left", "2"), ("fig-a2-right", "2"), ("kappa-scaling", "1"),
-], ids=["fig-a2-left", "fig-a2-right", "kappa-scaling"])
-def test_experiment_is_identical_across_blas_thread_counts(tmp_path, preset,
-                                                          trials):
-    # table and sidecar of the fig-A2 sweeps, whose two seeds per kappa
-    # evolve and filter as S = 2 stacks (one np.matmul per term on
-    # (S, 2, N, N) pairs), and of the kappa-scaling sweep: the
-    # calibration's stacked evolution and its three solvers
-    one, two = under_blas_thread_counts(
-        tmp_path, "experiment", preset, "--trials", trials)
-    assert len(one[1]) == 2
-    assert one == two
-
-
-def test_validate_is_identical_across_blas_thread_counts(tmp_path):
+    Row("solve[qsp-direct-general]",
+        f"{SMALL} general --seed 1 --method qsp-direct"),
+    # the planted spectrum, measured_kappa's SVD and the real matrix block
+    Row("gen", "gen --n 7 --kappa 16 --form planted"),
+    # table and sidecar: the fig-A2 sweeps evolve and filter each kappa's
+    # seeds as one stack; kappa-scaling calibrates and runs three solvers
+    Row("experiment[fig-a2-left]", "experiment fig-a2-left --trials 2", 2),
+    Row("experiment[fig-a2-right]", "experiment fig-a2-right --trials 2", 2),
+    Row("experiment[kappa-scaling]", "experiment kappa-scaling --trials 1", 2),
     # every suite, among them the walk's overlap bounds and the encodings
-    one, two = under_blas_thread_counts(tmp_path, "validate", "--suite", "all",
-                                        out=False)
-    assert "all checks passed" in one[0]
-    assert one == two
-
-
-def test_poly_is_identical_across_blas_thread_counts(tmp_path):
+    Row("validate", "validate --suite all", 0, PASSED),
     # the array filter evaluation and the closed-form reflection norm
-    one, two = under_blas_thread_counts(
-        tmp_path, "poly", "--ell", "64", "--gap", "0.05", "--kind", "reflection")
-    assert one == two
-
-
-@pytest.mark.parametrize("argv, out", [
-    (("poly", "--ell", "16", "--gap", "0.1", "--kind", "reflection"), True),
+    Row("poly", "poly --ell 64 --gap 0.05 --kind reflection"),
+    Row("command[poly-reflection-16]",
+        "poly --ell 16 --gap 0.1 --kind reflection"),
     # the eigenpath suite's points come from one eigenpath_states call
-    (("validate", "--suite", "eigenpath"), False),
-], ids=["poly-reflection-16", "validate-eigenpath"])
-def test_command_is_identical_across_blas_thread_counts(tmp_path, argv, out):
-    one, two = under_blas_thread_counts(tmp_path, *argv, out=out)
-    assert one == two
-
-
-def test_filter_is_identical_across_blas_thread_counts(tmp_path):
+    Row("command[validate-eigenpath]", "validate --suite eigenpath", 0,
+        PASSED),
+    Row("command[poly-filter-64]", "poly --ell 64 --gap 0.05 --kind filter"),
+    # the dilated forms' instances and matrix blocks
+    Row("command[gen-general4]", "gen --n 4 --kappa 10 --form general"),
+    Row("command[gen-indefinite4]",
+        "gen --n 4 --kappa 10 --form hermitian-indefinite"),
+    Row("command[validate-seed7]", "validate --suite all --seed 7", 0, PASSED),
     # apply_filter, through filtering.filter_ops, on an instance file
-    path = tmp_path / "p.qlsp"
-    assert main(["gen", "--form", "planted", "--n", "3", "--kappa", "4",
-                 "--seed", "2", "--out", str(path)]) == 0
-    one, two = under_blas_thread_counts(tmp_path, "filter", "--in", str(path),
-                                        "--lam", "1.0")
-    assert one == two
-
-
-@pytest.mark.parametrize("method", ["aqc", "zeno"])
-def test_traced_solve_is_identical_across_blas_thread_counts(tmp_path, method):
-    # the overlap trace recorded during the evolution, and the walk's
-    # per-step successes and overlaps
-    one, two = under_blas_thread_counts(
-        tmp_path, "solve", "--n", "7", "--kappa", "16", "--form", "planted",
-        "--method", method, trace=True)
-    assert len(one[1]) == 2
-    assert one == two
-
-
-@pytest.mark.parametrize("method", ["aqc", "zeno", "qsp-direct"])
-def test_sampled_solve_is_identical_across_blas_thread_counts(tmp_path,
-                                                              method):
-    # filtering.sampled's seeded coins under each solver; seed 159 restarts
-    # the walk once
-    one, two = under_blas_thread_counts(
-        tmp_path, "solve", "--n", "6", "--kappa", "16", "--form", "planted",
-        "--mode", "sample", "--seed", "159", "--method", method)
-    assert one == two
-
-
-def test_sampled_filter_is_identical_across_blas_thread_counts(tmp_path):
+    Row("filter", INSTANCE),
+    # the overlaps recorded during the evolution, and the walk's step trace
+    Row("traced_solve[aqc]", f"{PLANTED} aqc", 2, trace=True),
+    Row("traced_solve[zeno]", f"{PLANTED} zeno", 2, trace=True),
+    # filtering.sampled's coins under each solver; seed 159 restarts the walk
+    Row("sampled_solve[aqc]", f"{SAMPLED} aqc"),
+    Row("sampled_solve[zeno]", f"{SAMPLED} zeno"),
+    Row("sampled_solve[qsp-direct]", f"{SAMPLED} qsp-direct"),
     # the filter command's one seeded coin on an instance file
-    path = tmp_path / "p.qlsp"
-    assert main(["gen", "--form", "planted", "--n", "3", "--kappa", "4",
-                 "--seed", "2", "--out", str(path)]) == 0
-    one, two = under_blas_thread_counts(tmp_path, "filter", "--in", str(path),
-                                        "--lam", "1.0", "--mode", "sample")
-    assert one == two
+    Row("sampled_filter", f"{INSTANCE} --mode sample"),
+]
+
+# Imports eigenfilter once, then runs each argv through cli.main from the
+# given directory and prints its exit code, stdout and stderr as JSON.
+RUNNER = """
+import contextlib, io, json, os, sys, traceback
+from eigenfilter.cli import main
+os.chdir(sys.argv[1])
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (SystemExit, Exception) as e:
+            code = e.code if isinstance(e, SystemExit) else 1
+            traceback.print_exc()
+    print(json.dumps((code, out.getvalue(), err.getvalue())),
+          file=sys.__stdout__)
+"""
+
+
+@pytest.fixture(scope="session")
+def blas_runs(tmp_path_factory):
+    # two runners, one per BLAS thread count, run every row side by side
+    base = tmp_path_factory.mktemp("blas")
+    assert run("gen", "--form", "planted", "--n", "3", "--kappa", "4",
+               "--seed", "2", "--out", str(base / "p.qlsp")) == 0
+    argvs = json.dumps([
+        [*r.command.split(), *["--out", f"{r.id}/out"] * bool(r.files),
+         *["--trace-out", f"{r.id}/out.trace.csv"] * r.trace]
+        for r in BLAS_ROWS])
+    for path in (base / t / r.id for t in ("1", "2") for r in BLAS_ROWS):
+        path.mkdir(parents=True)
+    procs = {t: subprocess.Popen(
+        [sys.executable, "-c", RUNNER, base / t, argvs], text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=t)) for t in ("1", "2")}
+    runs = {}
+    for t, proc in procs.items():
+        stdout, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr
+        runs[t] = {r.id: Run(*json.loads(line), [
+            f.read_bytes() for f in sorted((base / t / r.id).iterdir())])
+            for r, line in zip(BLAS_ROWS, stdout.splitlines())}
+    return runs
+
+
+def assert_identical(blas_runs, row):
+    one, two = blas_runs["1"][row.id], blas_runs["2"][row.id]
+    for got in (one, two):
+        assert got.code == 0, got.stderr
+        assert len(got.files) == row.files and row.says in got.stdout
+    assert (one.stdout, one.files) == (two.stdout, two.files)
+
+
+def identity_test(rows):
+    if "[" not in rows[0].id:
+        return lambda blas_runs: assert_identical(blas_runs, rows[0])
+
+    @pytest.mark.parametrize("row", rows,
+                             ids=[r.id[r.id.index("[") + 1:-1] for r in rows])
+    def test(blas_runs, row):
+        assert_identical(blas_runs, row)
+    return test
+
+
+for _name in dict.fromkeys(r.id.split("[")[0] for r in BLAS_ROWS):
+    globals()[f"test_{_name}_is_identical_across_blas_thread_counts"] = (
+        identity_test([r for r in BLAS_ROWS if r.id.split("[")[0] == _name]))
+
+
+def test_fresh_interpreters_match_the_runners(blas_runs, tmp_path):
+    # build_inversion_poly is memoized per process, so state carried between
+    # one runner's rows could hide a thread-count difference: the module
+    # entry point, fresh under each thread count, must match the runner
+    row = next(r for r in BLAS_ROWS if r.id == "solve[qsp-direct]")
+    for threads, runs in blas_runs.items():
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenfilter", *row.command.split(),
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        want = runs[row.id]
+        assert (proc.stdout, [out.read_bytes()]) == (want.stdout, want.files)
