@@ -20,29 +20,32 @@ class CountedOperator(np.ndarray):
     """A matrix view that counts the np.dot and np.matmul calls it takes
     part in; inside numerics.clenshaw each one is one application of the
     operator, or of a stack of operators. Arrays derived from it, such as
-    the kernel's doubled copy, share its counter, and each product's name
-    ("dot" or "matmul") and (matrix, vector) dtypes are kept in order."""
+    the kernel's doubled copy (written through out=), share its counter,
+    and each product's name ("dot" or "matmul"), (matrix, vector) dtypes
+    and (matrix, vector, out) start addresses modulo 64 are kept in order."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
 
-    def _count(self, product, operands):
+    def _count(self, product, operands, out):
         self.counter["matvecs"] += 1
         self.counter.setdefault("products", []).append(product)
         self.counter.setdefault("dtypes", []).append(
             (operands[0].dtype, operands[1].dtype))
+        self.counter.setdefault("offsets", []).append(
+            tuple(x.ctypes.data % 64 for x in (*operands[:2], out)))
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
-            self._count("dot", args)
+            self._count("dot", args, kwargs["out"])
         return super().__array_function__(func, types, args, kwargs)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         # np.matmul is a ufunc: count it here, then run every ufunc on
-        # plain views and hand back a result derived from this matrix as
-        # a view that shares its counter
+        # plain views and hand back a result derived from this matrix, the
+        # out= array included, as a view that shares its counter
         if ufunc is np.matmul:
-            self._count("matmul", inputs)
+            self._count("matmul", inputs, kwargs["out"][0])
 
         def plain(x):
             return x.view(np.ndarray) if isinstance(x, CountedOperator) else x
@@ -50,7 +53,7 @@ class CountedOperator(np.ndarray):
         if "out" in kwargs:
             kwargs["out"] = tuple(map(plain, kwargs["out"]))
         result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
-        if "out" in kwargs or not isinstance(result, np.ndarray):
+        if not isinstance(result, np.ndarray):
             return result
         view = result.view(CountedOperator)
         view.counter = self.counter

@@ -307,6 +307,9 @@ BLAS_ROWS = [
     # the inversion polynomial's Dolph-Chebyshev window on a dilated instance
     Row("solve[qsp-direct-general]",
         f"{SMALL} general --seed 1 --method qsp-direct"),
+    # gen_instance solves at N = 16, through the 2-D np.dot path
+    Row("solve[qsp-direct-gen4]", "solve --n 4 --kappa 10 --method qsp-direct"),
+    Row("solve[zeno-gen4]", "solve --n 4 --kappa 10 --method zeno"),
     # the planted spectrum, measured_kappa's SVD and the real matrix block
     Row("gen", "gen --n 7 --kappa 16 --form planted"),
     # table and sidecar: the fig-A2 sweeps evolve and filter each kappa's

@@ -1,6 +1,7 @@
 """Core linear-algebra kernel: value types, decompositions, Clenshaw."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
+from eigenfilter import numerics
 from eigenfilter.aqc import AqcConfig, evolve, evolve_stack
 from eigenfilter.chebpoly import FilterSpec, filter_cheb_coeffs, jacobi_anger_coeffs
 from eigenfilter.harness import gen_instance
 from eigenfilter.numerics import (
     BLOCK_ROWS,
+    CACHE_LINE,
     DenseOperator,
     SpectralDecomposition,
     StateRegister,
+    aligned_empty,
     clenshaw,
     clenshaw_apply,
     clenshaw_plan,
+    convex_combination,
     eig_hermitian,
     fidelity,
     hermitian_part,
@@ -480,6 +485,91 @@ def test_two_stacked_matrices_are_not_read_as_a_pair(dim, complex_m, complex_v):
     dense = np.block([[zero, m[0]], [m[1], zero]])
     as_pair = clenshaw(c, m, v.reshape(-1))
     assert np.max(np.abs(as_pair - clenshaw(c, dense, v.reshape(-1)))) <= 1e-14
+
+
+PRODUCT_FORMS = ("matrix", "walk", "stack", "pair")
+
+
+def _product_operand(form, dim, complex_m, complex_v):
+    # clenshaw's operand of the given form on its vector: a 2-D matrix, the
+    # walk's (B̃†, B̃) views of one pair [B, B†], an (S, N, N) stack, or an
+    # (S, 2, N, N) stack of pairs
+    rng = np.random.default_rng(dim)
+    shape = {"matrix": (dim, dim), "walk": (dim, dim),
+             "stack": (3, dim, dim), "pair": (3, dim, dim)}[form]
+    m = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_m else 0.0)
+    m /= 1.25 * np.linalg.norm(m, 2, axis=(-2, -1), keepdims=True)
+    if form == "walk":
+        pair = offdiag_pair(m)
+        m = (pair[1], pair[0])
+    elif form == "pair":
+        m = np.stack([offdiag_pair(b) for b in m])
+    rows = shape[:1] if len(shape) == 3 else ()
+    size = (*rows, 2 * dim if form == "pair" else dim)
+    v = rng.normal(size=size) + (1j * rng.normal(size=size) if complex_v else 0.0)
+    return m, v
+
+
+def _offset_empty(offset):
+    # numerics.aligned_empty, moved offset bytes past the cache line
+    def empty(shape, dtype):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        return aligned_empty((offset + nbytes,), np.uint8)[offset:].view(
+            dtype).reshape(shape)
+    return empty
+
+
+def _offset_copy(a):
+    # a, copied to 16 bytes past a cache line
+    out = _offset_empty(16)(a.shape, a.dtype)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("form", PRODUCT_FORMS)
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+def test_kernel_products_start_on_a_cache_line(counted_view, form, complex_m,
+                                               complex_v):
+    # every matrix, vector and out array handed to np.dot or np.matmul
+    # starts on a 64-byte boundary, also from an operator that does not
+    m, v = _product_operand(form, 128, complex_m, complex_v)
+    m = tuple(map(_offset_copy, m)) if isinstance(m, tuple) else _offset_copy(m)
+    counter = {"matvecs": 0}
+    clenshaw(np.array([0.5, -0.2, 0.3, 0.1]), counted_view(m, counter), v)
+    assert counter["offsets"] == [(0, 0, 0)] * 3
+
+
+def test_evolution_operand_starts_on_a_cache_line():
+    # convex_combination's buffer is the operand of the evolution's plan
+    m, _ = _product_operand("pair", 8, False, False)
+    form = convex_combination(_offset_copy(2.0 * m), _offset_copy(m))
+    for f in (0.0, 0.5):
+        assert form(f, 1.0).ctypes.data % CACHE_LINE == 0
+    for shape in ((3,), (3, 5), (2, 2, 3, 3)):
+        a = aligned_empty(shape, complex)
+        assert a.shape == shape and a.flags.c_contiguous
+        assert a.ctypes.data % CACHE_LINE == 0
+
+
+@pytest.mark.parametrize("dim", [8, 64, 128])
+@pytest.mark.parametrize("form", PRODUCT_FORMS)
+@pytest.mark.parametrize("complex_m", [False, True], ids=["real-m", "complex-m"])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+def test_kernel_bits_do_not_depend_on_operand_offsets(
+        monkeypatch, counted_view, dim, form, complex_m, complex_v):
+    # GEMV and GEMM give the same bits from any 16-byte offset, so aligning
+    # the kernel's operands and work vectors moves no output: each run
+    # places them offset bytes past a cache line
+    m, v = _product_operand(form, dim, complex_m, complex_v)
+    c = jacobi_anger_coeffs(0.9)
+    runs = []
+    for offset in (0, 16, 32, 48):
+        monkeypatch.setattr(numerics, "aligned_empty", _offset_empty(offset))
+        counter = {"matvecs": 0}
+        runs.append(clenshaw(c, counted_view(m, counter), v).tobytes())
+        assert {x[0] for x in counter["offsets"]} == {offset}
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_linsolve_matches_numpy():
