@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -218,8 +219,8 @@ def solve_aqc_filtered(inst: QlspInstance, eps: float,
 def aqc_run(insts: list[QlspInstance], eps: float,
             cfg: AqcConfig | None = None, observer=None):
     """Adiabatic seed at constant precision, then one filtering step, run
-    once for a stack of instances: one report(mode="postselect",
-    seed=None) per row, charged by filtering.sampled.
+    once for a stack of instances: one row per instance, functools.partial
+    of filtering.sampled bound to all but (mode, seed).
 
     The rows share kappa, form, dimension and d (qlsp.check_stack). Their
     seeds come from one evolve_stack propagation (a stack of one stays
@@ -245,7 +246,7 @@ def aqc_run(insts: list[QlspInstance], eps: float,
 
 
 def _seeded_report(inst, filt_inst, seeded, eps, cfg):
-    # one row of aqc_run: the seed filter on the evolved seed, and its report
+    # one row of aqc_run: the seed filter on the evolved seed, as a partial
     filt, gap, [target] = seed_filter([filt_inst])
     dilated = inst.form != "positive-definite"
     accept_p = 1.0
@@ -260,23 +261,14 @@ def _seeded_report(inst, filt_inst, seeded, eps, cfg):
     final = measure_ancilla(out.post_state)
     stages = ([(accept_p, 0)] if dilated else [])
     stages += [(out.success_probability, 2 * ell), (final.success_probability, 0)]
-    fid = fidelity(final.post_state.amps[:filt_inst.dim], target.amps[:filt_inst.dim])
-
-    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
-        return sampled(
-            stages, "U_H1_filter", mode, seed,
-            method="aqc",
-            params={
-                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
+    return partial(
+        sampled, stages, "U_H1_filter", method="aqc",
+        params={"kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
                 "T": cfg.T, "p": cfg.p, "steps": cfg.num_steps, "ell": ell,
-                "gamma0": gamma0, "dilated_accept_p": accept_p,
-                "form": inst.form,
-            },
-            final_fidelity=fid,
-            success_probabilities=[p for p, _ in stages],
-            formula_derived_costs={
-                "aqc_evolution_queries": hsim_query_formula(inst.d, inst.kappa),
-            },
-        )
-
-    return report
+                "gamma0": gamma0, "dilated_accept_p": accept_p, "form": inst.form},
+        final_fidelity=fidelity(final.post_state.amps[:filt_inst.dim],
+                                target.amps[:filt_inst.dim]),
+        success_probabilities=[p for p, _ in stages],
+        formula_derived_costs={
+            "aqc_evolution_queries": hsim_query_formula(inst.d, inst.kappa),
+        })

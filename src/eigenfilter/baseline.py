@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -228,8 +228,8 @@ def solve_qsp_direct(inst: QlspInstance, eps: float, mode: str = "postselect",
 
 def qsp_run(insts: list[QlspInstance], eps: float):
     """Apply the inversion polynomial to |b⟩ once for a stack of instances
-    and postselect: one report(mode="postselect", seed=None) per row,
-    charged by filtering.sampled.
+    and postselect: one row per instance, functools.partial of
+    filtering.sampled bound to all but (mode, seed).
 
     The rows share kappa, form, dimension and d (qlsp.check_stack), hence
     one memoized polynomial, applied as one series over the (S, N, N) stack
@@ -248,29 +248,17 @@ def qsp_run(insts: list[QlspInstance], eps: float):
                    stack_rows([work.A.mat / alpha for work in works]),
                    real_if_real(stack_rows([work.b.amps for work in works])))
     out = out.astype(complex).reshape(len(works), -1)
-    return [_inversion_report(inst, work, row, spec, eps)
-            for inst, work, row in zip(insts, works, out)]
-
-
-def _inversion_report(inst, work, out, spec, eps):
-    # one row of qsp_run: the postselected state and its report
-    p = float(np.linalg.norm(out) ** 2)
-    state = StateRegister(out / np.linalg.norm(out),
-                          ancilla=work.b.ancilla, system=work.b.system)
-    fid = fidelity(state, solution_state(work))
-
-    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
-        return sampled(
-            [(p, spec.degree)], "U_A", mode, seed,
-            method="qsp-direct",
-            params={
-                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-                "degree": spec.degree, "degree_budget": spec.degree_budget,
-                "c": spec.c, "form": inst.form,
-            },
-            final_fidelity=fid,
+    rows = []
+    for inst, work, row in zip(insts, works, out):
+        p = float(np.linalg.norm(row) ** 2)
+        state = StateRegister(row / np.linalg.norm(row),
+                              ancilla=work.b.ancilla, system=work.b.system)
+        rows.append(partial(
+            sampled, [(p, spec.degree)], "U_A", method="qsp-direct",
+            params={"kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
+                    "degree": spec.degree, "degree_budget": spec.degree_budget,
+                    "c": spec.c, "form": inst.form},
+            final_fidelity=fidelity(state, solution_state(work)),
             success_probabilities=[p],
-            formula_derived_costs={"expected_queries": spec.degree / p},
-        )
-
-    return report
+            formula_derived_costs={"expected_queries": spec.degree / p}))
+    return rows

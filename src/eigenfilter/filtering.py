@@ -17,6 +17,7 @@ the instance's bound on ‖A‖ already bounds.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,16 +196,17 @@ def sample_restarts(probs: list[float], rng: np.random.Generator,
     raise RuntimeError(f"no success within {max_attempts} attempts")
 
 
-def sampled(stages: list[tuple[float, int]], key: str, mode: str,
-            seed: int | None, **report) -> SolverReport:
+def sampled(stages: list[tuple[float, int]], key: str, mode: str = "postselect",
+            seed: int | None = None, **report) -> SolverReport:
     """The SolverReport of one deterministic run of a measurement chain: the
-    one charging rule of every solver.
+    one charging rule of every solver, whose run rows are partials of it.
 
     stages is the chain in order, as (success probability, queries per
-    reach). "postselect" reaches each stage once; "sample" draws seeded
-    coins (sample_restarts, MAX_ATTEMPTS). ledger[key] charges each stage's
-    queries once per attempt that reached it; O_B and attempts count the
-    attempts. report holds the other fields; mode and seed join its params.
+    reach). "postselect" (the default) reaches each stage once; "sample"
+    draws coins from seed (default None; sample_restarts, MAX_ATTEMPTS).
+    ledger[key] charges each stage's queries once per attempt that reached
+    it; O_B and attempts count the attempts. report holds the other fields,
+    copied per call; mode and seed join its params.
     """
     if mode == "postselect":
         reached = [1] * len(stages)
@@ -215,6 +217,7 @@ def sampled(stages: list[tuple[float, int]], key: str, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     attempts = reached[0]
     queries = sum(q * r for (_, q), r in zip(stages, reached))
-    report["params"] = {**report["params"], "mode": mode, "seed": seed}
+    report = copy.deepcopy(report)
+    report["params"].update(mode=mode, seed=seed)
     return SolverReport(**report, query_ledger={key: queries, "O_B": attempts},
                         attempts=attempts)

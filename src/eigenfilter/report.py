@@ -54,13 +54,13 @@ class ExperimentResult:
 
     `columns` names the table columns; `rows` is a list of equal-length
     tuples. Fit diagnostics and any convention-dependent aggregates go into
-    `diagnostics` (plain floats keyed by name).
+    `diagnostics` (JSON-able values keyed by name, nested dicts and lists too).
     """
 
     name: str
     columns: list[str]
     rows: list[tuple]
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         width = len(self.columns)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -125,9 +126,9 @@ def solve_zeno(inst: QlspInstance, eps: float, mode: str = "postselect",
 
 def zeno_run(insts: list[QlspInstance], eps: float):
     """Walk the schedule grid with filtering projections, final step at
-    eps/4, once for a stack of instances: one (report, trace) per row,
-    report(mode="postselect", seed=None) charging that row's walk by
-    filtering.sampled.
+    eps/4, once for a stack of instances: one (row, trace) per instance,
+    row a functools.partial of filtering.sampled bound to all but (mode,
+    seed).
 
     The rows share kappa, form, dimension and d (qlsp.check_stack), hence
     the grid and the ells: each step forms the (S, 2, N, N) stack of pairs
@@ -181,30 +182,17 @@ def zeno_run(insts: list[QlspInstance], eps: float):
     for row, u, trace, chain in zip(insts, us, traces, stages):
         trace.total_success = float(np.prod(trace.per_step_success))
         trace.final_fidelity = fidelity(u.amps, solution_state(row).amps)
-        runs.append((_walk_report(row, eps, params, ells, chain, trace), trace))
-    return runs
-
-
-def _walk_report(inst, eps, params, ells, stages, trace):
-    # one row's report(mode, seed) of zeno_run
-
-    def report(mode: str = "postselect", seed: int | None = None) -> SolverReport:
-        return sampled(
-            stages, "U_Hf_filter", mode, seed,
-            method="zeno",
-            params={
-                "kappa": inst.kappa, "d": inst.d, "N": inst.dim, "eps": eps,
-                "M": params.M, "eps_p": params.eps_p, "ells": list(ells),
-                "form": inst.form,
-            },
+        runs.append((partial(
+            sampled, chain, "U_Hf_filter", method="zeno",
+            params={"kappa": row.kappa, "d": row.d, "N": row.dim, "eps": eps,
+                    "M": params.M, "eps_p": params.eps_p, "ells": ells,
+                    "form": row.form},
             final_fidelity=trace.final_fidelity,
-            success_probabilities=list(trace.per_step_success),
+            success_probabilities=trace.per_step_success,
             formula_derived_costs={
-                "query_envelope": query_envelope(inst.kappa, inst.d, params),
-            },
-        )
-
-    return report
+                "query_envelope": query_envelope(row.kappa, row.d, params),
+            }), trace))
+    return runs
 
 
 def query_envelope(kappa: float, d: int, params: ZenoParams) -> float:

@@ -341,6 +341,12 @@ BLAS_ROWS = [
     Row("sampled_solve[aqc]", f"{SAMPLED} aqc"),
     Row("sampled_solve[zeno]", f"{SAMPLED} zeno"),
     Row("sampled_solve[qsp-direct]", f"{SAMPLED} qsp-direct"),
+    # the extended and dilated pictures' rows; the dilated |+⟩ acceptance
+    # (about 1e-3) restarts the adiabatic solve 2,530 times
+    Row("sampled_solve[qsp-direct-general3]",
+        f"{SMALL} general --seed 1 --method qsp-direct --mode sample"),
+    Row("sampled_solve[aqc-indefinite3]",
+        f"{SMALL} hermitian-indefinite --seed 1 --method aqc --mode sample"),
     # the filter command's one seeded coin on an instance file
     Row("sampled_filter", f"{INSTANCE} --mode sample"),
 ]

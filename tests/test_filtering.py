@@ -1,5 +1,7 @@
 """Filter and reflection transforms against the oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,12 @@ def test_sampled_charges_each_stage_once_per_reach(stages):
     assert rep.attempts == 1
     assert rep.params == {"k": 1, "mode": "postselect", "seed": None}
     assert fields["params"] == {"k": 1}
+    # a solver run's row: called bare, it is the postselected report, and
+    # no two of its reports share a list
+    row = partial(sampled, stages, "Q", success_probabilities=probs, **fields)
+    row().success_probabilities.append(0.0)
+    assert probs == [p for p, _ in stages]
+    assert row().to_dict() == {**rep.to_dict(), "success_probabilities": probs}
 
 
 def test_sampled_rejects_an_unknown_mode():

@@ -16,7 +16,8 @@ from eigenfilter.qlsp import extend_general
 from eigenfilter.zeno import zeno_run
 
 EPS = 1e-6
-CHARGES = [("postselect", None)] + [("sample", seed) for seed in (0, 3, 159)]
+# () is the no-argument call experiment_kappa_scaling makes on a row
+CHARGES = [(), ("postselect", None)] + [("sample", seed) for seed in (0, 3, 159)]
 FORMS = ("positive-definite", "hermitian-indefinite", "general")
 RUNS = {
     "zeno": lambda insts: zeno_run(insts, EPS),
@@ -37,10 +38,10 @@ def runs(method, family, arg, seeds):
     return RUNS[method]([instance(family, arg, seed) for seed in seeds])
 
 
-def charged(report, mode, seed):
+def charged(report, *charge):
     # repr keeps every float's bits (and a zero's sign) in the comparison
     try:
-        return repr(report(mode, seed).to_dict())
+        return repr(report(*charge).to_dict())
     except RuntimeError as exc:  # a sampled run with no success raises alike
         return repr(exc)
 
@@ -59,8 +60,8 @@ def test_stack_rows_are_bitwise_the_stack_of_one_run(method, family, arg, seeds)
     for seed, (report, trace) in zip(seeds, stacked):
         [(alone, alone_trace)] = runs(method, family, arg, (seed,))
         # ells, ledgers, attempts, success probabilities, final_fidelity
-        for mode, coin_seed in CHARGES:
-            assert charged(report, mode, coin_seed) == charged(alone, mode, coin_seed)
+        for charge in CHARGES:
+            assert charged(report, *charge) == charged(alone, *charge)
         if trace is not None:
             assert repr(trace.per_step_success) == repr(alone_trace.per_step_success)
             assert repr(trace.per_step_overlap) == repr(alone_trace.per_step_overlap)
